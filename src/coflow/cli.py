@@ -13,6 +13,7 @@ The environment variable COFLOW_SEED, when set, overrides --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -120,6 +121,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_flow(args: argparse.Namespace) -> int:
     sub = args.subparser
     flavor = _flavor(sub, args.flavor)
+    try:
+        config = FlowConfig(
+            flavor=flavor, kappa=args.kappa, gamma=args.gamma, eps=args.eps,
+            t_max=args.t_max, rtol=args.rtol, atol=args.atol,
+            max_steps=args.max_steps, tol_conv=args.tol_conv,
+            escape_radius=args.escape_radius,
+        )
+    except ValueError as exc:
+        sub.error(str(exc))
     if args.perturb is None:
         for name in ("a0", "b0", "c0"):
             val = getattr(args, name)
@@ -128,7 +138,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             if not val > 0:
                 sub.error(f"--{name} must be positive, got {val}")
         initial = FlowState(0.0, args.a0, args.b0, args.c0)
-        reference = None
     else:
         if any(getattr(args, n) is not None for n in ("a0", "b0", "c0")):
             sub.error("--perturb replaces --a0/--b0/--c0; do not pass both")
@@ -145,14 +154,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         direction = state_direction(point, report.eigenpairs[0].vector)
         start = [point.state[i] + args.delta * direction[i] for i in range(3)]
         initial = FlowState(0.0, *start)
-        reference = point.state
+        config = dataclasses.replace(config, reference=point.state)
 
-    config = FlowConfig(
-        flavor=flavor, kappa=args.kappa, gamma=args.gamma, eps=args.eps,
-        t_max=args.t_max, rtol=args.rtol, atol=args.atol,
-        max_steps=args.max_steps, tol_conv=args.tol_conv,
-        reference=reference, escape_radius=args.escape_radius,
-    )
     traj = integrate(config, initial)
     traj.write_csv(args.out)
     sidecar = os.path.splitext(args.out)[0] + ".json"

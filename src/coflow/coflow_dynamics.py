@@ -18,12 +18,24 @@ Flavors:
 The hand-coded rates never stand alone: symbolic_rhs_crosscheck recomputes
 the right-hand side inside the exact exterior-algebra modules and compares
 coefficient by coefficient.
+
+Every float caller (the integrator, the stability module's Newton and
+finite-difference code, the volume-rate probe) evaluates the flow through
+one guarded helper, guarded_rhs, which returns None off the domain.  The
+adaptive integrator works on 3-tuples of scalars rather than numpy arrays:
+for 3-vectors the array wrapping cost several times the arithmetic.  A
+float64 run computes in Python floats, which are the same IEEE doubles; a
+longdouble run computes in numpy.longdouble scalars throughout, including
+the tableau, the stage sums and the error norm, so no stage is rounded to
+double.  Stage sums add their terms in tableau order, per component; the
+tests pin trajectories bit for bit, so that order is part of the contract.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -74,6 +86,11 @@ class FlowConfig:
             raise ValueError(f"unknown flavor {self.flavor!r}, expected one of {FLAVORS}")
         if self.eps not in (+1, -1):
             raise ValueError(f"eps must be +1 or -1, got {self.eps}")
+        for name in ("kappa", "gamma", "t_max", "first_step", "rtol", "atol", "floor",
+                     "ceiling", "tol_conv", "escape_radius"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         for name in ("t_max", "first_step", "rtol", "atol", "floor", "ceiling", "escape_radius"):
@@ -168,6 +185,26 @@ def rhs_modified(state, kappa, gamma, eps) -> tuple:
     return state_rates(a, b, c, monomial_rates(MODIFIED, a, b, c * c, kappa, gamma, eps))
 
 
+def guarded_rhs(flavor: str, y, kappa, gamma, eps) -> tuple | None:
+    """(da/dt, db/dt, dc/dt) at y = (a, b, c), or None off the flow's domain.
+
+    None when a scale is not positive or a rate is not finite, including
+    an overflow or a division by zero that Python floats raise on.  The
+    rates come back in the scalar type of y; the finiteness test is
+    `x - x == 0`, which keeps longdouble scalars out of float conversion.
+    """
+    a, b, c = y
+    if not (a > 0 and b > 0 and c > 0):
+        return None
+    try:
+        da, db, dc = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
+    except ArithmeticError:
+        return None
+    if da - da == 0 and db - db == 0 and dc - dc == 0:
+        return (da, db, dc)
+    return None
+
+
 _RATE_KEYS = ("vol", "e23^w1", "e13^w2", "e12^w3")
 
 
@@ -254,14 +291,26 @@ _DP_E = (Fraction(71, 57600), Fraction(0), Fraction(-71, 16695), Fraction(71, 19
 _TABLEAU_CACHE: dict = {}
 
 
-def _tableau(dt: np.dtype):
-    if dt not in _TABLEAU_CACHE:
-        def conv(row):
-            num = np.array([f.numerator for f in row], dtype=dt)
-            den = np.array([f.denominator for f in row], dtype=dt)
-            return num / den
+def _scalar_type(dt: np.dtype):
+    """Scalar type the step loop computes in for a dtype.
 
-        _TABLEAU_CACHE[dt] = ([conv(row) for row in _DP_A], conv(_DP_A[6]), conv(_DP_E))
+    Python float for float64: the same IEEE double arithmetic as
+    numpy.float64 scalars at a fraction of the cost per operation.  Every
+    other dtype (longdouble) keeps its numpy scalar type, so each stage sum,
+    right-hand side and error norm stays in that precision.
+    """
+    return float if dt == np.float64 else dt.type
+
+
+def _tableau(dt: np.dtype):
+    """(stage rows, error weights) as tuples of the dtype's loop scalars."""
+    if dt not in _TABLEAU_CACHE:
+        scalar = _scalar_type(dt)
+
+        def conv(row):
+            return tuple(scalar(dt.type(f.numerator) / dt.type(f.denominator)) for f in row)
+
+        _TABLEAU_CACHE[dt] = (tuple(conv(row) for row in _DP_A), conv(_DP_E))
     return _TABLEAU_CACHE[dt]
 
 
@@ -270,7 +319,11 @@ class Trajectory:
     """Accepted integration samples plus scalars derived from each state.
 
     The derived columns are always recomputed from (a, b, c); nothing is
-    integrated twice.
+    integrated twice.  The run counters are `rhs_evals` (right-hand-side
+    calls), `rejected` (steps the error control refused) and
+    `nonfinite_retries` (steps retried because a stage left the domain of
+    the flow or the error norm was not finite); they are not written to
+    the sidecar.
     """
 
     config: FlowConfig
@@ -281,6 +334,9 @@ class Trajectory:
     Y: list[float] = field(default_factory=list)
     reason: str = "max-steps"
     steps: int = 0
+    rhs_evals: int = 0
+    rejected: int = 0
+    nonfinite_retries: int = 0
 
     def _append(self, t, y) -> None:
         a, b, c = float(y[0]), float(y[1]), float(y[2])
@@ -317,32 +373,18 @@ class Trajectory:
             fh.write("\n")
 
 
-def _guarded_rhs(config: FlowConfig) -> Callable:
-    kap, gam, eps, flavor = config.kappa, config.gamma, config.eps, config.flavor
-
-    def f(y):
-        a, b, c = y[0], y[1], y[2]
-        if not (a > 0 and b > 0 and c > 0):
-            return None
-        rates = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kap, gam, eps))
-        out = np.array(rates, dtype=y.dtype)
-        if not np.all(np.isfinite(out)):
-            return None
-        return out
-
-    return f
-
-
-def _stop_reason(config: FlowConfig, y, fnorm) -> str | None:
-    if min(y[0], y[1], y[2]) < config.floor:
+def _stop_reason(config: FlowConfig, y: tuple, k: tuple, ref: tuple | None, sqrt) -> str | None:
+    a, b, c = y
+    if min(a, b, c) < config.floor:
         return "degeneracy"
-    if max(y[0], y[1], y[2]) > config.ceiling:
+    if max(a, b, c) > config.ceiling:
         return "blow-up"
-    if config.reference is not None:
-        ref = np.asarray(config.reference, dtype=y.dtype)
-        if float(np.sqrt(np.sum((y - ref) ** 2))) > config.escape_radius:
+    if ref is not None:
+        d0, d1, d2 = a - ref[0], b - ref[1], c - ref[2]
+        if float(sqrt(d0 * d0 + d1 * d1 + d2 * d2)) > config.escape_radius:
             return "diverged-from-critical"
-    if fnorm < config.tol_conv:
+    k0, k1, k2 = k
+    if float(sqrt(k0 * k0 + k1 * k1 + k2 * k2)) < config.tol_conv:
         return "converged"
     return None
 
@@ -355,6 +397,12 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     "diverged-from-critical" (left the reference ball), "horizon" (reached
     t_max), "max-steps".  The error control is an RMS norm of the embedded
     difference against atol + rtol * |y|.
+
+    The state, the stage slopes and the tableau are 3-tuples of the run's
+    scalar type (see `_scalar_type`) and every stage sum is written out per
+    component, adding terms in tableau order.  The seventh stage is
+    evaluated at the new point itself, so its slope is the first slope of
+    the next step: an attempt costs six right-hand-side calls.
     """
     a0, b0, c0 = _coords(initial)
     _require_positive(a0, b0, c0)
@@ -362,22 +410,30 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
         raise ValueError("initial state must be finite")
 
     dt = np.dtype(config.dtype)
-    A, B, E = _tableau(dt)
-    f = _guarded_rhs(config)
+    scalar = _scalar_type(dt)
+    sqrt = math.sqrt if scalar is float else np.sqrt
+    A, E = _tableau(dt)
+    flavor, kap, gam, eps = config.flavor, config.kappa, config.gamma, config.eps
+    atol, rtol = config.atol, config.rtol
 
-    y = np.array([a0, b0, c0], dtype=dt)
-    t = dt.type(initial.t)
-    t_max = dt.type(config.t_max)
+    y = tuple(scalar(v) for v in np.array([a0, b0, c0], dtype=dt))
+    t = scalar(dt.type(initial.t))
+    t_max = scalar(dt.type(config.t_max))
+    ref = None
+    if config.reference is not None:
+        ref = tuple(scalar(v) for v in np.asarray(config.reference, dtype=dt))
+    shrink = scalar(0.2)
 
     traj = Trajectory(config=config)
     traj._append(t, y)
-    k1 = f(y)
+    k1 = guarded_rhs(flavor, y, kap, gam, eps)
     if k1 is None:
         raise ValueError("right-hand side is not finite at the initial state")
 
-    reason = _stop_reason(config, y, float(np.sqrt(np.sum(k1 * k1))))
-    h = dt.type(config.first_step)
-    steps = attempts = 0
+    reason = _stop_reason(config, y, k1, ref, sqrt)
+    h = scalar(dt.type(config.first_step))
+    steps = attempts = rejected = retries = 0
+    rhs_evals = 1
 
     while reason is None:
         if steps >= config.max_steps or attempts >= 10 * config.max_steps:
@@ -393,46 +449,58 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
         attempts += 1
 
         ks = [k1]
-        for i in range(1, 7):
-            yi = y + h * sum(A[i][j] * ks[j] for j in range(i))
-            ki = f(yi)
+        for row in A[1:]:
+            s0 = s1 = s2 = 0
+            for w, k in zip(row, ks):
+                s0 += w * k[0]
+                s1 += w * k[1]
+                s2 += w * k[2]
+            y_new = (y[0] + h * s0, y[1] + h * s1, y[2] + h * s2)
+            ki = guarded_rhs(flavor, y_new, kap, gam, eps)
+            rhs_evals += 1
             if ki is None:
                 break
             ks.append(ki)
         if len(ks) < 7:
-            h = h * dt.type(0.2)
+            retries += 1
+            h = h * shrink
             continue
 
-        y_new = y + h * sum(A[6][j] * ks[j] for j in range(6))
-        k_new = f(y_new)
-        if k_new is None:
-            h = h * dt.type(0.2)
-            continue
-        ks.append(k_new)  # embedded error weights include the new-point slope
-
-        err = h * sum(E[j] * ks[j] for j in range(7))
-        scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if not np.isfinite(enorm):
-            h = h * dt.type(0.2)
+        # the last stage point is the new point; the error weights include its slope
+        e0 = e1 = e2 = 0
+        for w, k in zip(E, ks):
+            e0 += w * k[0]
+            e1 += w * k[1]
+            e2 += w * k[2]
+        r0 = h * e0 / (atol + rtol * max(abs(y[0]), abs(y_new[0])))
+        r1 = h * e1 / (atol + rtol * max(abs(y[1]), abs(y_new[1])))
+        r2 = h * e2 / (atol + rtol * max(abs(y[2]), abs(y_new[2])))
+        enorm = float(sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3))
+        if not math.isfinite(enorm):
+            retries += 1
+            h = h * shrink
             continue
 
         if enorm <= 1.0:
             t = t_max if final_step else t + h
             y = y_new
-            k1 = k_new
+            k1 = ks[6]
             steps += 1
             traj._append(t, y)
-            reason = _stop_reason(config, y, float(np.sqrt(np.sum(k1 * k1))))
+            reason = _stop_reason(config, y, k1, ref, sqrt)
             if reason is None and t >= t_max:
                 reason = "horizon"
             grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-            h = h * dt.type(grow)
+            h = h * scalar(grow)
         else:
-            h = h * dt.type(max(0.2, min(1.0, 0.9 * enorm ** -0.2)))
+            rejected += 1
+            h = h * scalar(max(0.2, min(1.0, 0.9 * enorm ** -0.2)))
 
     traj.reason = reason
     traj.steps = steps
+    traj.rhs_evals = rhs_evals
+    traj.rejected = rejected
+    traj.nonfinite_retries = retries
     return traj
 
 
@@ -490,9 +558,10 @@ def hitchin_rate_check(trajectory: Trajectory, kappa, gamma,
     eps = cfg.eps
 
     def f(y):
-        a, b, c = y[0], y[1], y[2]
-        return np.array(state_rates(a, b, c, monomial_rates(MODIFIED, a, b, c * c, kappa, gamma, eps)),
-                        dtype=y.dtype)
+        rates = guarded_rhs(MODIFIED, y.tolist(), kappa, gamma, eps)
+        if rates is None:
+            raise ValueError("volume-rate probe left the domain of the flow")
+        return np.array(rates)
 
     interior = range(1, len(states) - 1)
     stride = max(1, len(states) // max_samples)

@@ -29,8 +29,8 @@ from .coflow_dynamics import (
     FLAVORS,
     MODIFIED,
     NORMALIZED,
+    guarded_rhs,
     monomial_rates,
-    state_rates,
     tau0_state,
 )
 from .g2_ansatz import build
@@ -130,18 +130,6 @@ class SpectralReport:
         }
 
 
-def _float_rhs(flavor, kappa, gamma, eps):
-    def f(y):
-        a, b, c = float(y[0]), float(y[1]), float(y[2])
-        if not (a > 0 and b > 0 and c > 0):
-            return None
-        rates = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
-        out = np.array(rates, dtype=np.float64)
-        return out if np.all(np.isfinite(out)) else None
-
-    return f
-
-
 def _solve3(m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Gaussian elimination with partial pivoting; None when singular."""
     a = np.array(m, dtype=np.result_type(m, rhs, np.float64))
@@ -167,12 +155,12 @@ def _solve3(m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: int = 40):
     """Newton iteration on the floating right-hand side; None on divergence."""
-    f = _float_rhs(flavor, kappa, gamma, eps)
     y = np.array([float(v) for v in y0], dtype=np.float64)
     for _ in range(max_iter):
-        fy = f(y)
+        fy = guarded_rhs(flavor, y.tolist(), kappa, gamma, eps)
         if fy is None:
             return None
+        fy = np.array(fy)
         if float(np.sqrt(np.sum(fy * fy))) < tol:
             return y
         jac = np.zeros((3, 3))
@@ -181,18 +169,19 @@ def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: i
             yp, ym = y.copy(), y.copy()
             yp[j] += h
             ym[j] -= h
-            fp, fm = f(yp), f(ym)
+            fp = guarded_rhs(flavor, yp.tolist(), kappa, gamma, eps)
+            fm = guarded_rhs(flavor, ym.tolist(), kappa, gamma, eps)
             if fp is None or fm is None:
                 return None
-            jac[:, j] = (fp - fm) / (2 * h)
+            jac[:, j] = (np.array(fp) - np.array(fm)) / (2 * h)
         delta = _solve3(jac, fy)
         if delta is None or not np.all(np.isfinite(delta)):
             return None
         y = y - delta
         if min(y) <= 0:
             return None
-    fy = f(y)
-    if fy is not None and float(np.sqrt(np.sum(fy * fy))) < tol:
+    fy = guarded_rhs(flavor, y.tolist(), kappa, gamma, eps)
+    if fy is not None and float(np.sqrt(np.sum(np.array(fy) ** 2))) < tol:
         return y
     return None
 
@@ -206,16 +195,21 @@ def _exact_point_params(eps: int, kappa_eff: Fraction) -> GeometryParams:
 
 
 def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPoint]:
-    """The nearly parallel equilibria for the given flavor, Newton-verified.
+    """The nearly parallel equilibria for the given flavor, certified exactly.
 
     Normalized flavor has the single tau0 = kappa point per eps; the
-    modified flavor adds the (gamma - 1)^-1-rescaled copy.
+    modified flavor adds the (gamma - 1)^-1-rescaled copy.  Each closed-form
+    point is an equilibrium by proof, not by a float residual: its monomial
+    rates, evaluated over Fraction at the exact kappa and gamma the floats
+    stand for, are all exactly zero.  The returned state is that exact point
+    rounded to floats.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     if not kappa > 0:
         raise ValueError("kappa must be positive")
     kap = _as_scalar(kappa) if isinstance(kappa, (int, Fraction)) else Fraction(float(kappa))
+    gam = None
     labels = [(kap, LABEL_PRINCIPAL)]
     if flavor == MODIFIED:
         if gamma is None or not gamma > 2:
@@ -226,23 +220,15 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     points: list[CriticalPoint] = []
     for keff, label in labels:
         params = _exact_point_params(eps, keff)
-        seed = params.state()
-        refined = newton_refine(flavor, seed, float(kappa), None if gamma is None else float(gamma), eps)
-        if refined is None:
-            raise RuntimeError(f"Newton refinement diverged at the {label} point")
-        f = _float_rhs(flavor, float(kappa), None if gamma is None else float(gamma), eps)
-        residual = float(np.sqrt(np.sum(f(refined) ** 2)))
-        if residual > 1e-12:
-            raise RuntimeError(f"residual {residual:.2e} too large at the {label} point")
-        t0 = tau0_state(refined[0], refined[1], refined[2], eps)
-        if abs(t0 - float(keff)) > 1e-12 * max(1.0, float(keff)):
-            raise RuntimeError(f"tau0 at the {label} point is {t0}, expected {float(keff)}")
+        rates = monomial_rates(flavor, params.a, params.b, params.q, kap, gam, eps)
+        if rates != (0, 0, 0):
+            raise RuntimeError(f"the closed-form {label} point is not an equilibrium: rates {rates}")
+        state = params.state()
         points.append(CriticalPoint(
             flavor=flavor, eps=eps, kappa=float(kappa),
             gamma=None if gamma is None else float(gamma),
             label=label, kappa_eff=keff, params=params,
-            state=(float(refined[0]), float(refined[1]), float(refined[2])),
-            tau0=t0,
+            state=state, tau0=tau0_state(*state, eps),
         ))
     return points
 
@@ -287,10 +273,10 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     matrices apply literally.  When the twin exists the two must agree to
     1e-6 in relative sup norm.
     """
-    f = _float_rhs(flavor, float(kappa), None if gamma is None else float(gamma), eps)
+    kap, gam = float(kappa), None if gamma is None else float(gamma)
     y = np.array(point.state, dtype=np.float64)
-    fy = f(y)
-    if fy is None or float(np.sqrt(np.sum(fy * fy))) > 1e-10:
+    fy = guarded_rhs(flavor, y.tolist(), kap, gam, eps)
+    if fy is None or math.hypot(*fy) > 1e-10:
         raise ValueError("jacobian requires a critical point (residual above 1e-10)")
 
     scales = _abc_scales(eps, float(point.kappa_eff))
@@ -299,10 +285,11 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     for j in range(3):
         dy = np.zeros(3)
         dy[j] = h * scales[j]
-        fp, fm = f(y + dy), f(y - dy)
+        fp = guarded_rhs(flavor, (y + dy).tolist(), kap, gam, eps)
+        fm = guarded_rhs(flavor, (y - dy).tolist(), kap, gam, eps)
         if fp is None or fm is None:
             raise ValueError("finite-difference stencil left the positive octant")
-        num[:, j] = (fp - fm) / (2 * h)
+        num[:, j] = (np.array(fp) - np.array(fm)) / (2 * h)
     num = num / scales[:, None]
 
     ana = None

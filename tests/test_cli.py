@@ -116,6 +116,19 @@ def test_flow_input_validation(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ["--kappa", "inf"],
+    ["--rtol", "nan"],
+])
+def test_flow_rejects_non_finite_settings(tmp_path, capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--a0", "1", "--b0", "1", "--c0", "1",
+              "--out", str(tmp_path / "t.csv")] + extra)
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_flow_perturb_rejects_stable_points(tmp_path):
     # the normalized flavor has no unstable direction to perturb along
     with pytest.raises(SystemExit) as exc:
@@ -158,6 +171,14 @@ def test_stability_rescaled_point(capsys):
     report = json.loads(out)
     assert report["index"] == 1
     assert report["tau0"] == pytest.approx(8.0)
+
+
+def test_stability_at_a_formerly_failing_newton_case(capsys):
+    code, out = run(["stability", "--eps", "-1", "--kappa", "6", "--gamma", "5"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["index"] == 1
+    assert report["point"] == {"a": 4 / 6, "b": 4 / 6, "c": 4 / 6}
 
 
 def test_stability_input_validation(capsys):

@@ -13,6 +13,7 @@ from coflow.coflow_dynamics import (
     NORMALIZED,
     FlowConfig,
     FlowState,
+    guarded_rhs,
     hitchin_rate,
     hitchin_rate_check,
     hitchin_volume,
@@ -303,3 +304,77 @@ def test_hitchin_rate_matches_finite_difference():
         hitchin_rate_check(integrate(FlowConfig(flavor=NORMALIZED, eps=-1, t_max=0.1,
                                                 tol_conv=0.0),
                                      FlowState(0.0, 1.2, 0.9, 1.0)), 4.0, 3.0)
+
+
+@pytest.mark.parametrize("name", ["kappa", "gamma", "t_max", "rtol", "atol", "floor",
+                                  "ceiling", "escape_radius"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_flow_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FlowConfig(**{name: value})
+
+
+def test_guarded_rhs_returns_none_off_the_domain():
+    assert guarded_rhs(NORMALIZED, (1.0, -1.0, 1.0), 4.0, 3.0, -1) is None
+    assert guarded_rhs(MODIFIED, (1.0, 1.0, 0.0), 4.0, 3.0, -1) is None
+    # q * q overflows the longdouble range although the state itself does not
+    big = np.longdouble(10) ** 1500
+    if big - big == 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert guarded_rhs(NORMALIZED, (big, big, big), 4.0, 3.0, -1) is None
+    # Python floats raise on overflow and division by zero; both read as off the domain
+    assert guarded_rhs(NORMALIZED, (1e200, 1.0, 1.0), 4.0, 3.0, -1) is None
+    assert guarded_rhs(NORMALIZED, (1.0, 1.0, 1e-200), 4.0, 3.0, -1) is None
+    # inside the domain it agrees with the unguarded rates, in the scalar type of the state
+    rates = guarded_rhs(NORMALIZED, (1.3, 0.8, 1.1), 4.0, 3.0, -1)
+    assert rates == rhs_normalized((1.3, 0.8, 1.1), 4.0, -1)
+    ld = tuple(np.longdouble(v) for v in (1.3, 0.8, 1.1))
+    assert all(type(r) is np.longdouble for r in guarded_rhs(MODIFIED, ld, 4.0, 3.0, -1))
+
+
+def test_run_counters():
+    # no stage leaves the domain: one initial call, then six per attempted step
+    cfg = FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1)
+    traj = integrate(cfg, FlowState(0.0, 1.3, 0.8, 1.1))
+    assert (traj.steps, traj.rejected, traj.nonfinite_retries) == (239, 0, 0)
+    assert traj.rhs_evals == 1 + 6 * 239
+
+    traj = integrate(FlowConfig(flavor=MODIFIED, kappa=4.0, gamma=3.0, eps=-1),
+                     FlowState(0.0, 1.3, 0.8, 1.1))
+    assert (traj.steps, traj.rejected, traj.nonfinite_retries) == (289, 1, 0)
+    assert traj.rhs_evals == 1 + 6 * (289 + 1)
+
+    # a first step of 10 leaves the positive octant; a retry stops at the failing stage
+    cfg = FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1, first_step=10.0)
+    traj = integrate(cfg, FlowState(0.0, 1.3, 0.8, 1.1))
+    assert traj.nonfinite_retries > 0
+    full = 1 + 6 * (traj.steps + traj.rejected)
+    assert full < traj.rhs_evals <= full + 6 * traj.nonfinite_retries
+    assert "rhs_evals" not in traj.sidecar_dict()
+
+
+def _final_hex(traj):
+    fin = traj.final_state
+    return tuple(float(v).hex() for v in (fin.t, fin.a, fin.b, fin.c))
+
+
+def test_integrate_is_bitwise_pinned():
+    # values recorded from the numpy-array step loop this integrator replaced
+    traj = integrate(FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1),
+                     FlowState(0.0, 1.3, 0.8, 1.1))
+    assert _final_hex(traj) == ("0x1.37cee95562199p+2", "0x1.ffffffff483c9p-1",
+                                "0x1.ffffffee241a6p-1", "0x1.00000002696d9p+0")
+    assert (traj.steps, traj.reason) == (239, "converged")
+
+    # longdouble escape along the unstable direction of the eps = -1 principal point
+    # (acceptance criterion 09 with delta 1e-3)
+    config = FlowConfig(flavor=MODIFIED, kappa=4.0, gamma=3.0, eps=-1, t_max=1.5,
+                        reference=(1.0, 1.0, 1.0), escape_radius=1e-1, dtype=np.longdouble)
+    start = (float.fromhex("0x1.0000000000000p+0"), float.fromhex("0x1.003f944a4f827p+0"),
+             float.fromhex("0x1.ffe035dad83edp-1"))
+    traj = integrate(config, FlowState(0.0, *start))
+    if np.finfo(np.longdouble).nmant >= 63:
+        assert _final_hex(traj) == ("0x1.4b656bcf8dda1p-3", "0x1.000a724b3a43fp+0",
+                                    "0x1.19fbb70888c34p+0", "0x1.f38f7ebbc79a0p-1")
+        assert traj.steps == 49
+    assert traj.reason == "diverged-from-critical"

@@ -361,3 +361,29 @@ def test_modified_root_survey_extras_are_not_nearly_parallel():
                 assert n2 < 1e-18
             else:
                 assert n2 > 1.0
+
+
+# grid cases where a float Newton check of the exact equilibrium once failed
+# ("Newton refinement diverged": a float residual of about 1.1e-13 against an
+# absolute 1e-13 tolerance)
+@pytest.mark.parametrize("eps, kappa, gamma, label, kappa_eff", [
+    (-1, 6.0, 5.0, LABEL_PRINCIPAL, 6),
+    (+1, 32.0, 5.0, LABEL_PRINCIPAL, 32),
+    (-1, 16.0, 4.0, LABEL_RESCALED, 48),
+    (-1, 32.0, 4.0, LABEL_RESCALED, 96),
+    (-1, 32.0, 6.0, LABEL_RESCALED, 160),
+])
+def test_critical_points_are_the_closed_form(eps, kappa, gamma, label, kappa_eff):
+    pt = next(p for p in find_critical_points(MODIFIED, kappa, gamma, eps) if p.label == label)
+    assert pt.kappa_eff == kappa_eff
+    if eps == -1:
+        a = Fraction(4, kappa_eff)
+        assert pt.params == GeometryParams(a=a, b=a, q=a * a, eps=eps)
+        want = (4 / kappa_eff, 4 / kappa_eff, 4 / kappa_eff)
+    else:
+        a = Fraction(12, 5 * kappa_eff)
+        assert pt.params == GeometryParams(a=a, b=a, q=5 * a * a, eps=eps)
+        want = (12 / (5 * kappa_eff), 12 / (5 * kappa_eff), 12 * SQ5 / (5 * kappa_eff))
+    assert pt.state == pt.params.state()
+    assert np.allclose(pt.state, want, rtol=4e-16, atol=0)
+    assert abs(pt.tau0 - kappa_eff) < 1e-12 * kappa_eff
