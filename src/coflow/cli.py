@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .coflow_dynamics import (
@@ -53,6 +55,25 @@ def _flavor(sub: argparse.ArgumentParser, name: str) -> str:
         return _FLAVOR_ALIASES[name]
     except KeyError:
         sub.error(f"unknown flavor {name!r}; choose from {sorted(_FLAVOR_ALIASES)}")
+
+
+def _check_finite(sub: argparse.ArgumentParser, name: str, value: float,
+                  positive: bool = False) -> None:
+    if not math.isfinite(value):
+        sub.error(f"--{name} must be finite, got {value}")
+    if positive and not value > 0:
+        sub.error(f"--{name} must be positive, got {value}")
+
+
+@contextmanager
+def _usage_errors(sub: argparse.ArgumentParser):
+    """Report a ValueError or ArithmeticError raised on the inputs as a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        sub.error(str(exc))
+    except ArithmeticError as exc:
+        sub.error(f"the inputs are out of range ({type(exc).__name__}: {exc})")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -121,42 +142,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_flow(args: argparse.Namespace) -> int:
     sub = args.subparser
     flavor = _flavor(sub, args.flavor)
-    try:
+    with _usage_errors(sub):
         config = FlowConfig(
             flavor=flavor, kappa=args.kappa, gamma=args.gamma, eps=args.eps,
             t_max=args.t_max, rtol=args.rtol, atol=args.atol,
             max_steps=args.max_steps, tol_conv=args.tol_conv,
             escape_radius=args.escape_radius,
         )
-    except ValueError as exc:
-        sub.error(str(exc))
     if args.perturb is None:
         for name in ("a0", "b0", "c0"):
             val = getattr(args, name)
             if val is None:
                 sub.error(f"--{name} is required unless --perturb is given")
-            if not val > 0:
-                sub.error(f"--{name} must be positive, got {val}")
+            _check_finite(sub, name, val, positive=True)
         initial = FlowState(0.0, args.a0, args.b0, args.c0)
     else:
         if any(getattr(args, n) is not None for n in ("a0", "b0", "c0")):
             sub.error("--perturb replaces --a0/--b0/--c0; do not pass both")
-        if not args.delta > 0:
-            sub.error("--delta must be positive")
-        try:
+        _check_finite(sub, "delta", args.delta, positive=True)
+        with _usage_errors(sub):
             points = find_critical_points(flavor, args.kappa, args.gamma, args.eps)
-        except ValueError as exc:
-            sub.error(str(exc))
-        point = next(p for p in points if p.label == LABEL_PRINCIPAL)
-        report = classify(flavor, point, args.kappa, args.gamma, args.eps)
-        if report.index < 1:
-            sub.error("the selected critical point has no unstable direction")
-        direction = state_direction(point, report.eigenpairs[0].vector)
+            point = next(p for p in points if p.label == LABEL_PRINCIPAL)
+            report = classify(flavor, point, args.kappa, args.gamma, args.eps)
+            if report.index < 1:
+                sub.error("the selected critical point has no unstable direction")
+            direction = state_direction(point, report.eigenpairs[0].vector)
         start = [point.state[i] + args.delta * direction[i] for i in range(3)]
+        if not min(start) > 0:
+            sub.error(f"--delta {args.delta} moves the start off the positive scales: "
+                      f"({start[0]}, {start[1]}, {start[2]})")
         initial = FlowState(0.0, *start)
         config = dataclasses.replace(config, reference=point.state)
 
-    traj = integrate(config, initial)
+    with _usage_errors(sub):
+        traj = integrate(config, initial)
     traj.write_csv(args.out)
     sidecar = os.path.splitext(args.out)[0] + ".json"
     traj.write_sidecar(sidecar)
@@ -167,6 +186,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 def _cmd_stability(args: argparse.Namespace) -> int:
     sub = args.subparser
     flavor = _flavor(sub, args.flavor)
+    _check_finite(sub, "kappa", args.kappa, positive=True)
+    _check_finite(sub, "gamma", args.gamma)
     gamma = args.gamma
     if flavor == MODIFIED and not gamma > 2:
         sub.error("the modified flow needs gamma > 2")
@@ -176,10 +197,11 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         gamma = None
     label = LABEL_PRINCIPAL if args.point == "principal" else LABEL_RESCALED
 
-    points = find_critical_points(flavor, args.kappa, gamma, args.eps)
-    point = next(p for p in points if p.label == label)
-    report = classify(flavor, point, args.kappa, gamma, args.eps)
-    psi = verify_psi_identities(args.eps, Fraction(str(args.kappa)))
+    with _usage_errors(sub):
+        points = find_critical_points(flavor, args.kappa, gamma, args.eps)
+        point = next(p for p in points if p.label == label)
+        report = classify(flavor, point, args.kappa, gamma, args.eps)
+        psi = verify_psi_identities(args.eps, Fraction(str(args.kappa)))
     _emit(report.to_json_dict(), args.out)
     if not psi.all_pass:
         print("psi identity sub-checks FAILED", file=sys.stderr)
@@ -193,10 +215,12 @@ def _cmd_sphere_index(args: argparse.Namespace) -> int:
         sub.error(f"--l-min must be non-negative, got {args.l_min}")
     if args.l_max < args.l_min:
         sub.error(f"empty level range [{args.l_min}, {args.l_max}]")
+    _check_finite(sub, "gamma", args.gamma)
     if not args.gamma > 2:
         sub.error("the window requires gamma > 2")
     gamma = Fraction(str(args.gamma))
-    total, records = index_lower_bound(args.l_min, args.l_max, gamma)
+    with _usage_errors(sub):
+        total, records = index_lower_bound(args.l_min, args.l_max, gamma)
     if args.out:
         write_sphere_csv(args.out, records, gamma)
     else:

@@ -319,11 +319,12 @@ class Trajectory:
     """Accepted integration samples plus scalars derived from each state.
 
     The derived columns are always recomputed from (a, b, c); nothing is
-    integrated twice.  The run counters are `rhs_evals` (right-hand-side
-    calls), `rejected` (steps the error control refused) and
-    `nonfinite_retries` (steps retried because a stage left the domain of
-    the flow or the error norm was not finite); they are not written to
-    the sidecar.
+    integrated twice.  A quotient column whose denominator underflowed to
+    zero (a start far below the floor) is recorded as nan.  The run
+    counters are `rhs_evals` (right-hand-side calls), `rejected` (steps the
+    error control refused) and `nonfinite_retries` (steps retried because a
+    stage left the domain of the flow or the error norm was not finite);
+    they are not written to the sidecar.
     """
 
     config: FlowConfig
@@ -342,10 +343,16 @@ class Trajectory:
         a, b, c = float(y[0]), float(y[1]), float(y[2])
         q = c * c
         self.states.append(FlowState(float(t), a, b, c))
-        self.tau0.append(tau0_state(a, b, c, self.config.eps))
+        try:
+            t0, x, yy = tau0_state(a, b, c, self.config.eps), a * a / q, a * b / q
+        except ZeroDivisionError:
+            # a^2 c^2 or c^2 underflowed to zero: a state far below the floor
+            t0 = math.nan
+            x, yy = (a * a / q, a * b / q) if q else (math.nan, math.nan)
+        self.tau0.append(t0)
         self.volume.append(a * a * b * q * q)
-        self.X.append(a * a / q)
-        self.Y.append(a * b / q)
+        self.X.append(x)
+        self.Y.append(yy)
 
     @property
     def final_state(self) -> FlowState:
@@ -393,7 +400,8 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     """Adaptive embedded Runge-Kutta 5(4) run with first-same-as-last reuse.
 
     Stops with one of: "converged" (|rhs| below tol_conv), "degeneracy"
-    (a scale under the floor), "blow-up" (a scale over the ceiling),
+    (a scale under the floor, also at a start whose right-hand side does
+    not evaluate), "blow-up" (a scale over the ceiling, likewise),
     "diverged-from-critical" (left the reference ball), "horizon" (reached
     t_max), "max-steps".  The error control is an RMS norm of the embedded
     difference against atol + rtol * |y|.
@@ -427,9 +435,10 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     traj = Trajectory(config=config)
     traj._append(t, y)
     k1 = guarded_rhs(flavor, y, kap, gam, eps)
-    if k1 is None:
+    if k1 is None and config.floor <= min(y) and max(y) <= config.ceiling:
         raise ValueError("right-hand side is not finite at the initial state")
 
+    # a start beyond the floor or the ceiling stops at once, whatever its slope
     reason = _stop_reason(config, y, k1, ref, sqrt)
     h = scalar(dt.type(config.first_step))
     steps = attempts = rejected = retries = 0

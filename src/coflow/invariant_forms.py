@@ -24,10 +24,19 @@ and <vol, vol> = 1/q^4 horizontally, with q the squared horizontal scale
 (q = c^2).  Working with q instead of c keeps every coefficient rational
 even where c itself is irrational.  The orientation carries the sign eps:
 the Riemannian volume form is vol_eps = eps * a^2 b q^2 * e123 ^ vol.
+
+The structure tables do not depend on (a, b, q, eps), so each is derived
+once, on first use, from the relations above and kept: d of each basis
+monomial (the Leibniz rule over the generator differentials), the product
+of each pair of monomials, and each monomial's Hodge complement with the
+sign of its wedge onto the top monomial.  They are keyed by monomials only,
+at most 40 x 40 entries.  Only the coefficient arithmetic of a call depends
+on the geometry.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +55,14 @@ def _as_scalar(x: ScalarLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact coefficient required, got {type(x).__name__}")
+
+
+def _add_term(out: dict, m: Monomial, c: Fraction) -> None:
+    """Add c to the coefficient of m in a coefficient map, in place."""
+    if m in out:
+        out[m] += c
+    else:
+        out[m] = c
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,8 @@ class InvariantForm:
     coeffs: dict[Monomial, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        cleaned = {m: _as_scalar(c) for m, c in self.coeffs.items() if c != 0}
+        cleaned = {m: c if type(c) is Fraction else _as_scalar(c)
+                   for m, c in self.coeffs.items() if c != 0}
         object.__setattr__(self, "coeffs", cleaned)
 
     @staticmethod
@@ -148,7 +166,7 @@ class InvariantForm:
     def __add__(self, other: "InvariantForm") -> "InvariantForm":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            _add_term(out, m, c)
         return InvariantForm(out)
 
     def __sub__(self, other: "InvariantForm") -> "InvariantForm":
@@ -253,11 +271,12 @@ for _i in (1, 2, 3):
     _HORIZ_MUL[(f"w{_i}", f"w{_i}")] = (2, "vol")
 
 
+@functools.cache
 def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[Fraction, Monomial] | None:
     """Product of two monomials as (coefficient, monomial), or None when zero.
 
     Horizontal parts have even degree, so the only sign comes from sorting
-    the vertical indices.
+    the vertical indices.  Each pair is worked out once and then kept.
     """
     if set(m1.verts) & set(m2.verts):
         return None
@@ -276,10 +295,9 @@ def wedge(alpha: InvariantForm, beta: InvariantForm) -> InvariantForm:
     for m1, c1 in alpha.coeffs.items():
         for m2, c2 in beta.coeffs.items():
             prod = wedge_monomials(m1, m2)
-            if prod is None:
-                continue
-            c, m = prod
-            out[m] = out.get(m, Fraction(0)) + c1 * c2 * c
+            if prod is not None:
+                c, m = prod
+                _add_term(out, m, c1 * c2 * c)
     return InvariantForm(out)
 
 
@@ -296,7 +314,9 @@ _D_GEN: dict[str, InvariantForm] = {
 }
 
 
+@functools.cache
 def _d_monomial(m: Monomial) -> InvariantForm:
+    """d of one basis monomial by the Leibniz rule; derived once per monomial."""
     total = InvariantForm.zero()
     factors = [f"e{i}" for i in m.verts] + ([m.horiz] if m.horiz != "1" else [])
     for j, fac in enumerate(factors):
@@ -316,22 +336,27 @@ def _d_monomial(m: Monomial) -> InvariantForm:
 
 def exterior_derivative(alpha: InvariantForm) -> InvariantForm:
     """Exterior derivative from the structure relations and the Leibniz rule."""
-    total = InvariantForm.zero()
+    out: dict[Monomial, Fraction] = {}
     for m, c in alpha.coeffs.items():
-        total = total + c * _d_monomial(m)
-    return total
+        for dm, dc in _d_monomial(m).coeffs.items():
+            _add_term(out, dm, c * dc)
+    return InvariantForm(out)
+
+
+# <h, h> = k / q^e for the horizontal part h, as (k, e)
+_HORIZ_WEIGHT = {"1": (1, 0), "w1": (2, 2), "w2": (2, 2), "w3": (2, 2), "vol": (1, 4)}
 
 
 def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
-    """Squared norm <m, m>: the basis is orthogonal and the metric multiplicative."""
-    w = Fraction(1)
-    for i in m.verts:
-        w *= 1 / (p.a * p.a) if i in (1, 2) else 1 / (p.b * p.b)
-    if m.horiz in ("w1", "w2", "w3"):
-        w *= 2 / (p.q * p.q)
-    elif m.horiz == "vol":
-        w *= 1 / (p.q ** 4)
-    return w
+    """Squared norm <m, m>: the basis is orthogonal and the metric multiplicative.
+
+    |e1|^2 = |e2|^2 = 1/a^2, |e3|^2 = 1/b^2, and the horizontal part
+    contributes k / q^e from _HORIZ_WEIGHT.
+    """
+    k, e = _HORIZ_WEIGHT[m.horiz]
+    nb = int(3 in m.verts)
+    na = len(m.verts) - nb
+    return k / (p.a ** (2 * na) * p.b ** (2 * nb) * p.q ** e)
 
 
 def volume_form(p: GeometryParams) -> InvariantForm:
@@ -341,6 +366,16 @@ def volume_form(p: GeometryParams) -> InvariantForm:
 
 # complementary horizontal parts under the star pairing h ^ h' -> vol
 _HORIZ_PARTNER = {"1": "vol", "vol": "1", "w1": "w1", "w2": "w2", "w3": "w3"}
+
+
+@functools.cache
+def _star_partner(m: Monomial) -> tuple[Monomial, Fraction]:
+    """Complementary monomial of m and the coefficient of m ^ complement on TOP."""
+    comp = Monomial(tuple(i for i in (1, 2, 3) if i not in m.verts),
+                    _HORIZ_PARTNER[m.horiz])
+    pairing = wedge_monomials(m, comp)
+    assert pairing is not None and pairing[1] == TOP
+    return comp, pairing[0]
 
 
 def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
@@ -353,16 +388,12 @@ def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     if alpha.is_zero():
         return alpha
     alpha.degree()  # homogeneity check
-    out = InvariantForm.zero()
     top_coeff = p.eps * p.a * p.a * p.b * p.q * p.q
+    out: dict[Monomial, Fraction] = {}
     for m, c in alpha.coeffs.items():
-        comp = Monomial(tuple(i for i in (1, 2, 3) if i not in m.verts),
-                        _HORIZ_PARTNER[m.horiz])
-        pairing = wedge_monomials(m, comp)
-        assert pairing is not None and pairing[1] == TOP
-        scale = monomial_weight(m, p) * top_coeff / pairing[0]
-        out = out + InvariantForm.monomial(comp, c * scale)
-    return out
+        comp, pairing = _star_partner(m)
+        out[comp] = c * (monomial_weight(m, p) * top_coeff / pairing)
+    return InvariantForm(out)
 
 
 def inner_product(alpha: InvariantForm, beta: InvariantForm, p: GeometryParams) -> Fraction:
@@ -408,10 +439,12 @@ def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
 
     dd_ok = all(exterior_derivative(_d_monomial(m)).is_zero() for m in basis)
 
+    forms = {m: InvariantForm.monomial(m) for m in basis}
+    stars = {m: hodge_star(forms[m], p) for m in basis}
+
     invol_ok = True
     for m in basis:
-        fm = InvariantForm.monomial(m)
-        if hodge_star(hodge_star(fm, p), p) != fm:
+        if hodge_star(stars[m], p) != forms[m]:
             invol_ok = False
 
     # gamma ^ star(beta) = <gamma, beta> vol_eps over every same-degree pair
@@ -421,11 +454,9 @@ def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
         by_degree.setdefault(m.degree, []).append(m)
     for mons in by_degree.values():
         for m1 in mons:
-            f1 = InvariantForm.monomial(m1)
             for m2 in mons:
-                f2 = InvariantForm.monomial(m2)
-                lhs = wedge(f1, hodge_star(f2, p))
-                if lhs != inner_product(f1, f2, p) * vol_eps:
+                lhs = wedge(forms[m1], stars[m2])
+                if lhs != inner_product(forms[m1], forms[m2], p) * vol_eps:
                     pairing_ok = False
 
     horiz_ok = (

@@ -228,3 +228,69 @@ def test_sphere_index_input_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sphere-index", "--l-min", "0", "--l-max", "3", "--gamma", "2"])
     assert exc.value.code == 2
+
+
+VERIFY_IDS = ("nilpotent-differential", "star-involution", "star-pairing",
+              "horizontal-products", "unit-star", "dual-coclosed", "star-duality",
+              "normalization-constants", "dphi-coefficients", "tau0-closed-form",
+              "torsion-split", "laplacian-coefficients", "dtau3-projection",
+              "volume-pairing")
+
+
+def test_verify_report_is_pinned(capsys):
+    # the full report of the README command, recorded before the algebra's
+    # structure tables were memoised; compared as text
+    code, out = run(["verify", "--seed", "7", "--trials", "20"], capsys)
+    assert code == 0
+    expected = {
+        "seed": 7,
+        "trials": 20,
+        "checks": [{"id": cid, "status": "pass", "failures": 0} for cid in VERIFY_IDS],
+        "status": "pass",
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kappa", "inf"], "--kappa must be finite"),
+    (["--kappa", "nan"], "--kappa must be finite"),
+    (["--kappa", "-1"], "--kappa must be positive"),
+    (["--gamma", "inf"], "--gamma must be finite"),
+    # finite and positive, but the closed-form point overflows a float
+    (["--flavor", "coflow", "--kappa", "1e-300"], "out of range (OverflowError"),
+])
+def test_stability_rejects_unusable_kappa_and_gamma(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_sphere_index_rejects_non_finite_gamma(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sphere-index", "--l-min", "1", "--l-max", "3", "--gamma", "inf"])
+    assert exc.value.code == 2
+    assert "--gamma must be finite" in capsys.readouterr().err
+
+
+def test_flow_rejects_a_perturbation_that_leaves_the_positive_scales(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--flavor", "modified", "--perturb", "unstable", "--delta", "10",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--delta 10.0 moves the start off the positive scales" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_from_a_degenerate_start_reports_degeneracy(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, printed = run(["flow", "--a0", "1e-300", "--b0", "1", "--c0", "1",
+                         "--out", str(out)], capsys)
+    assert code == 0
+    assert json.loads(printed)["reason"] == "degeneracy"
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["tau0"] == "nan"

@@ -378,3 +378,35 @@ def test_integrate_is_bitwise_pinned():
                                     "0x1.19fbb70888c34p+0", "0x1.f38f7ebbc79a0p-1")
         assert traj.steps == 49
     assert traj.reason == "diverged-from-critical"
+
+
+@pytest.mark.parametrize("state, kappa, gamma, eps, rate", [
+    # README escape start
+    (("0x1.028f5c28f5c29p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+     4.0, 3.0, -1, "-0x1.8b115b56df6dfp-3"),
+    # principal points of the modified flow at (eps, kappa, gamma) = (1, 6, 5) and (-1, 32, 6)
+    (("0x1.999999999999ap-2", "0x1.999999999999ap-2", "0x1.c9f25c5bfedd9p-1"),
+     6.0, 5.0, 1, "0x1.e328de966edc0p-108"),
+    (("0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.0000000000000p-3"),
+     32.0, 6.0, -1, "0x0.0p+0"),
+])
+def test_hitchin_rate_is_bitwise_pinned(state, kappa, gamma, eps, rate):
+    # values recorded before the algebra's structure tables were memoised;
+    # tau0 and |tau3|^2 are exact, so the rate must not move by one bit
+    y = tuple(float.fromhex(v) for v in state)
+    assert hitchin_rate(y, kappa, gamma, eps).hex() == rate
+
+
+def test_degenerate_start_stops_with_a_reason():
+    # a^2 c^2 underflows to zero: tau0 cannot be evaluated and neither can the rates
+    traj = integrate(FlowConfig(), FlowState(0.0, 1e-300, 1.0, 1.0))
+    assert (traj.reason, traj.steps) == ("degeneracy", 0)
+    assert math.isnan(traj.tau0[0])
+    assert (traj.X[0], traj.Y[0]) == (0.0, 1e-300)
+    # c^2 underflows as well: every quotient column is nan
+    traj = integrate(FlowConfig(), FlowState(0.0, 1.0, 1.0, 1e-300))
+    assert traj.reason == "degeneracy"
+    assert all(math.isnan(v) for v in (traj.tau0[0], traj.X[0], traj.Y[0]))
+    # inside the floor and the ceiling an unevaluable start is still an error
+    with pytest.raises(ValueError, match="not finite at the initial state"):
+        integrate(FlowConfig(floor=1e-320), FlowState(0.0, 1e-300, 1.0, 1.0))

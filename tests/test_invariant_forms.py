@@ -30,7 +30,9 @@ from coflow.invariant_forms import (
     total_integral,
     volume_form,
     wedge,
+    wedge_monomials,
 )
+from coflow.invariant_forms import _d_monomial, _star_partner
 
 BASIS = all_monomials()
 
@@ -223,3 +225,56 @@ def test_random_params_are_deterministic():
     p1 = random_params(random.Random(5), +1)
     p2 = random_params(random.Random(5), +1)
     assert (p1.a, p1.b, p1.q) == (p2.a, p2.b, p2.q)
+
+
+# The structure tables are derived once per monomial (or pair) and kept; these
+# tests compare every entry with a fresh derivation and check the algebra
+# laws on the cached entries themselves, over the whole basis.
+
+def test_memoised_d_matches_a_fresh_leibniz_derivation():
+    for m in BASIS:
+        assert _d_monomial(m) == _d_monomial.__wrapped__(m)
+
+
+def test_cached_products_match_a_fresh_derivation():
+    for m1 in BASIS:
+        for m2 in BASIS:
+            assert wedge_monomials(m1, m2) == wedge_monomials.__wrapped__(m1, m2)
+
+
+def _times(x, y):
+    """Product of two (coefficient, monomial) pairs via the table; None is zero."""
+    if x is None or y is None:
+        return None
+    prod = wedge_monomials(x[1], y[1])
+    return None if prod is None else (x[0] * y[0] * prod[0], prod[1])
+
+
+def test_cached_products_are_graded_commutative_and_associative():
+    for m1 in BASIS:
+        x1 = (Fraction(1), m1)
+        for m2 in BASIS:
+            x2 = (Fraction(1), m2)
+            p12, p21 = _times(x1, x2), _times(x2, x1)
+            sign = (-1) ** (m1.degree * m2.degree)
+            assert p21 == (None if p12 is None else (sign * p12[0], p12[1]))
+            for m3 in BASIS:
+                x3 = (Fraction(1), m3)
+                assert _times(p12, x3) == _times(x1, _times(x2, x3))
+
+
+def test_cached_star_signs_agree_with_the_wedge_onto_top():
+    for m in BASIS:
+        comp, sign = _star_partner(m)
+        assert comp.degree == 7 - m.degree
+        assert wedge_monomials.__wrapped__(m, comp) == (sign, TOP)
+        assert _star_partner(comp)[0] == m
+
+
+def test_constructor_keeps_rejecting_floats_and_dropping_zeros():
+    m = BASIS[5]
+    with pytest.raises(TypeError):
+        InvariantForm({m: 0.5})
+    f = InvariantForm({m: Fraction(0), BASIS[6]: 0, BASIS[7]: 3})
+    assert f.coeffs == {BASIS[7]: Fraction(3)}
+    assert type(f.coeffs[BASIS[7]]) is Fraction
