@@ -6,7 +6,9 @@ Subcommands:
   stability     spectral report at a critical point
   sphere-index  multiplicity table and the windowed index bound
 
-Exit codes: 0 success, 1 verification failure, 2 input or usage error.
+Exit codes: 0 success, 1 verification failure, 2 input or usage error.  A
+reader that closes standard output early (`coflow ... | head -1`) changes
+neither the exit code nor the files the command writes.
 The environment variable COFLOW_SEED, when set, overrides --seed.
 """
 
@@ -76,12 +78,30 @@ def _usage_errors(sub: argparse.ArgumentParser):
         sub.error(f"the inputs are out of range ({type(exc).__name__}: {exc})")
 
 
+def _drop_stdout() -> None:
+    """Point stdout at the null device once its reader has gone.
+
+    The recipe of the Python documentation for SIGPIPE: output still
+    buffered, and any printed later, goes nowhere instead of raising
+    BrokenPipeError again when the interpreter flushes at exit.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+
+
+def _print(text: str) -> None:
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    _print(text)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -179,7 +199,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     traj.write_csv(args.out)
     sidecar = os.path.splitext(args.out)[0] + ".json"
     traj.write_sidecar(sidecar)
-    print(json.dumps(traj.sidecar_dict(), indent=2))
+    _emit(traj.sidecar_dict(), None)
     return 0
 
 
@@ -224,11 +244,11 @@ def _cmd_sphere_index(args: argparse.Namespace) -> int:
     if args.out:
         write_sphere_csv(args.out, records, gamma)
     else:
-        print("l,eigenvalue,d,d0,d1,lower_bound,in_window(gamma)")
+        _print("l,eigenvalue,d,d0,d1,lower_bound,in_window(gamma)")
         for r in records:
             flag = str(in_window(r.l, gamma)).lower()
-            print(f"{r.l},{r.eigenvalue},{r.d},{r.d0},{r.d1},{r.lower_bound},{flag}")
-    print(total)
+            _print(f"{r.l},{r.eigenvalue},{r.d},{r.d0},{r.d1},{r.lower_bound},{flag}")
+    _print(str(total))
     return 0
 
 
@@ -289,7 +309,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    code = args.handler(args)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return code
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .g2_ansatz import build, laplacian_psi, tau0 as ansatz_tau0, torsion
+from .g2_ansatz import build, laplacian_psi, tau0 as ansatz_tau0, tau0_terms, tau3_norm_sq_terms
 from .invariant_forms import (
     GeometryParams,
     Monomial,
@@ -118,9 +118,9 @@ def _coords(state) -> tuple:
 
 
 def tau0_state(a, b, c, eps):
-    """Scalar torsion as a plain arithmetic expression of the state."""
-    q = c * c
-    return 4 * (4 * a * (a * a + q) + eps * b * (2 * a * a - q)) / (7 * a * a * q)
+    """Scalar torsion of the state, from the closed form `tau0_terms` with q = c^2."""
+    num, den = tau0_terms(a, b, c * c, eps)
+    return num / den
 
 
 def monomial_rates(flavor: str, a, b, q, kappa, gamma, eps) -> tuple:
@@ -513,12 +513,13 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     return traj
 
 
-def _rk4_step(f: Callable, y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(f: Callable, y: tuple, h: float) -> tuple:
     k1 = f(y)
-    k2 = f(y + (h / 2) * k1)
-    k3 = f(y + (h / 2) * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = f(tuple(v + (h / 2) * k for v, k in zip(y, k1)))
+    k3 = f(tuple(v + (h / 2) * k for v, k in zip(y, k2)))
+    k4 = f(tuple(v + h * k for v, k in zip(y, k3)))
+    return tuple(v + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+                 for v, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
 
 
 def hitchin_volume(state) -> float:
@@ -536,14 +537,27 @@ def hitchin_rate(state, kappa, gamma, eps) -> float:
 
         (1/4) (|tau3|^2 - (35/2)(tau0 - kappa)(tau0 - (gamma-1) kappa)) V.
 
-    tau0 and |tau3|^2 are computed exactly, then the prefactor is applied
-    in floating point.
+    tau0 and |tau3|^2 come from the closed forms `tau0_terms` and
+    `tau3_norm_sq_terms`, which identity_suite checks against the exact
+    algebra.  They are evaluated exactly at the floats (a, b, c) and rounded
+    once, then the prefactor is applied in floating point.  The floats are
+    written as integers over one power of two D, and the closed forms are
+    homogeneous (degree -1 and -2, q of weight 2), so all the exact work is
+    in Python ints.  a and b must be positive and c non-zero.
     """
     a, b, c = (float(v) for v in _coords(state))
-    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-    td = torsion(build(GeometryParams(fa, fb, fc * fc, eps)))
-    t0 = float(td.tau0)
-    n2 = float(td.tau3_norm_sq)
+    (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
+    if not (a > 0 and b > 0 and c != 0):
+        raise ValueError(f"scales must be positive, got ({a}, {b}, {c})")
+    if eps not in (+1, -1):
+        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    d = max(da, db, dc)
+    ia, ib, ic = na * (d // da), nb * (d // db), nc * (d // dc)
+    num0, den0 = tau0_terms(ia, ib, ic * ic, eps)
+    num3, den3 = tau3_norm_sq_terms(ia, ib, ic * ic, eps)
+    # int / int rounds the exact quotient once, as float(Fraction) does
+    t0 = num0 * d / den0
+    n2 = num3 * d * d / den3
     vol = hitchin_volume((a, b, c))
     return 0.25 * (n2 - 17.5 * (t0 - kappa) * (t0 - (gamma - 1) * kappa)) * vol
 
@@ -567,17 +581,17 @@ def hitchin_rate_check(trajectory: Trajectory, kappa, gamma,
     eps = cfg.eps
 
     def f(y):
-        rates = guarded_rhs(MODIFIED, y.tolist(), kappa, gamma, eps)
+        rates = guarded_rhs(MODIFIED, y, kappa, gamma, eps)
         if rates is None:
             raise ValueError("volume-rate probe left the domain of the flow")
-        return np.array(rates)
+        return rates
 
     interior = range(1, len(states) - 1)
     stride = max(1, len(states) // max_samples)
     worst = 0.0
     for i in list(interior)[::stride]:
         st = states[i]
-        y = np.array([st.a, st.b, st.c], dtype=np.float64)
+        y = (st.a, st.b, st.c)
         y_fwd = _rk4_step(f, y, probe_step)
         y_bwd = _rk4_step(f, y, -probe_step)
         fd = (hitchin_volume(y_fwd) - hitchin_volume(y_bwd)) / (2 * probe_step)

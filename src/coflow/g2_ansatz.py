@@ -70,31 +70,63 @@ def build(params: GeometryParams) -> G2Ansatz:
     return G2Ansatz(params=p, phi=phi, psi=psi)
 
 
-def tau0(ans: G2Ansatz) -> Fraction:
-    """Scalar torsion, evaluated as (1/7) star(dphi ^ phi).
+def tau0_terms(a, b, q, eps) -> tuple:
+    """Numerator and denominator of the closed-form scalar torsion, tau0 = n / d.
 
-    The same quantity has the closed form
-    (4/7) (4a(a^2+q) + eps b(2a^2-q)) / (a^2 q); both routes are computed
-    and must agree exactly.
+    Here tau0 = 4 (4a(a^2+q) + eps b(2a^2-q)) / (7 a^2 q).  The pair is a
+    plain arithmetic expression, so it serves exact and float scalars alike;
+    on Python ints it is exact.  With q given weight 2, tau0 is homogeneous
+    of degree -1.
     """
+    return 4 * (4 * a * (a * a + q) + eps * b * (2 * a * a - q)), 7 * a * a * q
+
+
+def tau3_norm_sq_terms(a, b, q, eps) -> tuple:
+    """Numerator and denominator of the closed-form |tau3|^2 = n / d.
+
+    dphi = tau0 psi + star(tau3) with the two parts orthogonal and
+    |psi|^2 = 7, so |tau3|^2 = |dphi|^2 - 7 tau0^2; written out from
+    dphi_closed_form and the metric weights this is the quotient below,
+    homogeneous of degree -2 when q has weight 2.  identity_suite compares
+    it with the algebra route.
+    """
+    num = 8 * (38 * a ** 6 + 24 * eps * a ** 5 * b + 13 * a ** 4 * b ** 2 - 36 * a ** 4 * q
+               + 12 * eps * a ** 3 * b * q - 6 * a ** 2 * b ** 2 * q + 10 * a ** 2 * q ** 2
+               - 12 * eps * a * b * q ** 2 + 5 * b ** 2 * q ** 2)
+    return num, 7 * a ** 4 * q ** 2
+
+
+def _tau0(ans: G2Ansatz, dphi: InvariantForm) -> Fraction:
     p = ans.params
-    starred = hodge_star(wedge(exterior_derivative(ans.phi), ans.phi), p)
-    value = Fraction(1, 7) * starred.coefficient(UNIT)
-    closed = Fraction(4, 7) * (4 * p.a * (p.a * p.a + p.q)
-                               + p.eps * p.b * (2 * p.a * p.a - p.q)) / (p.a * p.a * p.q)
+    value = Fraction(1, 7) * hodge_star(wedge(dphi, ans.phi), p).coefficient(UNIT)
+    closed = Fraction(*tau0_terms(p.a, p.b, p.q, p.eps))
     if value != closed:
         raise AssertionError(f"scalar torsion routes disagree: {value} vs {closed}")
     return value
 
 
+def tau0(ans: G2Ansatz) -> Fraction:
+    """Scalar torsion, evaluated as (1/7) star(dphi ^ phi).
+
+    The same quantity has the closed form `tau0_terms`; both routes are
+    computed and must agree exactly.
+    """
+    return _tau0(ans, exterior_derivative(ans.phi))
+
+
+def _torsion(ans: G2Ansatz, dphi: InvariantForm) -> TorsionData:
+    t0 = _tau0(ans, dphi)
+    t3 = hodge_star(dphi, ans.params) - t0 * ans.phi
+    return TorsionData(tau0=t0, tau3=t3, tau3_norm_sq=inner_product(t3, t3, ans.params))
+
+
 def torsion(ans: G2Ansatz) -> TorsionData:
     """Split dphi = tau0 psi + star(tau3) and report |tau3|^2.
 
-    Since star is an involution here, tau3 = star(dphi) - tau0 phi.
+    Since star is an involution here, tau3 = star(dphi) - tau0 phi.  dphi is
+    derived once and shared with the scalar torsion.
     """
-    t0 = tau0(ans)
-    t3 = hodge_star(exterior_derivative(ans.phi), ans.params) - t0 * ans.phi
-    return TorsionData(tau0=t0, tau3=t3, tau3_norm_sq=inner_product(t3, t3, ans.params))
+    return _torsion(ans, exterior_derivative(ans.phi))
 
 
 def verify_dtau3_lemma(ans: G2Ansatz) -> bool:
@@ -196,7 +228,7 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
     p = params
     ans = build(p)
     dphi = exterior_derivative(ans.phi)
-    td = torsion(ans)
+    td = _torsion(ans, dphi)
     checks: list[tuple[str, bool]] = []
 
     checks.append(("dual-coclosed", exterior_derivative(ans.psi).is_zero()))
@@ -206,16 +238,14 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
                    and inner_product(ans.phi, ans.phi, p) == 7
                    and inner_product(ans.psi, ans.psi, p) == 7))
     checks.append(("dphi-coefficients", dphi == dphi_closed_form(p)))
-    try:
-        t0 = tau0(ans)
-        tau0_ok = t0 == inner_product(dphi, ans.psi, p) / 7
-    except AssertionError:
-        tau0_ok = False
-    checks.append(("tau0-closed-form", tau0_ok))
+    checks.append(("tau0-closed-form",
+                   td.tau0 == Fraction(*tau0_terms(p.a, p.b, p.q, p.eps))
+                   and td.tau0 == inner_product(dphi, ans.psi, p) / 7))
     checks.append(("torsion-split",
                    dphi == td.tau0 * ans.psi + hodge_star(td.tau3, p)
                    and wedge(td.tau3, ans.phi).is_zero()
-                   and wedge(td.tau3, ans.psi).is_zero()))
+                   and wedge(td.tau3, ans.psi).is_zero()
+                   and td.tau3_norm_sq == Fraction(*tau3_norm_sq_terms(p.a, p.b, p.q, p.eps))))
     checks.append(("laplacian-coefficients", laplacian_psi(ans) == laplacian_closed_form(p)))
     checks.append(("dtau3-projection", verify_dtau3_lemma(ans)))
     checks.append(("volume-pairing",

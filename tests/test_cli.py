@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coflow
 from coflow.cli import main
 
 
@@ -294,3 +299,27 @@ def test_flow_from_a_degenerate_start_reports_degeneracy(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["tau0"] == "nan"
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["verify", "--seed", "7", "--trials", "1", "--out", "report.json"], ["report.json"]),
+    (["flow", "--a0", "1", "--b0", "1", "--c0", "1e300", "--out", "t.csv"], ["t.csv", "t.json"]),
+    (["stability", "--out", "stability.json"], ["stability.json"]),
+    (["sphere-index", "--l-min", "1", "--l-max", "20"], []),
+])
+def test_a_closed_stdout_ends_the_output_not_the_command(argv, written, tmp_path):
+    # the reader is gone before the command prints, as with `coflow ... | head -1`
+    src = str(Path(coflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("COFLOW_SEED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "coflow.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    for name in written:
+        assert (tmp_path / name).stat().st_size > 0

@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from coflow.coflow_dynamics import (
+    FLAVORS,
     MODIFIED,
     NORMALIZED,
     FlowConfig,
@@ -27,8 +29,15 @@ from coflow.coflow_dynamics import (
     symbolic_rhs_crosscheck,
     tau0_state,
 )
-from coflow.invariant_forms import GeometryParams, random_params, total_integral, wedge
-from coflow.g2_ansatz import build, tau0 as ansatz_tau0
+from coflow.invariant_forms import (
+    GeometryParams,
+    InvariantForm,
+    random_params,
+    total_integral,
+    wedge,
+)
+from coflow.g2_ansatz import build, tau0 as ansatz_tau0, torsion
+from coflow.stability import LABEL_PRINCIPAL, LABEL_RESCALED, find_critical_points
 
 
 def frac_state(a, b, q):
@@ -410,3 +419,77 @@ def test_degenerate_start_stops_with_a_reason():
     # inside the floor and the ceiling an unevaluable start is still an error
     with pytest.raises(ValueError, match="not finite at the initial state"):
         integrate(FlowConfig(floor=1e-320), FlowState(0.0, 1e-300, 1.0, 1.0))
+
+
+def _algebra_rate(y, kappa, gamma, eps):
+    """The volume rate with tau0 and |tau3|^2 from the exact algebra at Fraction(float)."""
+    a, b, c = (Fraction(v) for v in y)
+    td = torsion(build(GeometryParams(a, b, c * c, eps)))
+    t0, n2 = float(td.tau0), float(td.tau3_norm_sq)
+    return 0.25 * (n2 - 17.5 * (t0 - kappa) * (t0 - (gamma - 1) * kappa)) * hitchin_volume(y)
+
+
+def test_hitchin_rate_equals_the_algebra_route_bit_for_bit():
+    cases = []
+    # both critical points of every spectral-audit grid case
+    for eps in (+1, -1):
+        for kappa in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0):
+            for gamma in (2.5, 3.0, 4.0, 5.0, 6.0):
+                points = {p.label: p.state
+                          for p in find_critical_points(MODIFIED, kappa, gamma, eps)}
+                for label in (LABEL_PRINCIPAL, LABEL_RESCALED):
+                    cases.append((points[label], kappa, gamma, eps))
+    # seeded states over twelve orders of magnitude, both orientations
+    rng = random.Random(406)
+    for _ in range(60):
+        y = tuple(10 ** rng.uniform(-6, 6) for _ in range(3))
+        cases.append((y, rng.choice((0.5, 4.0, 32.0)), rng.choice((2.5, 3.0, 6.0)),
+                      rng.choice((+1, -1))))
+    assert len(cases) == 240
+    for y, kappa, gamma, eps in cases:
+        assert hitchin_rate(y, kappa, gamma, eps).hex() == _algebra_rate(y, kappa, gamma, eps).hex()
+
+
+def test_hitchin_rate_builds_no_exact_forms(monkeypatch):
+    def refuse(self):
+        raise AssertionError("hitchin_rate reached the exact algebra")
+
+    monkeypatch.setattr(InvariantForm, "__post_init__", refuse)
+    monkeypatch.setattr(GeometryParams, "__post_init__", refuse)
+    assert hitchin_rate((1.01, 1.0, 1.0), 4.0, 3.0, -1) < 0
+
+
+def test_hitchin_rate_rejects_states_off_the_family():
+    for y in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0), (math.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            hitchin_rate(y, 4.0, 3.0, -1)
+    with pytest.raises(ValueError):
+        hitchin_rate((1.0, 1.0, 1.0), 4.0, 3.0, 0)
+    with pytest.raises(OverflowError):
+        hitchin_rate((math.inf, 1.0, 1.0), 4.0, 3.0, -1)
+
+
+@pytest.mark.parametrize("state, eps, value", [
+    ((1.3, 0.8, 1.1), -1, "0x1.dd4b3cb27dd9ep+1"),
+    ((1.3, 0.8, 1.1), 1, "0x1.2cbdae1289ed3p+2"),
+    ((0.1, 7.25, 3.0), 1, "-0x1.867b87b87b87bp+8"),
+    ((1e-3, 2.0, 500.0), -1, "0x1.17936db6d1d9fp+20"),
+])
+def test_tau0_state_is_bitwise_pinned(state, eps, value):
+    # values recorded from the inline expression tau0_state had before the closed
+    # form moved to g2_ansatz; the Trajectory tau0 column must not move by one bit
+    assert tau0_state(*state, eps).hex() == value
+
+
+_STOP_REASONS = {"converged", "degeneracy", "blow-up", "diverged-from-critical", "horizon",
+                 "max-steps"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.tuples(*[st.floats(min_value=1e-8, max_value=1e8)] * 3),
+       flavor=st.sampled_from(FLAVORS), eps=st.sampled_from((+1, -1)))
+def test_integrate_never_raises_inside_the_floor_and_ceiling(start, flavor, eps):
+    config = FlowConfig(flavor=flavor, eps=eps, max_steps=20)
+    traj = integrate(config, FlowState(0.0, *start))
+    assert traj.reason in _STOP_REASONS
+    assert traj.steps <= config.max_steps

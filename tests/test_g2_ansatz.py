@@ -11,6 +11,8 @@ from coflow.g2_ansatz import (
     laplacian_closed_form,
     laplacian_psi,
     tau0,
+    tau0_terms,
+    tau3_norm_sq_terms,
     torsion,
     type_project_4form,
     verify_dtau3_lemma,
@@ -199,3 +201,30 @@ def test_identity_suite_all_pass():
         ids = [name for name, _ in results]
         assert len(ids) == len(set(ids))
         assert all(ok for _, ok in results)
+
+
+def test_tau3_norm_closed_form_matches_algebra():
+    # small rationals and Fraction(float) points with ~2^50 denominators, both orientations
+    rng = random.Random(404)
+    for eps in (+1, -1):
+        points = [random_params(rng, eps) for _ in range(10)]
+        for _ in range(10):
+            a, b, c = (Fraction(rng.uniform(0.05, 20.0)) for _ in range(3))
+            points.append(GeometryParams(a, b, c * c, eps))
+        for p in points:
+            td = torsion(build(p))
+            assert td.tau3_norm_sq == Fraction(*tau3_norm_sq_terms(p.a, p.b, p.q, eps))
+            assert td.tau0 == Fraction(*tau0_terms(p.a, p.b, p.q, eps))
+
+
+def test_closed_forms_are_homogeneous():
+    # tau0 has degree -1 and |tau3|^2 degree -2 in (a, b, c), which the integer
+    # evaluation of the volume rate relies on
+    rng = random.Random(405)
+    for eps in (+1, -1):
+        for _ in range(10):
+            a, b, q, s = (Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(4))
+            assert (Fraction(*tau0_terms(s * a, s * b, s * s * q, eps))
+                    == Fraction(*tau0_terms(a, b, q, eps)) / s)
+            assert (Fraction(*tau3_norm_sq_terms(s * a, s * b, s * s * q, eps))
+                    == Fraction(*tau3_norm_sq_terms(a, b, q, eps)) / (s * s))
