@@ -135,7 +135,10 @@ def verify_dtau3_lemma(ans: G2Ansatz) -> bool:
     Both sides are computed independently: the left from the inner product
     of d(tau3) with psi, the right from |tau3|^2.  Exact comparison.
     """
-    td = torsion(ans)
+    return _dtau3_lemma(ans, torsion(ans))
+
+
+def _dtau3_lemma(ans: G2Ansatz, td: TorsionData) -> bool:
     dtau3 = exterior_derivative(td.tau3)
     lhs = (inner_product(dtau3, ans.psi, ans.params) / 7) * ans.psi
     rhs = (td.tau3_norm_sq / 7) * ans.psi
@@ -247,7 +250,7 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
                    and wedge(td.tau3, ans.psi).is_zero()
                    and td.tau3_norm_sq == Fraction(*tau3_norm_sq_terms(p.a, p.b, p.q, p.eps))))
     checks.append(("laplacian-coefficients", laplacian_psi(ans) == laplacian_closed_form(p)))
-    checks.append(("dtau3-projection", verify_dtau3_lemma(ans)))
+    checks.append(("dtau3-projection", _dtau3_lemma(ans, td)))
     checks.append(("volume-pairing",
                    p.eps * total_integral(wedge(ans.phi, ans.psi), p)
                    == 7 * p.a * p.a * p.b * p.q * p.q))

@@ -86,12 +86,20 @@ def level_mu(l: int) -> Fraction:
     return Fraction(sphere_eigenvalue(l), KAPPA)
 
 
-def in_window(l: int, gamma) -> bool:
-    """Whether level l's ratio lies in the destabilizing window for gamma."""
+def _window_floor(gamma) -> Fraction:
+    """Lower end -(5/2)(gamma - 1) of the destabilizing window; gamma > 2."""
     if not gamma > 2:
         raise ValueError("the window requires gamma > 2")
-    mu = level_mu(l)
-    return -1 > mu > Fraction(-5, 2) * (Fraction(gamma) - 1)
+    return Fraction(-5, 2) * (Fraction(gamma) - 1)
+
+
+def _in_window(l: int, floor: Fraction) -> bool:
+    return -1 > level_mu(l) > floor
+
+
+def in_window(l: int, gamma) -> bool:
+    """Whether level l's ratio lies in the destabilizing window for gamma."""
+    return _in_window(l, _window_floor(gamma))
 
 
 @dataclass(frozen=True)
@@ -126,15 +134,17 @@ def index_lower_bound(l_min: int, l_max: int, gamma) -> tuple[int, list[Multipli
     if l_min > l_max:
         raise ValueError(f"empty level range [{l_min}, {l_max}]")
     records = [MultiplicityRecord.at(l) for l in range(l_min, l_max + 1)]
-    total = sum(r.lower_bound for r in records if in_window(r.l, gamma))
+    floor = _window_floor(gamma)
+    total = sum(r.lower_bound for r in records if _in_window(r.l, floor))
     return total, records
 
 
 def write_csv(path, records: list[MultiplicityRecord], gamma) -> None:
     """Emit the per-level report; big integers as decimal strings."""
+    floor = _window_floor(gamma)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["l", "eigenvalue", "d", "d0", "d1", "lower_bound", "in_window(gamma)"])
         for r in records:
             writer.writerow([r.l, r.eigenvalue, r.d, r.d0, r.d1, r.lower_bound,
-                             str(in_window(r.l, gamma)).lower()])
+                             str(_in_window(r.l, floor)).lower()])

@@ -4,8 +4,8 @@ Both flows have equilibria exactly where the structure is nearly parallel:
 scalar torsion tau0 equal to kappa, and for the modified flavor additionally
 tau0 equal to (gamma - 1) kappa.  This module locates those points, builds
 the flow linearization in the scaled perturbation coordinates (A, B, C),
-extracts eigenpairs with a closed-form 3x3 solver, counts the instability
-index, and maps unstable directions back to invariant 4-forms.
+extracts its eigenpairs with LAPACK (`numpy.linalg.eig`), counts the
+instability index, and maps unstable directions back to invariant 4-forms.
 
 The two distinguished 27-type 4-forms
 
@@ -130,29 +130,6 @@ class SpectralReport:
         }
 
 
-def _solve3(m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Gaussian elimination with partial pivoting; None when singular."""
-    a = np.array(m, dtype=np.result_type(m, rhs, np.float64))
-    v = np.array(rhs, dtype=a.dtype)
-    n = 3
-    perm = list(range(n))
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r, col]))
-        if abs(a[piv, col]) < 1e-300:
-            return None
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            v[[col, piv]] = v[[piv, col]]
-        for r in range(col + 1, n):
-            fac = a[r, col] / a[col, col]
-            a[r, col:] -= fac * a[col, col:]
-            v[r] -= fac * v[col]
-    x = np.zeros(n, dtype=a.dtype)
-    for r in range(n - 1, -1, -1):
-        x[r] = (v[r] - a[r, r + 1:] @ x[r + 1:]) / a[r, r]
-    return x
-
-
 def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: int = 40):
     """Newton iteration on the floating right-hand side; None on divergence."""
     y = np.array([float(v) for v in y0], dtype=np.float64)
@@ -174,8 +151,11 @@ def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: i
             if fp is None or fm is None:
                 return None
             jac[:, j] = (np.array(fp) - np.array(fm)) / (2 * h)
-        delta = _solve3(jac, fy)
-        if delta is None or not np.all(np.isfinite(delta)):
+        try:
+            delta = np.linalg.solve(jac, fy)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(delta)):
             return None
         y = y - delta
         if min(y) <= 0:
@@ -301,127 +281,69 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     return num, ana
 
 
-def _cubic_roots(t1: float, t2: float, det: float) -> list[complex]:
-    # charpoly lambda^3 - t1 lambda^2 + t2 lambda - det
-    a, b, c = -t1, t2, -det
-    shift = -a / 3
-    p = b - a * a / 3
-    q = 2 * a ** 3 / 27 - a * b / 3 + c
-    scale = max(abs(p) ** 1.5, abs(q), 1e-300)
-    disc = -4 * p ** 3 - 27 * q * q
-    if abs(p) < 1e-14 * scale ** (2 / 3) and abs(q) < 1e-14 * scale:
-        return [complex(shift)] * 3
-    if disc >= -1e-12 * scale * scale:
-        # three real roots (possibly nearly repeated): trigonometric branch
-        m = 2 * math.sqrt(max(-p, 0.0) / 3)
-        arg = 3 * q / (p * m) if p * m != 0 else 0.0
-        theta = math.acos(min(1.0, max(-1.0, arg)))
-        return [complex(shift + m * math.cos((theta - 2 * math.pi * k) / 3)) for k in range(3)]
-    # one real root and a conjugate pair: Cardano branch
-    rad = math.sqrt(q * q / 4 + p ** 3 / 27)
-    u = math.copysign(abs(-q / 2 + rad) ** (1 / 3), -q / 2 + rad)
-    v = math.copysign(abs(-q / 2 - rad) ** (1 / 3), -q / 2 - rad)
-    real = shift + u + v
-    re = shift - (u + v) / 2
-    im = math.sqrt(3) / 2 * (u - v)
-    return [complex(real), complex(re, im), complex(re, -im)]
+def _oriented(v: np.ndarray) -> np.ndarray:
+    """v turned so that its largest-magnitude component is real and positive.
 
-
-def _polish_root(lam: complex, a: float, b: float, c: float) -> complex:
-    for _ in range(3):
-        p = ((lam + a) * lam + b) * lam + c
-        dp = (3 * lam + 2 * a) * lam + b
-        if abs(dp) < 1e-300:
-            break
-        step = p / dp
-        if not (abs(step) < math.inf):
-            break
-        lam = lam - step
-    return lam
-
-
-def _nullspace_vectors(B: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Null vectors of a 3x3 matrix via row cross products (bilinear kernel)."""
-    rows = [B[i, :] for i in range(3)]
-    crosses = [np.cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-    best = max(crosses, key=lambda v: float(np.sqrt(np.abs(v @ np.conj(v)))))
-    if float(np.sqrt(np.abs(best @ np.conj(best)))) > tol * tol:
-        return [best / np.sqrt(np.abs(best @ np.conj(best)))]
-    # rank <= 1: every pair of rows is parallel
-    row = max(rows, key=lambda r: float(np.sqrt(np.abs(r @ np.conj(r)))))
-    if float(np.sqrt(np.abs(row @ np.conj(row)))) <= tol:
-        return [np.eye(3, dtype=B.dtype)[k] for k in range(3)]
-    r1, r2, r3 = row
-    candidates = [np.array([-r2, r1, 0], dtype=B.dtype),
-                  np.array([-r3, 0, r1], dtype=B.dtype),
-                  np.array([0, -r3, r2], dtype=B.dtype)]
-    candidates.sort(key=lambda v: -float(np.sqrt(np.abs(v @ np.conj(v)))))
-    first = candidates[0] / np.sqrt(np.abs(candidates[0] @ np.conj(candidates[0])))
-    second = candidates[1] - (np.conj(first) @ candidates[1]) * first
-    second = second / np.sqrt(np.abs(second @ np.conj(second)))
-    return [first, second]
+    Among components within 1e-9 of the largest magnitude the first one
+    decides, so near-ties do not flip with roundoff.
+    """
+    mags = np.abs(v)
+    k = int(np.argmax(mags >= (1 - 1e-9) * mags.max()))
+    return v * (np.conj(v[k]) / mags[k])
 
 
 def eigen3(matrix) -> list[Eigenpair]:
-    """Eigenpairs of a 3x3 real matrix by closed-form cubic plus refinement.
+    """Eigenpairs of a 3x3 real matrix from LAPACK, via `numpy.linalg.eig`.
 
-    Roots come from the discriminant-split cubic formula, polished by Newton
-    steps on the characteristic polynomial; eigenvectors come from the rank
-    structure of (A - lambda I) with one pass of shifted inverse iteration.
-    A repeated eigenvalue with too small a geometric eigenspace is padded
-    with best-effort vectors flagged generalized=True.
+    Values within 2e-7 max(1, ||A||) of each other form one cluster, and
+    every member reports the cluster's mean value, with its residual
+    |A v - lambda v| against that mean.  A member whose eig vector is
+    numerically dependent on the cluster's earlier vectors (the smallest
+    singular value of their unit-column block is at most 1e-6) is flagged
+    generalized=True: the eigenspace is smaller than the cluster, as for a
+    Jordan block.  Convention: vectors have unit norm with their
+    largest-magnitude component real and positive; pairs are sorted by
+    decreasing real part, then decreasing |imag|, so a conjugate pair lists
+    +imag first.
     """
     A = np.asarray(matrix, dtype=np.float64)
     if A.shape != (3, 3):
         raise ValueError("eigen3 expects a 3x3 matrix")
     anorm = float(np.sqrt(np.sum(A * A)))
-    t1 = float(np.trace(A))
-    t2 = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-               + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
-               + A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-    det = float(np.linalg.det(A))
-    ca, cb, cc = -t1, t2, -det
-    roots = [_polish_root(r, ca, cb, cc) for r in _cubic_roots(t1, t2, det)]
-    roots.sort(key=lambda z: (-z.real, -abs(z.imag)))
+    values, vectors = np.linalg.eig(A)
+    order = sorted(range(3), key=lambda i: (-values[i].real, -abs(values[i].imag), -values[i].imag))
 
-    # cluster nearly equal roots so repeated eigenvalues share a nullspace;
-    # a double root of the cubic splits by ~sqrt(eps) under roundoff, so the
-    # threshold must sit above 1.5e-8 * scale
-    clusters: list[list[complex]] = []
-    for r in roots:
-        if clusters and abs(r - clusters[-1][0]) <= 2e-7 * max(1.0, anorm):
-            clusters[-1].append(r)
+    clusters: list[list[int]] = []
+    for i in order:
+        if clusters and abs(values[i] - values[clusters[-1][0]]) <= 2e-7 * max(1.0, anorm):
+            clusters[-1].append(i)
         else:
-            clusters.append([r])
+            clusters.append([i])
 
     pairs: list[Eigenpair] = []
-    tol = 1e-12 * max(1.0, anorm)
     for cluster in clusters:
-        lam = sum(cluster) / len(cluster)
-        use_complex = abs(lam.imag) > 1e-14 * max(1.0, anorm)
-        dt = np.complex128 if use_complex else np.float64
-        lam_cast = lam if use_complex else lam.real
-        B = A.astype(dt) - lam_cast * np.eye(3, dtype=dt)
-        vecs = _nullspace_vectors(B, tol)
-        for pos in range(len(cluster)):
-            generalized = pos >= len(vecs)
-            v = vecs[pos % len(vecs)]
-            # one shifted inverse-iteration pass tightens the residual
-            refined = _solve3(A.astype(dt) - (lam_cast + tol) * np.eye(3, dtype=dt), v)
-            if refined is not None and np.all(np.isfinite(refined)):
-                nrm = float(np.sqrt(np.abs(refined @ np.conj(refined))))
-                if nrm > 0:
-                    v = refined / nrm
-            res = A.astype(dt) @ v - lam_cast * v
-            residual = float(np.sqrt(np.abs(res @ np.conj(res))))
+        lam = sum(values[i] for i in cluster) / len(cluster)
+        kept: list[np.ndarray] = []
+        for i in cluster:
+            v = _oriented(vectors[:, i])
+            block = np.column_stack(kept + [v])
+            generalized = bool(kept) and np.linalg.svd(block, compute_uv=False)[-1] <= 1e-6
+            if not generalized:
+                kept.append(v)
+            res = A @ v - lam * v
             pairs.append(Eigenpair(
-                value=complex(lam_cast),
+                value=complex(lam),
                 vector=tuple(complex(x) for x in v),
-                residual=residual,
-                generalized=generalized,
+                residual=float(np.sqrt(np.abs(res @ np.conj(res)))),
+                generalized=bool(generalized),
             ))
-    pairs.sort(key=lambda p: (-p.value.real, -abs(p.value.imag)))
     return pairs
+
+
+def _snap(x: float) -> Fraction | float:
+    """x as the rational with denominator <= 2^20 nearest to it, if within 1e-12."""
+    r = Fraction(x).limit_denominator(1 << 20)
+    return r if abs(r - x) <= 1e-12 else x
 
 
 def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
@@ -515,10 +437,11 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     if index > 0:
         top = pairs[0]
         direction = [complex(x).real for x in top.vector]
-        # normalize by the largest component and drop noise-level entries,
-        # so rational ratios between components survive the float round trip
+        # normalize by the largest component and snap noise-level deviations
+        # from small rationals (zero included), so rational ratios between
+        # components survive the float round trip
         amax = max(abs(x) for x in direction)
-        direction = [0.0 if abs(x) < 1e-12 * amax else x / amax for x in direction]
+        direction = [_snap(x / amax) for x in direction]
         unstable_form = variation_to_form(point, direction)
 
     mu = window_mu(point)

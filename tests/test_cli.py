@@ -178,6 +178,28 @@ def test_stability_rescaled_point(capsys):
     assert report["tau0"] == pytest.approx(8.0)
 
 
+def test_stability_rescaled_double_eigenvalue(capsys):
+    # exact spectrum {15k^2/4, -5k^2, -5k^2} = {60, -80, -80} at kappa = 4
+    code, out = run(["stability", "--flavor", "modified", "--eps", "1", "--kappa", "4",
+                     "--gamma", "4", "--point", "rescaled"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["index"] == 1
+    assert [e["re"] for e in report["eigenvalues"]] == pytest.approx([60.0, -80.0, -80.0], rel=1e-6)
+    assert all(e["residual"] < 1e-6 for e in report["eigenvalues"])
+
+
+@pytest.mark.parametrize("eps, form", [
+    ("1", {"e12^w3": "9/25", "e13^w2": "9/50", "e23^w1": "-9/50"}),
+    ("-1", {"e12^w3": "1/2", "e13^w2": "-1/2", "e23^w1": "1/2", "vol": "-1"}),
+])
+def test_stability_unstable_form_is_pinned(capsys, eps, form):
+    code, out = run(["stability", "--flavor", "modified", "--eps", eps,
+                     "--kappa", "4", "--gamma", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["unstable_form"] == form
+
+
 def test_stability_at_a_formerly_failing_newton_case(capsys):
     code, out = run(["stability", "--eps", "-1", "--kappa", "6", "--gamma", "5"], capsys)
     assert code == 0

@@ -117,3 +117,19 @@ def test_record_and_csv_round_trip(tmp_path):
                        "in_window(gamma)"]
     assert rows[2] == ["3", "-7", "2400", "672", "1568", "160", "true"]
     assert all(row[6] in ("true", "false") for row in rows[1:])
+
+
+def test_level_on_the_window_floor_is_excluded(tmp_path):
+    # at gamma = 21/10, level 7 has mu = -11/4 = -(5/2)(gamma - 1) exactly
+    gamma = Fraction(21, 10)
+    assert level_mu(7) == Fraction(-5, 2) * (gamma - 1)
+    assert dim_lower(7) > 0
+    assert not in_window(7, gamma)
+    assert index_lower_bound(7, 7, gamma)[0] == 0
+    total, records = index_lower_bound(6, 7, gamma)
+    assert total == dim_lower(6)
+    path = tmp_path / "levels.csv"
+    write_csv(path, records, gamma)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[6] for row in rows[1:]] == ["true", "false"]

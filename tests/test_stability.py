@@ -387,3 +387,53 @@ def test_critical_points_are_the_closed_form(eps, kappa, gamma, label, kappa_eff
     assert pt.state == pt.params.state()
     assert np.allclose(pt.state, want, rtol=4e-16, atol=0)
     assert abs(pt.tau0 - kappa_eff) < 1e-12 * kappa_eff
+
+
+def test_eigen3_sign_convention_and_conjugate_order():
+    # each vector's largest-magnitude component (the first among ties to
+    # 1e-9) is real and positive, and a conjugate pair lists +imag first
+    pairs = eigen3(np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert [p.value.imag for p in pairs] == pytest.approx([0.0, 2.0, -2.0], abs=1e-12)
+    rng = np.random.default_rng(5)
+    for m in [pairs] + [eigen3(rng.standard_normal((3, 3))) for _ in range(40)]:
+        keys = [(-p.value.real, -abs(p.value.imag), -p.value.imag) for p in m]
+        assert keys == sorted(keys)
+        for p in m:
+            v = np.array(p.vector)
+            k = int(np.argmax(np.abs(v) >= (1 - 1e-9) * np.abs(v).max()))
+            assert v[k].imag == 0 and v[k].real > 0
+            assert np.linalg.norm(v) == pytest.approx(1.0)
+            assert p.residual < 1e-12
+
+
+GRID_KAPPAS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0)
+GRID_GAMMAS = (2.5, 3.0, 4.0, 5.0, 6.0)
+GRID = [(eps, kappa, gamma) for eps in (+1, -1) for kappa in GRID_KAPPAS for gamma in GRID_GAMMAS]
+
+
+@pytest.mark.parametrize("kappa", GRID_KAPPAS)
+def test_double_eigenvalue_at_the_plus_rescaled_point_gamma_4(kappa):
+    # exact spectrum {15k^2/4, -5k^2, -5k^2} with a two-dimensional eigenspace
+    report = classify(MODIFIED, rescaled(kappa, 4.0, +1), kappa, 4.0, +1)
+    jnorm = float(np.linalg.norm(np.array(report.jacobian)))
+    values = [p.value for p in report.eigenpairs]
+    assert [v.real for v in values] == pytest.approx(
+        [15 * kappa ** 2 / 4, -5 * kappa ** 2, -5 * kappa ** 2], rel=1e-6)
+    assert all(v.imag == 0 for v in values)
+    assert all(p.residual <= 1e-7 * jnorm for p in report.eigenpairs)
+    assert not any(p.generalized for p in report.eigenpairs)
+    assert report.index == 1
+
+
+@pytest.mark.parametrize("eps, kappa, gamma", GRID)
+def test_principal_unstable_vector_and_exact_form_on_the_grid(eps, kappa, gamma):
+    report = classify(MODIFIED, principal(MODIFIED, kappa, gamma, eps), kappa, gamma, eps)
+    target = np.array((-1, 2, 0) if eps == +1 else (0, 4, -1), dtype=np.float64)
+    got = np.array([complex(x).real for x in report.eigenpairs[0].vector])
+    assert np.max(np.abs(got - target / np.linalg.norm(target))) < 1e-8
+
+    psi_27 = PSI_PLUS if eps == +1 else PSI_MINUS
+    key = next(iter(psi_27.coeffs))
+    scale = report.unstable_form.coefficient(key) / psi_27.coefficient(key)
+    assert isinstance(scale, Fraction) and scale != 0
+    assert report.unstable_form == scale * psi_27
