@@ -33,7 +33,7 @@ from .coflow_dynamics import (
 )
 from .g2_ansatz import identity_suite
 from .invariant_forms import algebra_checks, random_params
-from .sphere_spectrum import in_window, index_lower_bound, write_csv as write_sphere_csv
+from .sphere_spectrum import index_lower_bound, table_rows, write_csv as write_sphere_csv
 from .stability import (
     LABEL_PRINCIPAL,
     LABEL_RESCALED,
@@ -244,10 +244,8 @@ def _cmd_sphere_index(args: argparse.Namespace) -> int:
     if args.out:
         write_sphere_csv(args.out, records, gamma)
     else:
-        _print("l,eigenvalue,d,d0,d1,lower_bound,in_window(gamma)")
-        for r in records:
-            flag = str(in_window(r.l, gamma)).lower()
-            _print(f"{r.l},{r.eigenvalue},{r.d},{r.d0},{r.d1},{r.lower_bound},{flag}")
+        for row in table_rows(records, gamma):
+            _print(",".join(str(x) for x in row))
     _print(str(total))
     return 0
 

@@ -194,31 +194,33 @@ def curl_invariant(x: InvariantForm, ans: G2Ansatz) -> InvariantForm:
     return hodge_star(wedge(exterior_derivative(x), ans.psi), ans.params)
 
 
+def ansatz_4form(u, eps) -> InvariantForm:
+    """The invariant 4-form u1 vol - eps u2 (e23^w1 - e13^w2) - u3 e12^w3.
+
+    psi is the image of its monomials (q^2, a b q, a^2 q), so the map also
+    carries their rates and variations to 4-forms.
+    """
+    u1, u2, u3 = u
+    return form([("vol", u1), ("e23^w1", -eps * u2), ("e13^w2", eps * u2), ("e12^w3", -u3)])
+
+
 def dphi_closed_form(p: GeometryParams) -> InvariantForm:
     """Hand-coded closed form of dphi, kept separate from the algebra route."""
     a, b, q, eps = p.a, p.b, p.q, p.eps
-    return form([
-        ("vol", 8 * a * q + 4 * eps * b * q),
-        ("e23^w1", -2 * eps * a * a * b - 2 * eps * b * q),
-        ("e13^w2", 2 * eps * a * a * b + 2 * eps * b * q),
-        ("e12^w3", -2 * eps * a * a * b - 4 * a * q + 2 * eps * b * q),
-    ])
+    return ansatz_4form((8 * a * q + 4 * eps * b * q,
+                         2 * a * a * b + 2 * b * q,
+                         2 * eps * a * a * b + 4 * a * q - 2 * eps * b * q), eps)
 
 
 def laplacian_closed_form(p: GeometryParams) -> InvariantForm:
     """Hand-coded closed form of the Laplacian of psi, for cross-checking."""
     a, b, q, eps = p.a, p.b, p.q, p.eps
-    c_vol = 8 * (2 * a * a + b * b + 2 * q + 2 * eps * b * q / a - b * b * q / (a * a))
-    c_23 = -4 * eps * (eps * b * b + 4 * a ** 3 * b / q + 2 * eps * a * a * b * b / q
-                       + 2 * b * q / a - eps * b * b * q / (a * a))
-    c_12 = -4 * (2 * a * a - b * b + 2 * q + 4 * eps * a ** 3 * b / q
-                 + 2 * a * a * b * b / q - 2 * eps * b * q / a + b * b * q / (a * a))
-    return form([
-        ("vol", c_vol),
-        ("e23^w1", c_23),
-        ("e13^w2", -c_23),
-        ("e12^w3", c_12),
-    ])
+    u1 = 8 * (2 * a * a + b * b + 2 * q + 2 * eps * b * q / a - b * b * q / (a * a))
+    u2 = 4 * (eps * b * b + 4 * a ** 3 * b / q + 2 * eps * a * a * b * b / q
+              + 2 * b * q / a - eps * b * b * q / (a * a))
+    u3 = 4 * (2 * a * a - b * b + 2 * q + 4 * eps * a ** 3 * b / q
+              + 2 * a * a * b * b / q - 2 * eps * b * q / a + b * b * q / (a * a))
+    return ansatz_4form((u1, u2, u3), eps)
 
 
 def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:

@@ -139,12 +139,16 @@ def index_lower_bound(l_min: int, l_max: int, gamma) -> tuple[int, list[Multipli
     return total, records
 
 
+def table_rows(records: list[MultiplicityRecord], gamma) -> list[tuple]:
+    """Header and per-level rows of the report, with one window floor for all of them."""
+    floor = _window_floor(gamma)
+    header = ("l", "eigenvalue", "d", "d0", "d1", "lower_bound", "in_window(gamma)")
+    return [header] + [(r.l, r.eigenvalue, r.d, r.d0, r.d1, r.lower_bound,
+                        str(_in_window(r.l, floor)).lower()) for r in records]
+
+
 def write_csv(path, records: list[MultiplicityRecord], gamma) -> None:
     """Emit the per-level report; big integers as decimal strings."""
-    floor = _window_floor(gamma)
+    rows = table_rows(records, gamma)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "eigenvalue", "d", "d0", "d1", "lower_bound", "in_window(gamma)"])
-        for r in records:
-            writer.writerow([r.l, r.eigenvalue, r.d, r.d0, r.d1, r.lower_bound,
-                             str(_in_window(r.l, floor)).lower()])
+        csv.writer(fh).writerows(rows)

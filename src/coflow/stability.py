@@ -2,9 +2,9 @@
 
 Both flows have equilibria exactly where the structure is nearly parallel:
 scalar torsion tau0 equal to kappa, and for the modified flavor additionally
-tau0 equal to (gamma - 1) kappa.  This module locates those points, builds
-the flow linearization in the scaled perturbation coordinates (A, B, C),
-extracts its eigenpairs with LAPACK (`numpy.linalg.eig`), counts the
+tau0 equal to (gamma - 1) kappa.  This module locates those points, takes
+the complex-step linearization in the scaled perturbation coordinates
+(A, B, C) and its eigenpairs from LAPACK (`numpy.linalg.eig`), counts the
 instability index, and maps unstable directions back to invariant 4-forms.
 
 The two distinguished 27-type 4-forms
@@ -31,9 +31,10 @@ from .coflow_dynamics import (
     NORMALIZED,
     guarded_rhs,
     monomial_rates,
+    state_rates,
     tau0_state,
 )
-from .g2_ansatz import build
+from .g2_ansatz import ansatz_4form, build
 from .invariant_forms import (
     GeometryParams,
     InvariantForm,
@@ -130,6 +131,26 @@ class SpectralReport:
         }
 
 
+def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:
+    """d(da/dt, db/dt, dc/dt)/d(a, b, c) at y by complex-step differentiation.
+
+    Column j is Im f(y + i h e_j) / h with h = 1e-20 |y_j| (Squire and
+    Trapp, SIAM Review 40, 1998): no difference of nearby values is taken,
+    so it is correct to rounding at every magnitude of y.  None when the
+    rates raise an ArithmeticError or an entry is not finite.
+    """
+    jac = np.empty((3, 3))
+    for j in range(3):
+        h = 1e-20 * abs(y[j])
+        a, b, c = (complex(v, h if i == j else 0.0) for i, v in enumerate(y))
+        try:
+            rates = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
+            jac[:, j] = [r.imag / h for r in rates]
+        except ArithmeticError:
+            return None
+    return jac if np.isfinite(jac).all() else None
+
+
 def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: int = 40):
     """Newton iteration on the floating right-hand side; None on divergence."""
     y = np.array([float(v) for v in y0], dtype=np.float64)
@@ -140,17 +161,9 @@ def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: i
         fy = np.array(fy)
         if float(np.sqrt(np.sum(fy * fy))) < tol:
             return y
-        jac = np.zeros((3, 3))
-        for j in range(3):
-            h = 1e-7 * max(1.0, abs(y[j]))
-            yp, ym = y.copy(), y.copy()
-            yp[j] += h
-            ym[j] -= h
-            fp = guarded_rhs(flavor, yp.tolist(), kappa, gamma, eps)
-            fm = guarded_rhs(flavor, ym.tolist(), kappa, gamma, eps)
-            if fp is None or fm is None:
-                return None
-            jac[:, j] = (np.array(fp) - np.array(fm)) / (2 * h)
+        jac = _rhs_jacobian(flavor, y.tolist(), kappa, gamma, eps)
+        if jac is None:
+            return None
         try:
             delta = np.linalg.solve(jac, fy)
         except np.linalg.LinAlgError:
@@ -246,38 +259,33 @@ def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
 
 
 def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
-    """(finite-difference matrix, analytic twin or None) in (A, B, C) coordinates.
+    """(complex-step matrix, analytic twin or None) in (A, B, C) coordinates.
 
     The perturbation coordinates carry the scale of the critical point
     (a sqrt(5) weight on the third slot for eps = +1), so the analytic
     matrices apply literally.  When the twin exists the two must agree to
-    1e-6 in relative sup norm.
+    1e-12 in relative sup norm.  The point must be critical to a relative
+    displacement of 1e-10: |f(y)| <= 1e-10 ||J|| |y| with J in (a, b, c).
     """
     kap, gam = float(kappa), None if gamma is None else float(gamma)
-    y = np.array(point.state, dtype=np.float64)
-    fy = guarded_rhs(flavor, y.tolist(), kap, gam, eps)
-    if fy is None or math.hypot(*fy) > 1e-10:
-        raise ValueError("jacobian requires a critical point (residual above 1e-10)")
+    y = point.state
+    fy = guarded_rhs(flavor, y, kap, gam, eps)
+    jac = None if fy is None else _rhs_jacobian(flavor, y, kap, gam, eps)
+    jnorm = math.inf if jac is None else math.hypot(*jac.flat)
+    if not math.isfinite(jnorm * jnorm):  # eigen3 and classify square it
+        raise ValueError("the linearization does not evaluate in floating point at the point")
+    if math.hypot(*fy) > 1e-10 * jnorm * math.hypot(*y):
+        raise ValueError("jacobian requires a critical point (residual above 1e-10 ||J|| |y|)")
 
     scales = _abc_scales(eps, float(point.kappa_eff))
-    h = 1e-6
-    num = np.zeros((3, 3))
-    for j in range(3):
-        dy = np.zeros(3)
-        dy[j] = h * scales[j]
-        fp = guarded_rhs(flavor, (y + dy).tolist(), kap, gam, eps)
-        fm = guarded_rhs(flavor, (y - dy).tolist(), kap, gam, eps)
-        if fp is None or fm is None:
-            raise ValueError("finite-difference stencil left the positive octant")
-        num[:, j] = (np.array(fp) - np.array(fm)) / (2 * h)
-    num = num / scales[:, None]
+    num = jac * scales / scales[:, None]
 
     ana = None
     if flavor == MODIFIED and point.label == LABEL_PRINCIPAL:
-        ana = analytic_jacobian(eps, float(kappa), float(gamma))
+        ana = analytic_jacobian(eps, kap, gam)
         rel = float(np.max(np.abs(num - ana)) / np.max(np.abs(ana)))
-        if rel > 1e-6:
-            raise AssertionError(f"finite-difference and analytic linearizations disagree: {rel:.2e}")
+        if rel > 1e-12:
+            raise AssertionError(f"complex-step and analytic linearizations disagree: {rel:.2e}")
     return num, ana
 
 
@@ -295,8 +303,8 @@ def _oriented(v: np.ndarray) -> np.ndarray:
 def eigen3(matrix) -> list[Eigenpair]:
     """Eigenpairs of a 3x3 real matrix from LAPACK, via `numpy.linalg.eig`.
 
-    Values within 2e-7 max(1, ||A||) of each other form one cluster, and
-    every member reports the cluster's mean value, with its residual
+    Values within 2e-7 ||A|| of each other form one cluster, and every
+    member reports the cluster's mean value, with its residual
     |A v - lambda v| against that mean.  A member whose eig vector is
     numerically dependent on the cluster's earlier vectors (the smallest
     singular value of their unit-column block is at most 1e-6) is flagged
@@ -315,7 +323,7 @@ def eigen3(matrix) -> list[Eigenpair]:
 
     clusters: list[list[int]] = []
     for i in order:
-        if clusters and abs(values[i] - values[clusters[-1][0]]) <= 2e-7 * max(1.0, anorm):
+        if clusters and abs(values[i] - values[clusters[-1][0]]) <= 2e-7 * anorm:
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -369,13 +377,11 @@ def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
         da = ke / 4 * A_
         db = ke / 4 * B_
         dq = p.a * ke / 2 * C_                # 2c * (ke / 4) with c = a
-    a, b, q, eps = p.a, p.b, p.q, p.eps
-    return form([
-        ("vol", 2 * q * dq),
-        ("e23^w1", -eps * (b * q * da + a * q * db + a * b * dq)),
-        ("e13^w2", eps * (b * q * da + a * q * db + a * b * dq)),
-        ("e12^w3", -(2 * a * q * da + a * a * dq)),
-    ])
+    a, b, q = p.a, p.b, p.q
+    # variation of the monomials (q^2, a b q, a^2 q)
+    return ansatz_4form((2 * q * dq,
+                         b * q * da + a * q * db + a * b * dq,
+                         2 * a * q * da + a * a * dq), p.eps)
 
 
 def window_mu(point: CriticalPoint) -> Fraction:
@@ -421,13 +427,12 @@ def window_verdict(mu, gamma, flavor: str) -> WindowVerdict:
 def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> SpectralReport:
     """Full spectral report: linearization, eigenpairs, index, window verdict.
 
-    The analytic linearization is used when it exists (modified flavor at
-    tau0 = kappa); otherwise the finite-difference matrix stands alone.
+    J is the complex-step linearization at every point; the analytic twin,
+    where it exists (modified flavor at tau0 = kappa), only checks it.
     Index counts strictly positive real parts; eigenvalues within
     1e-9 ||J|| of the imaginary axis are flagged marginal and not counted.
     """
-    num, ana = jacobian(flavor, point, kappa, gamma, eps)
-    J = num if ana is None else ana
+    J, _ = jacobian(flavor, point, kappa, gamma, eps)
     pairs = eigen3(J)
     anorm = float(np.sqrt(np.sum(np.asarray(J) ** 2)))
     marginal = tuple(abs(p.value.real) < 1e-9 * anorm for p in pairs)

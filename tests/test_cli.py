@@ -208,6 +208,42 @@ def test_stability_at_a_formerly_failing_newton_case(capsys):
     assert report["point"] == {"a": 4 / 6, "b": 4 / 6, "c": 4 / 6}
 
 
+def test_stability_rescaled_kernel_at_gamma_16(capsys):
+    # exact spectrum 5(g-1)(g-2)k^2/8, 5(g-1)(g-16)k^2/36, -5(g-1)(2g-5)k^2/9
+    # = 2100, 0, -3600: index 1 plus a kernel direction
+    code, out = run(["stability", "--flavor", "modified", "--eps", "1", "--kappa", "4",
+                     "--gamma", "16", "--point", "rescaled"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["index"] == 1
+    jnorm = math.sqrt(sum(x * x for row in report["jacobian"] for x in row))
+    marginal = [abs(e["re"]) < 1e-9 * jnorm for e in report["eigenvalues"]]
+    assert marginal == [False, True, False]
+    assert report["unstable_form"] == {
+        "vol": "4/125", "e23^w1": "-4/625", "e13^w2": "4/625", "e12^w3": "-4/625"}
+
+
+def test_stability_at_a_large_kappa(capsys):
+    code, out = run(["stability", "--eps", "-1", "--kappa", "1000", "--gamma", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["index"] == 1
+
+
+@pytest.mark.parametrize("kappa", ("1e-200", "1e80"))
+def test_stability_refuses_a_kappa_beyond_the_float_range(capsys, kappa):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--eps", "1", "--kappa", kappa, "--gamma", "3"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_flow_escapes_from_a_small_kappa_point(tmp_path, capsys):
+    code, printed = run(["flow", "--flavor", "modified", "--eps", "1", "--kappa", "0.01",
+                         "--perturb", "unstable", "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 0
+    assert json.loads(printed)["reason"] in ("horizon", "diverged-from-critical")
+
+
 def test_stability_input_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stability", "--flavor", "modified", "--gamma", "2"])
@@ -243,6 +279,19 @@ def test_sphere_index_csv_output(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 5
     assert rows[1][0] == "3"
+
+
+def test_sphere_index_table_and_csv_share_their_rows(tmp_path, capsys):
+    # the same rows: "\n" line ends on stdout, the csv module's "\r\n" in the file
+    argv = ["sphere-index", "--l-min", "0", "--l-max", "30", "--gamma", "3.5"]
+    code, printed = run(argv, capsys)
+    assert code == 0
+    out = tmp_path / "levels.csv"
+    code, total = run(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    lines = printed.splitlines()
+    assert lines[-1] == total.strip()
+    assert out.read_bytes() == "".join(line + "\r\n" for line in lines[:-1]).encode()
 
 
 def test_sphere_index_input_validation(capsys):

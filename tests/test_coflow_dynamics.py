@@ -29,6 +29,7 @@ from coflow.coflow_dynamics import (
     symbolic_rhs_crosscheck,
     tau0_state,
 )
+from coflow import coflow_dynamics
 from coflow.invariant_forms import (
     GeometryParams,
     InvariantForm,
@@ -77,6 +78,15 @@ def test_symbolic_crosscheck_at_random_points():
             assert symbolic_rhs_crosscheck(p, Fraction(4), Fraction(3), NORMALIZED)
             assert symbolic_rhs_crosscheck(p, Fraction(4), Fraction(3), MODIFIED)
             assert symbolic_rhs_crosscheck(p, Fraction(5, 2), Fraction(7, 3), MODIFIED)
+
+
+def test_symbolic_crosscheck_names_the_mismatched_monomials(monkeypatch):
+    rates = coflow_dynamics.monomial_rates
+    monkeypatch.setattr(coflow_dynamics, "monomial_rates",
+                        lambda *args: (lambda u: (u[0], u[1] + 1, u[2]))(rates(*args)))
+    p = random_params(random.Random(5), +1)
+    with pytest.raises(ValueError, match=r"disagree at \['e13\^w2', 'e23\^w1'\]"):
+        symbolic_rhs_crosscheck(p, Fraction(4), Fraction(3), MODIFIED)
 
 
 def test_float_path_matches_exact_path():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from coflow.g2_ansatz import (
+    ansatz_4form,
     build,
     curl_invariant,
     dphi_closed_form,
@@ -228,3 +229,14 @@ def test_closed_forms_are_homogeneous():
                     == Fraction(*tau0_terms(a, b, q, eps)) / s)
             assert (Fraction(*tau3_norm_sq_terms(s * a, s * b, s * s * q, eps))
                     == Fraction(*tau3_norm_sq_terms(a, b, q, eps)) / (s * s))
+
+
+def test_psi_is_the_ansatz_image_of_its_monomials():
+    for p in random_points(5):
+        assert build(p).psi == ansatz_4form((p.q * p.q, p.a * p.b * p.q, p.a * p.a * p.q), p.eps)
+
+
+def test_ansatz_4form_is_not_exported():
+    import coflow
+
+    assert "ansatz_4form" not in coflow.__all__

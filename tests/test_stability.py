@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
-from coflow.coflow_dynamics import MODIFIED, NORMALIZED
+from coflow.coflow_dynamics import MODIFIED, NORMALIZED, monomial_rates, state_rates
 from coflow.g2_ansatz import build, torsion
 from coflow.invariant_forms import GeometryParams
 from coflow.stability import (
@@ -14,6 +15,7 @@ from coflow.stability import (
     LABEL_RESCALED,
     PSI_MINUS,
     PSI_PLUS,
+    _rhs_jacobian,
     analytic_jacobian,
     classify,
     eigen3,
@@ -437,3 +439,75 @@ def test_principal_unstable_vector_and_exact_form_on_the_grid(eps, kappa, gamma)
     scale = report.unstable_form.coefficient(key) / psi_27.coefficient(key)
     assert isinstance(scale, Fraction) and scale != 0
     assert report.unstable_form == scale * psi_27
+
+
+# scales far from kappa ~ 1: the linearization must not depend on a step that
+# grows like kappa while the point shrinks like 1/kappa, and eigenvalues
+# cluster relative to ||J||, so the three stay distinct
+@pytest.mark.parametrize("kappa", (1e-60, 1e-30, 1e-6, 1e-4, 1e-3, 1e-2, 0.1,
+                                   200.0, 1e3, 1e4, 1e5, 1e6, 1e30, 1e70))
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_index_is_scale_free(eps, kappa):
+    for gamma in (3.0, 16.0):
+        report = classify(MODIFIED, principal(MODIFIED, kappa, gamma, eps), kappa, gamma, eps)
+        assert report.index == 1 and not any(report.marginal)
+    report = classify(NORMALIZED, principal(NORMALIZED, kappa, None, eps), kappa, None, eps)
+    assert report.index == 0 and not any(report.marginal)
+
+
+@pytest.mark.parametrize("kappa", GRID_KAPPAS)
+def test_plus_rescaled_kernel_at_gamma_five_halves(kappa):
+    # exact spectrum 5(g-1)(g-2)k^2/8, 5(g-1)(g-16)k^2/36, -5(g-1)(2g-5)k^2/9:
+    # the last eigenvalue vanishes at g = 5/2
+    report = classify(MODIFIED, rescaled(kappa, 2.5, +1), kappa, 2.5, +1)
+    assert report.index == 1
+    assert sum(report.marginal) == 1
+
+
+def test_plus_rescaled_kernel_at_gamma_16_and_its_exact_form():
+    report = classify(MODIFIED, rescaled(4.0, 16.0, +1), 4.0, 16.0, +1)
+    assert report.index == 1
+    assert sum(report.marginal) == 1
+    assert report.unstable_form.to_json_dict() == {
+        "vol": "4/125", "e23^w1": "-4/625", "e13^w2": "4/625", "e12^w3": "-4/625"}
+
+
+@pytest.mark.parametrize("eps, kappa, gamma", GRID)
+def test_rescaled_unstable_form_is_exact_on_the_grid(eps, kappa, gamma):
+    report = classify(MODIFIED, rescaled(kappa, gamma, eps), kappa, gamma, eps)
+    assert report.unstable_form is not None
+    coeffs = report.unstable_form.coeffs.values()
+    assert coeffs and all(c.denominator < 2 ** 40 for c in coeffs)
+
+
+@pytest.mark.parametrize("eps, kappa, gamma", GRID)
+def test_linearization_matches_its_analytic_twin_to_rounding(eps, kappa, gamma):
+    num, ana = jacobian(MODIFIED, principal(MODIFIED, kappa, gamma, eps), kappa, gamma, eps)
+    assert np.max(np.abs(num - ana)) / np.max(np.abs(ana)) <= 1e-12
+
+
+def _exact_rhs_jacobian(flavor, kappa, gamma, eps):
+    a, b, c = sympy.symbols("a b c", positive=True)
+    gam = None if gamma is None else sympy.Rational(gamma)
+    rates = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, sympy.Rational(kappa), gam, eps))
+    return (a, b, c), sympy.Matrix(rates).jacobian([a, b, c])
+
+
+@pytest.mark.parametrize("flavor, gamma", [(NORMALIZED, None), (MODIFIED, 3.0)])
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_complex_step_jacobian_matches_the_exact_derivative(flavor, gamma, eps):
+    syms, exact = _exact_rhs_jacobian(flavor, 4.0, gamma, eps)
+    rng = random.Random(11 + eps)
+    for _ in range(5):
+        y = [rng.uniform(0.2, 3.0) for _ in range(3)]
+        at = {s: sympy.Rational(Fraction(v)) for s, v in zip(syms, y)}
+        want = np.array(exact.xreplace(at).tolist(), dtype=np.float64)
+        got = _rhs_jacobian(flavor, y, 4.0, gamma, eps)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_complex_step_jacobian_is_none_off_the_domain():
+    assert _rhs_jacobian(NORMALIZED, (0.0, 1.0, 1.0), 4.0, None, -1) is None
+    assert _rhs_jacobian(MODIFIED, (1e200, 1.0, 1e200), 4.0, 3.0, +1) is None
+    assert _rhs_jacobian(MODIFIED, (1.0, 1.0, 1.0), 4.0, 3.0, -1) is not None
+
