@@ -42,8 +42,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .g2_ansatz import (ansatz_4form, build, laplacian_psi, tau0 as ansatz_tau0, tau0_terms,
-                        tau3_norm_sq_terms)
+from .g2_ansatz import _laplacian_psi, _tau0, ansatz_4form, build, tau0_terms, tau3_norm_sq_terms
 from .invariant_forms import (
     GeometryParams,
     _as_scalar,
@@ -216,14 +215,15 @@ def symbolic_rhs_crosscheck(params: GeometryParams, kappa, gamma, flavor: str) -
     """
     kap = _as_scalar(kappa)
     ans = build(params)
+    dphi = exterior_derivative(ans.phi)
     if flavor == NORMALIZED:
-        rate_form = laplacian_psi(ans) - kap * kap * ans.psi
+        rate_form = _laplacian_psi(ans, dphi) - kap * kap * ans.psi
         gam = None
     elif flavor == MODIFIED:
         gam = _as_scalar(gamma)
-        t0 = ansatz_tau0(ans)
-        rate_form = (laplacian_psi(ans)
-                     + Fraction(1, 2) * ((5 * gam * kap - 7 * t0) * exterior_derivative(ans.phi))
+        t0 = _tau0(ans, dphi)
+        rate_form = (_laplacian_psi(ans, dphi)
+                     + Fraction(1, 2) * ((5 * gam * kap - 7 * t0) * dphi)
                      + (Fraction(5, 2) * (1 - gam) * kap * kap) * ans.psi)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")

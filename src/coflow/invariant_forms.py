@@ -32,6 +32,14 @@ of each pair of monomials, and each monomial's Hodge complement with the
 sign of its wedge onto the top monomial.  They are keyed by monomials only,
 at most 40 x 40 entries.  Only the coefficient arithmetic of a call depends
 on the geometry.
+
+algebra_checks splits the same way.  d circ d = 0, the horizontal products
+and the star pairings of distinct monomials are facts about the tables, so
+they run once per process, on the first call.  The 40 stars, their
+involution, the pairing of each monomial with its own star, the star of
+the unit and the support of each star (its complement alone) run at every
+parameter point.  Metric coefficients are built as one Fraction from the
+numerators and denominators of (a, b, q), which costs a single gcd.
 """
 
 from __future__ import annotations
@@ -356,12 +364,21 @@ def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
     k, e = _HORIZ_WEIGHT[m.horiz]
     nb = int(3 in m.verts)
     na = len(m.verts) - nb
-    return k / (p.a ** (2 * na) * p.b ** (2 * nb) * p.q ** e)
+    a, b, q = p.a, p.b, p.q
+    return Fraction(k * a.denominator ** (2 * na) * b.denominator ** (2 * nb) * q.denominator ** e,
+                    a.numerator ** (2 * na) * b.numerator ** (2 * nb) * q.numerator ** e)
+
+
+def _top_coeff(p: GeometryParams) -> Fraction:
+    """eps a^2 b q^2, the coefficient of e123 ^ vol in the volume form."""
+    a, b, q = p.a, p.b, p.q
+    return Fraction(p.eps * a.numerator ** 2 * b.numerator * q.numerator ** 2,
+                    a.denominator ** 2 * b.denominator * q.denominator ** 2)
 
 
 def volume_form(p: GeometryParams) -> InvariantForm:
     """Riemannian volume form: eps * a^2 b q^2 * e123 ^ vol."""
-    return InvariantForm.monomial(TOP, p.eps * p.a * p.a * p.b * p.q * p.q)
+    return InvariantForm.monomial(TOP, _top_coeff(p))
 
 
 # complementary horizontal parts under the star pairing h ^ h' -> vol
@@ -388,7 +405,7 @@ def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     if alpha.is_zero():
         return alpha
     alpha.degree()  # homogeneity check
-    top_coeff = p.eps * p.a * p.a * p.b * p.q * p.q
+    top_coeff = _top_coeff(p)
     out: dict[Monomial, Fraction] = {}
     for m, c in alpha.coeffs.items():
         comp, pairing = _star_partner(m)
@@ -428,43 +445,57 @@ def total_integral(rho: InvariantForm, p: GeometryParams) -> Fraction:
     return rho.coefficient(TOP)
 
 
-def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
-    """Named exact consistency checks of the algebra at one parameter point.
+@functools.cache
+def _structure_checks() -> tuple[bool, bool, bool]:
+    """The checks of algebra_checks that no geometry enters, run once per process.
 
-    Returns (check id, passed) pairs; everything runs in rational
-    arithmetic over the full 40-monomial basis.
+    Returns (d circ d = 0 on every monomial, the horizontal products, the
+    off-diagonal star pairings).  For distinct monomials m1, m2 of one
+    degree, <m1, m2> = 0 and star(m2) is a multiple of the complement of
+    m2, so m1 ^ star(m2) = <m1, m2> vol_eps holds exactly when the table
+    product of m1 with that complement is zero.  algebra_checks ties this
+    to the stars computed at each point by checking their support.
     """
     basis = all_monomials()
-    vol_eps = volume_form(p)
-
     dd_ok = all(exterior_derivative(_d_monomial(m)).is_zero() for m in basis)
-
-    forms = {m: InvariantForm.monomial(m) for m in basis}
-    stars = {m: hodge_star(forms[m], p) for m in basis}
-
-    invol_ok = True
-    for m in basis:
-        if hodge_star(stars[m], p) != forms[m]:
-            invol_ok = False
-
-    # gamma ^ star(beta) = <gamma, beta> vol_eps over every same-degree pair
-    pairing_ok = True
-    by_degree: dict[int, list[Monomial]] = {}
-    for m in basis:
-        by_degree.setdefault(m.degree, []).append(m)
-    for mons in by_degree.values():
-        for m1 in mons:
-            for m2 in mons:
-                lhs = wedge(forms[m1], stars[m2])
-                if lhs != inner_product(forms[m1], forms[m2], p) * vol_eps:
-                    pairing_ok = False
-
     horiz_ok = (
         wedge(W1, W1) == 2 * VOL and wedge(W2, W2) == 2 * VOL
         and wedge(W3, W3) == 2 * VOL
         and wedge(W1, W2).is_zero() and wedge(W2, W3).is_zero()
         and wedge(W3, W1).is_zero() and wedge(W1, VOL).is_zero()
     )
+    off_diagonal_ok = all(wedge_monomials(m1, _star_partner(m2)[0]) is None
+                          for m1 in basis for m2 in basis
+                          if m1 != m2 and m1.degree == m2.degree)
+    return dd_ok, horiz_ok, off_diagonal_ok
+
+
+def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
+    """Named exact consistency checks of the algebra at one parameter point.
+
+    Returns (check id, passed) pairs; everything runs in rational
+    arithmetic over the full 40-monomial basis.  The parts that hold for
+    every (a, b, q, eps) -- d circ d = 0, the horizontal products and the
+    off-diagonal star pairings -- come from _structure_checks, run once per
+    process on the first call.  Per point run the 40 stars, their
+    involution, the 40 diagonal pairings m ^ star(m) = <m, m> vol_eps, the
+    star of the unit, and a support check: each star of a monomial is a
+    single multiple of its complement, which is what carries the
+    off-diagonal pairings over to the stars computed at this point.
+    """
+    dd_ok, horiz_ok, off_diagonal_ok = _structure_checks()
+    basis = all_monomials()
+    vol_eps = volume_form(p)
+
+    forms = {m: InvariantForm.monomial(m) for m in basis}
+    stars = {m: hodge_star(forms[m], p) for m in basis}
+
+    invol_ok = all(hodge_star(stars[m], p) == forms[m] for m in basis)
+
+    support_ok = all(stars[m].coeffs.keys() == {_star_partner(m)[0]} for m in basis)
+    diagonal_ok = all(wedge(forms[m], stars[m]) == inner_product(forms[m], forms[m], p) * vol_eps
+                      for m in basis)
+    pairing_ok = off_diagonal_ok and support_ok and diagonal_ok
 
     unit_ok = hodge_star(form([("1", 1)]), p) == vol_eps
 

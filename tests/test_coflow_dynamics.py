@@ -89,6 +89,22 @@ def test_symbolic_crosscheck_names_the_mismatched_monomials(monkeypatch):
         symbolic_rhs_crosscheck(p, Fraction(4), Fraction(3), MODIFIED)
 
 
+def test_symbolic_crosscheck_derives_dphi_once(monkeypatch):
+    from coflow import g2_ansatz
+
+    p = random_params(random.Random(6), -1)
+    phi = build(p).phi
+    calls = []
+    for module in (g2_ansatz, coflow_dynamics):
+        derive = module.exterior_derivative
+        monkeypatch.setattr(module, "exterior_derivative",
+                            lambda alpha, derive=derive: calls.append(alpha == phi) or derive(alpha))
+    for flavor in (NORMALIZED, MODIFIED):
+        calls.clear()
+        assert symbolic_rhs_crosscheck(p, Fraction(4), Fraction(3), flavor)
+        assert sum(calls) == 1
+
+
 def test_float_path_matches_exact_path():
     rng = random.Random(2718)
     for _ in range(20):

@@ -204,6 +204,19 @@ def test_identity_suite_all_pass():
         assert all(ok for _, ok in results)
 
 
+def test_identity_suite_derives_dphi_once(monkeypatch):
+    from coflow import g2_ansatz
+
+    p = random_points(1, seed=78)[0]
+    phi = build(p).phi
+    calls = []
+    derive = g2_ansatz.exterior_derivative
+    monkeypatch.setattr(g2_ansatz, "exterior_derivative",
+                        lambda alpha: calls.append(alpha == phi) or derive(alpha))
+    assert all(ok for _, ok in identity_suite(p))
+    assert sum(calls) == 1
+
+
 def test_tau3_norm_closed_form_matches_algebra():
     # small rationals and Fraction(float) points with ~2^50 denominators, both orientations
     rng = random.Random(404)

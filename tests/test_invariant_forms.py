@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,8 @@ from coflow.invariant_forms import (
     wedge,
     wedge_monomials,
 )
-from coflow.invariant_forms import _d_monomial, _star_partner
+from coflow import invariant_forms
+from coflow.invariant_forms import _d_monomial, _star_partner, _structure_checks, _top_coeff
 
 BASIS = all_monomials()
 
@@ -278,3 +280,119 @@ def test_constructor_keeps_rejecting_floats_and_dropping_zeros():
     f = InvariantForm({m: Fraction(0), BASIS[6]: 0, BASIS[7]: 3})
     assert f.coeffs == {BASIS[7]: Fraction(3)}
     assert type(f.coeffs[BASIS[7]]) is Fraction
+
+
+# algebra_checks runs its parameter-free parts once (_structure_checks) and
+# the rest per point; the reference below is the former all-per-point loop,
+# kept verbatim, with all 292 same-degree pairings.
+
+def _reference_algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
+    basis = all_monomials()
+    vol_eps = volume_form(p)
+
+    dd_ok = all(exterior_derivative(_d_monomial(m)).is_zero() for m in basis)
+
+    forms = {m: InvariantForm.monomial(m) for m in basis}
+    stars = {m: hodge_star(forms[m], p) for m in basis}
+
+    invol_ok = True
+    for m in basis:
+        if hodge_star(stars[m], p) != forms[m]:
+            invol_ok = False
+
+    # gamma ^ star(beta) = <gamma, beta> vol_eps over every same-degree pair
+    pairing_ok = True
+    by_degree: dict[int, list[Monomial]] = {}
+    for m in basis:
+        by_degree.setdefault(m.degree, []).append(m)
+    for mons in by_degree.values():
+        for m1 in mons:
+            for m2 in mons:
+                lhs = wedge(forms[m1], stars[m2])
+                if lhs != inner_product(forms[m1], forms[m2], p) * vol_eps:
+                    pairing_ok = False
+
+    horiz_ok = (
+        wedge(W1, W1) == 2 * VOL and wedge(W2, W2) == 2 * VOL
+        and wedge(W3, W3) == 2 * VOL
+        and wedge(W1, W2).is_zero() and wedge(W2, W3).is_zero()
+        and wedge(W3, W1).is_zero() and wedge(W1, VOL).is_zero()
+    )
+
+    unit_ok = hodge_star(form([("1", 1)]), p) == vol_eps
+
+    return [
+        ("nilpotent-differential", dd_ok),
+        ("star-involution", invol_ok),
+        ("star-pairing", pairing_ok),
+        ("horizontal-products", horiz_ok),
+        ("unit-star", unit_ok),
+    ]
+
+
+def test_algebra_checks_match_the_full_per_point_reference():
+    rng = random.Random(20261018)
+    for eps in (+1, -1):
+        for _ in range(50):
+            p = random_params(rng, eps)
+            assert algebra_checks(p) == _reference_algebra_checks(p)
+
+
+def test_structure_checks_are_cached_and_match_a_fresh_run():
+    assert _structure_checks() == _structure_checks.__wrapped__() == (True, True, True)
+
+
+def _extra_monomial(star):
+    # star(e1) gains a term on the complement of e2: e1 ^ it is zero, so only
+    # an off-diagonal pairing, here (e2, e1), can see it
+    return star + InvariantForm.monomial(_star_partner(Monomial((2,), "1"))[0])
+
+
+def _wrong_monomial(star):
+    # star(e1) lands on the complement of e2 instead of that of e1
+    (c,) = star.coeffs.values()
+    return InvariantForm.monomial(_star_partner(Monomial((2,), "1"))[0], c)
+
+
+@pytest.mark.parametrize("fault", [_extra_monomial, _wrong_monomial])
+def test_star_pairing_catches_a_star_on_the_wrong_monomial(monkeypatch, fault):
+    true_star = invariant_forms.hodge_star
+
+    def faulty_star(alpha, p):
+        star = true_star(alpha, p)
+        return fault(star) if alpha == E1 else star
+
+    monkeypatch.setattr(invariant_forms, "hodge_star", faulty_star)
+    monkeypatch.setattr(sys.modules[__name__], "hodge_star", faulty_star)
+    for p in (P_PLUS, P_MINUS, P_ODD):
+        results = dict(algebra_checks(p))
+        assert results["star-pairing"] is False
+        assert results["unit-star"] is True
+        assert algebra_checks(p) == _reference_algebra_checks(p)
+
+
+def _weight_points():
+    # small heights, and Fraction(float) scales with ~2^50 denominators
+    rng = random.Random(4040)
+    points = [P_PLUS, P_MINUS, P_ODD]
+    for eps in (+1, -1):
+        points += [random_params(rng, eps) for _ in range(10)]
+        for _ in range(10):
+            a, b, c = (Fraction(rng.uniform(0.05, 20.0)) for _ in range(3))
+            points.append(GeometryParams(a, b, c * c, eps))
+    return points
+
+
+def test_metric_coefficients_equal_the_fraction_chains():
+    horiz_weight = {"1": (1, 0), "w1": (2, 2), "w2": (2, 2), "w3": (2, 2), "vol": (1, 4)}
+    for p in _weight_points():
+        top = _top_coeff(p)
+        assert type(top) is Fraction
+        assert top == p.eps * p.a * p.a * p.b * p.q * p.q
+        for m in BASIS:
+            k, e = horiz_weight[m.horiz]
+            nb = int(3 in m.verts)
+            na = len(m.verts) - nb
+            weight = monomial_weight(m, p)
+            assert type(weight) is Fraction
+            assert weight == k / (p.a ** (2 * na) * p.b ** (2 * nb) * p.q ** e)
