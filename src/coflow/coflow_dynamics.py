@@ -19,16 +19,23 @@ The hand-coded rates never stand alone: symbolic_rhs_crosscheck recomputes
 the right-hand side inside the exact exterior-algebra modules and compares
 coefficient by coefficient.
 
-Every float caller but the complex-step linearization (the integrator,
-the residual checks, the volume-rate probe) evaluates the flow through one
-guarded helper, guarded_rhs, which returns None off the domain.  The
-adaptive integrator works on 3-tuples of scalars rather than numpy arrays:
-for 3-vectors the array wrapping cost several times the arithmetic.  A
-float64 run computes in Python floats, which are the same IEEE doubles; a
-longdouble run computes in numpy.longdouble scalars throughout, including
-the tableau, the stage sums and the error norm, so no stage is rounded to
-double.  Stage sums add their terms in tableau order, per component; the
-tests pin trajectories bit for bit, so that order is part of the contract.
+The rate polynomials have one hand-coded copy, the `_rates` factory, which
+multiplies out the constant prefixes of a flavor once; monomial_rates, and
+through it the rhs_* functions, calls it.  Every float caller but the
+complex-step linearization (the integrator, the residual checks, the
+volume-rate probe) evaluates the flow through a guarded closure from
+`_guarded_flow`, which returns None off the domain: integrate and
+hitchin_rate_check build one per run, and guarded_rhs is a single call of
+one.  The adaptive integrator works on 3-tuples of scalars rather than
+numpy arrays: for 3-vectors the array wrapping cost several times the
+arithmetic.  A float64 run computes in Python floats, which are the same
+IEEE doubles; a longdouble run computes in numpy.longdouble scalars
+throughout, including the tableau, the stage sums and the error norm, so no
+stage is rounded to double.  The Dormand-Prince step is written out: each
+stage sum and the error sum add their terms in tableau order, per
+component, with plain `+` (never `sum`, which compensates on Python 3.12).
+The tests pin trajectories bit for bit, so that written-out order is part
+of the contract.
 """
 
 from __future__ import annotations
@@ -122,6 +129,46 @@ def tau0_state(a, b, c, eps):
     return num / den
 
 
+def _rates(flavor: str, kappa, gamma, eps) -> Callable:
+    """rates(a, b, q): time derivatives of (c^4, a b c^2, a^2 c^2) with q = c^2.
+
+    This is the one hand-coded copy of the rate polynomials.  The constant
+    left prefixes of each term are multiplied out once here; Python
+    evaluates `10 * eps * gamma * kappa * b * q` left to right, so the
+    rates are the same to the bit as with the prefixes written inline.
+    gamma is ignored by the normalized flavor.
+    """
+    if flavor == NORMALIZED:
+        kk = kappa * kappa
+        eps2, eps4 = 2 * eps, 4 * eps
+
+        def rates(a, b, q):
+            u1 = 8 * (2 * a * a + b * b + 2 * q + eps2 * b * q / a - b * b * q / (a * a)) \
+                - kk * q * q
+            u2 = 4 * (eps * b * b + 4 * a ** 3 * b / q + eps2 * a * a * b * b / q
+                      + 2 * b * q / a - eps * b * b * q / (a * a)) - kk * a * b * q
+            u3 = 4 * (2 * a * a - b * b + 2 * q + eps4 * a ** 3 * b / q + 2 * a * a * b * b / q
+                      - eps2 * b * q / a + b * b * q / (a * a)) - kk * a * a * q
+            return (u1, u2, u3)
+        return rates
+    if flavor == MODIFIED:
+        gk5, gk10, gk20 = 5 * gamma * kappa, 10 * gamma * kappa, 20 * gamma * kappa
+        egk5, egk10 = 5 * eps * gamma * kappa, 10 * eps * gamma * kappa
+        eps16, eps64 = 16 * eps, 64 * eps
+        scale = 5 * (1 - gamma) * kappa * kappa
+
+        def rates(a, b, q):
+            u1 = (-48 * a * a - 8 * b * b - 48 * q + egk10 * b * q + gk20 * a * q
+                  - eps64 * a * b + scale * q * q / 2)
+            u2 = (-8 * b * q / a + gk5 * a * a * b + gk5 * b * q - 32 * a * b
+                  + scale * a * b * q / 2)
+            u3 = (-24 * a * a + 8 * b * b - 24 * q + eps16 * b * q / a + egk5 * a * a * b
+                  + gk10 * a * q - egk5 * b * q - eps16 * a * b + scale * a * a * q / 2)
+            return (u1, u2, u3)
+        return rates
+    raise ValueError(f"unknown flavor {flavor!r}")
+
+
 def monomial_rates(flavor: str, a, b, q, kappa, gamma, eps) -> tuple:
     """Time derivatives of (c^4, a b c^2, a^2 c^2) with q = c^2.
 
@@ -129,26 +176,7 @@ def monomial_rates(flavor: str, a, b, q, kappa, gamma, eps) -> tuple:
     and stay exact on exact inputs.  gamma is ignored by the normalized
     flavor.
     """
-    if flavor == NORMALIZED:
-        u1 = 8 * (2 * a * a + b * b + 2 * q + 2 * eps * b * q / a - b * b * q / (a * a)) \
-            - kappa * kappa * q * q
-        u2 = 4 * (eps * b * b + 4 * a ** 3 * b / q + 2 * eps * a * a * b * b / q
-                  + 2 * b * q / a - eps * b * b * q / (a * a)) - kappa * kappa * a * b * q
-        u3 = 4 * (2 * a * a - b * b + 2 * q + 4 * eps * a ** 3 * b / q + 2 * a * a * b * b / q
-                  - 2 * eps * b * q / a + b * b * q / (a * a)) - kappa * kappa * a * a * q
-        return (u1, u2, u3)
-    if flavor == MODIFIED:
-        u1 = (-48 * a * a - 8 * b * b - 48 * q + 10 * eps * gamma * kappa * b * q
-              + 20 * gamma * kappa * a * q - 64 * eps * a * b
-              + 5 * (1 - gamma) * kappa * kappa * q * q / 2)
-        u2 = (-8 * b * q / a + 5 * gamma * kappa * a * a * b + 5 * gamma * kappa * b * q
-              - 32 * a * b + 5 * (1 - gamma) * kappa * kappa * a * b * q / 2)
-        u3 = (-24 * a * a + 8 * b * b - 24 * q + 16 * eps * b * q / a
-              + 5 * eps * gamma * kappa * a * a * b + 10 * gamma * kappa * a * q
-              - 5 * eps * gamma * kappa * b * q - 16 * eps * a * b
-              + 5 * (1 - gamma) * kappa * kappa * a * a * q / 2)
-        return (u1, u2, u3)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return _rates(flavor, kappa, gamma, eps)(a, b, q)
 
 
 def state_rates(a, b, c, u: tuple) -> tuple:
@@ -184,24 +212,37 @@ def rhs_modified(state, kappa, gamma, eps) -> tuple:
     return state_rates(a, b, c, monomial_rates(MODIFIED, a, b, c * c, kappa, gamma, eps))
 
 
-def guarded_rhs(flavor: str, y, kappa, gamma, eps) -> tuple | None:
-    """(da/dt, db/dt, dc/dt) at y = (a, b, c), or None off the flow's domain.
+def _guarded_flow(flavor: str, kappa, gamma, eps) -> Callable:
+    """f(y): (da/dt, db/dt, dc/dt) at y = (a, b, c), or None off the flow's domain.
 
     None when a scale is not positive or a rate is not finite, including
     an overflow or a division by zero that Python floats raise on.  The
     rates come back in the scalar type of y; the finiteness test is
     `x - x == 0`, which keeps longdouble scalars out of float conversion.
+    Build it once per run: the constants are folded into the rates then.
     """
-    a, b, c = y
-    if not (a > 0 and b > 0 and c > 0):
+    rates = _rates(flavor, kappa, gamma, eps)
+
+    def f(y):
+        a, b, c = y
+        if not (a > 0 and b > 0 and c > 0):
+            return None
+        try:
+            da, db, dc = state_rates(a, b, c, rates(a, b, c * c))
+        except ArithmeticError:
+            return None
+        if da - da == 0 and db - db == 0 and dc - dc == 0:
+            return (da, db, dc)
         return None
-    try:
-        da, db, dc = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
-    except ArithmeticError:
-        return None
-    if da - da == 0 and db - db == 0 and dc - dc == 0:
-        return (da, db, dc)
-    return None
+    return f
+
+
+def guarded_rhs(flavor: str, y, kappa, gamma, eps) -> tuple | None:
+    """(da/dt, db/dt, dc/dt) at y = (a, b, c), or None off the flow's domain.
+
+    One call of the `_guarded_flow` closure; see there for the domain.
+    """
+    return _guarded_flow(flavor, kappa, gamma, eps)(y)
 
 
 def symbolic_rhs_crosscheck(params: GeometryParams, kappa, gamma, flavor: str) -> bool:
@@ -392,11 +433,13 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     t_max), "max-steps".  The error control is an RMS norm of the embedded
     difference against atol + rtol * |y|.
 
-    The state, the stage slopes and the tableau are 3-tuples of the run's
-    scalar type (see `_scalar_type`) and every stage sum is written out per
-    component, adding terms in tableau order.  The seventh stage is
-    evaluated at the new point itself, so its slope is the first slope of
-    the next step: an attempt costs six right-hand-side calls.
+    The state and the stage slopes are 3-tuples of the run's scalar type
+    (see `_scalar_type`), the tableau is unpacked into scalars of that type
+    once per run, and so is the guarded right-hand side.  Every stage sum
+    is written out per component, adding terms in tableau order.  The
+    seventh stage is evaluated at the new point itself, so its slope is the
+    first slope of the next step: an attempt costs six right-hand-side
+    calls.
     """
     a0, b0, c0 = _coords(initial)
     _require_positive(a0, b0, c0)
@@ -407,8 +450,61 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     scalar = _scalar_type(dt)
     sqrt = math.sqrt if scalar is float else np.sqrt
     A, E = _tableau(dt)
-    flavor, kap, gam, eps = config.flavor, config.kappa, config.gamma, config.eps
+    # a72 and e2 are zero; every slope is finite, so leaving their terms out moves no bit
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76) = A[1:]
+    e1, _, e3, e4, e5, e6, e7 = E
+    f = _guarded_flow(config.flavor, config.kappa, config.gamma, config.eps)
     atol, rtol = config.atol, config.rtol
+
+    def attempt(y, k1, h):
+        """Stages 2 to 7 of one step of size h from y, whose slope is k1.
+
+        Returns (right-hand-side calls, new point, its slope, embedded
+        error sums); the last three are None when a stage leaves the
+        domain, which ends the attempt at that stage.
+        """
+        y0, y1, y2 = y
+        k10, k11, k12 = k1
+        k2 = f((y0 + h * (a21 * k10), y1 + h * (a21 * k11), y2 + h * (a21 * k12)))
+        if k2 is None:
+            return 1, None, None, None
+        k20, k21, k22 = k2
+        k3 = f((y0 + h * (a31 * k10 + a32 * k20),
+                y1 + h * (a31 * k11 + a32 * k21),
+                y2 + h * (a31 * k12 + a32 * k22)))
+        if k3 is None:
+            return 2, None, None, None
+        k30, k31, k32 = k3
+        k4 = f((y0 + h * (a41 * k10 + a42 * k20 + a43 * k30),
+                y1 + h * (a41 * k11 + a42 * k21 + a43 * k31),
+                y2 + h * (a41 * k12 + a42 * k22 + a43 * k32)))
+        if k4 is None:
+            return 3, None, None, None
+        k40, k41, k42 = k4
+        k5 = f((y0 + h * (a51 * k10 + a52 * k20 + a53 * k30 + a54 * k40),
+                y1 + h * (a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41),
+                y2 + h * (a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42)))
+        if k5 is None:
+            return 4, None, None, None
+        k50, k51, k52 = k5
+        k6 = f((y0 + h * (a61 * k10 + a62 * k20 + a63 * k30 + a64 * k40 + a65 * k50),
+                y1 + h * (a61 * k11 + a62 * k21 + a63 * k31 + a64 * k41 + a65 * k51),
+                y2 + h * (a61 * k12 + a62 * k22 + a63 * k32 + a64 * k42 + a65 * k52)))
+        if k6 is None:
+            return 5, None, None, None
+        k60, k61, k62 = k6
+        y_new = (y0 + h * (a71 * k10 + a73 * k30 + a74 * k40 + a75 * k50 + a76 * k60),
+                 y1 + h * (a71 * k11 + a73 * k31 + a74 * k41 + a75 * k51 + a76 * k61),
+                 y2 + h * (a71 * k12 + a73 * k32 + a74 * k42 + a75 * k52 + a76 * k62))
+        k7 = f(y_new)
+        if k7 is None:
+            return 6, None, None, None
+        k70, k71, k72 = k7
+        return 6, y_new, k7, (
+            e1 * k10 + e3 * k30 + e4 * k40 + e5 * k50 + e6 * k60 + e7 * k70,
+            e1 * k11 + e3 * k31 + e4 * k41 + e5 * k51 + e6 * k61 + e7 * k71,
+            e1 * k12 + e3 * k32 + e4 * k42 + e5 * k52 + e6 * k62 + e7 * k72)
 
     y = tuple(scalar(v) for v in np.array([a0, b0, c0], dtype=dt))
     t = scalar(dt.type(initial.t))
@@ -420,7 +516,7 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
 
     traj = Trajectory(config=config)
     traj._append(t, y)
-    k1 = guarded_rhs(flavor, y, kap, gam, eps)
+    k1 = f(y)
     if k1 is None and config.floor <= min(y) and max(y) <= config.ceiling:
         raise ValueError("right-hand side is not finite at the initial state")
 
@@ -443,33 +539,18 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
             h = t_max - t
         attempts += 1
 
-        ks = [k1]
-        for row in A[1:]:
-            s0 = s1 = s2 = 0
-            for w, k in zip(row, ks):
-                s0 += w * k[0]
-                s1 += w * k[1]
-                s2 += w * k[2]
-            y_new = (y[0] + h * s0, y[1] + h * s1, y[2] + h * s2)
-            ki = guarded_rhs(flavor, y_new, kap, gam, eps)
-            rhs_evals += 1
-            if ki is None:
-                break
-            ks.append(ki)
-        if len(ks) < 7:
+        calls, y_new, k7, err = attempt(y, k1, h)
+        rhs_evals += calls
+        if k7 is None:
             retries += 1
             h = h * shrink
             continue
 
         # the last stage point is the new point; the error weights include its slope
-        e0 = e1 = e2 = 0
-        for w, k in zip(E, ks):
-            e0 += w * k[0]
-            e1 += w * k[1]
-            e2 += w * k[2]
-        r0 = h * e0 / (atol + rtol * max(abs(y[0]), abs(y_new[0])))
-        r1 = h * e1 / (atol + rtol * max(abs(y[1]), abs(y_new[1])))
-        r2 = h * e2 / (atol + rtol * max(abs(y[2]), abs(y_new[2])))
+        err0, err1, err2 = err
+        r0 = h * err0 / (atol + rtol * max(abs(y[0]), abs(y_new[0])))
+        r1 = h * err1 / (atol + rtol * max(abs(y[1]), abs(y_new[1])))
+        r2 = h * err2 / (atol + rtol * max(abs(y[2]), abs(y_new[2])))
         enorm = float(sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3))
         if not math.isfinite(enorm):
             retries += 1
@@ -479,7 +560,7 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
         if enorm <= 1.0:
             t = t_max if final_step else t + h
             y = y_new
-            k1 = ks[6]
+            k1 = k7
             steps += 1
             traj._append(t, y)
             reason = _stop_reason(config, y, k1, ref, sqrt)
@@ -565,9 +646,10 @@ def hitchin_rate_check(trajectory: Trajectory, kappa, gamma,
         raise ValueError("trajectory too short for interior finite differences")
 
     eps = cfg.eps
+    flow = _guarded_flow(MODIFIED, kappa, gamma, eps)
 
     def f(y):
-        rates = guarded_rhs(MODIFIED, y, kappa, gamma, eps)
+        rates = flow(y)
         if rates is None:
             raise ValueError("volume-rate probe left the domain of the flow")
         return rates

@@ -37,6 +37,30 @@ def test_verify_passes(capsys):
     assert "first_failure" not in report
 
 
+def test_verify_reports_a_dual_form_that_is_not_closed(monkeypatch, capsys):
+    # a d that adds e1 ^ alpha on 4-forms makes psi fail to be closed at every point
+    from coflow import g2_ansatz
+    from coflow.invariant_forms import E1, wedge
+
+    derive = g2_ansatz.exterior_derivative
+
+    def broken(alpha):
+        d = derive(alpha)
+        return d + wedge(E1, alpha) if alpha.degree() == 4 else d
+
+    monkeypatch.setattr(g2_ansatz, "exterior_derivative", broken)
+    code = main(["verify", "--seed", "7", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "fail"
+    assert report["first_failure"]["id"] == "dual-coclosed"
+    status = {c["id"]: (c["status"], c["failures"]) for c in report["checks"]}
+    assert status.pop("dual-coclosed") == ("fail", 2)
+    assert set(status.values()) == {("pass", 0)}
+
+
 def test_verify_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--trials", "0"])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import random
@@ -350,21 +351,54 @@ def test_flow_config_rejects_non_finite_values(name, value):
 
 
 def test_guarded_rhs_returns_none_off_the_domain():
-    assert guarded_rhs(NORMALIZED, (1.0, -1.0, 1.0), 4.0, 3.0, -1) is None
-    assert guarded_rhs(MODIFIED, (1.0, 1.0, 0.0), 4.0, 3.0, -1) is None
-    # q * q overflows the longdouble range although the state itself does not
-    big = np.longdouble(10) ** 1500
-    if big - big == 0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert guarded_rhs(NORMALIZED, (big, big, big), 4.0, 3.0, -1) is None
-    # Python floats raise on overflow and division by zero; both read as off the domain
-    assert guarded_rhs(NORMALIZED, (1e200, 1.0, 1.0), 4.0, 3.0, -1) is None
-    assert guarded_rhs(NORMALIZED, (1.0, 1.0, 1e-200), 4.0, 3.0, -1) is None
+    # guarded_rhs and the per-run closure integrate builds agree off the domain
+    for rhs in (lambda flavor, y: guarded_rhs(flavor, y, 4.0, 3.0, -1),
+                lambda flavor, y: coflow_dynamics._guarded_flow(flavor, 4.0, 3.0, -1)(y)):
+        assert rhs(NORMALIZED, (1.0, -1.0, 1.0)) is None
+        assert rhs(MODIFIED, (1.0, 1.0, 0.0)) is None
+        # q * q overflows the longdouble range although the state itself does not
+        big = np.longdouble(10) ** 1500
+        if big - big == 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert rhs(NORMALIZED, (big, big, big)) is None
+        # Python floats raise on overflow and division by zero; both read as off the domain
+        assert rhs(NORMALIZED, (1e200, 1.0, 1.0)) is None
+        assert rhs(NORMALIZED, (1.0, 1.0, 1e-200)) is None
     # inside the domain it agrees with the unguarded rates, in the scalar type of the state
     rates = guarded_rhs(NORMALIZED, (1.3, 0.8, 1.1), 4.0, 3.0, -1)
     assert rates == rhs_normalized((1.3, 0.8, 1.1), 4.0, -1)
     ld = tuple(np.longdouble(v) for v in (1.3, 0.8, 1.1))
     assert all(type(r) is np.longdouble for r in guarded_rhs(MODIFIED, ld, 4.0, 3.0, -1))
+
+
+def _bits(values):
+    # repr round-trips every scalar type here, so equal reprs of equal types are equal bits
+    return [(type(v), repr(v)) for v in values]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("scalar, kappa, gamma", [
+    (float, 4.0, 3.0),
+    (np.longdouble, 4.0, 3.0),
+    (Fraction, Fraction(4), Fraction(7, 3)),
+    # the complex-step linearization stability._rhs_jacobian evaluates
+    (lambda v: complex(v, 1e-20 * v), 4.0, 3.0),
+], ids=["float64", "longdouble", "Fraction", "complex"])
+def test_every_rates_entry_point_is_the_one_copy(flavor, eps, scalar, kappa, gamma):
+    rates = coflow_dynamics._rates(flavor, kappa, gamma, eps)
+    flow = coflow_dynamics._guarded_flow(flavor, kappa, gamma, eps)
+    for point in ((1.3, 0.8, 1.1), (0.37, 2.9, 0.6)):
+        a, b, c = y = tuple(scalar(v) for v in point)
+        u = rates(a, b, c * c)
+        assert _bits(monomial_rates(flavor, a, b, c * c, kappa, gamma, eps)) == _bits(u)
+        if isinstance(a, complex):
+            continue  # the positivity guard orders scalars, which complex ones are not
+        expected = _bits(state_rates(a, b, c, u))
+        rhs = (rhs_normalized(y, kappa, eps) if flavor == NORMALIZED
+               else rhs_modified(y, kappa, gamma, eps))
+        for got in (rhs, guarded_rhs(flavor, y, kappa, gamma, eps), flow(y)):
+            assert _bits(got) == expected
 
 
 def test_run_counters():
@@ -413,6 +447,62 @@ def test_integrate_is_bitwise_pinned():
                                     "0x1.19fbb70888c34p+0", "0x1.f38f7ebbc79a0p-1")
         assert traj.steps == 49
     assert traj.reason == "diverged-from-critical"
+
+
+def _hex_state(*values):
+    return tuple(float.fromhex(v) for v in values)
+
+
+@pytest.mark.parametrize("config, start, final, steps, reason", [
+    # float64 escape along the unstable direction of the eps = +1 principal point, delta 1e-3
+    (FlowConfig(flavor=MODIFIED, kappa=4.0, gamma=3.0, eps=1, t_max=1.5, escape_radius=1e-1,
+                reference=_hex_state("0x1.3333333333333p-1", "0x1.3333333333333p-1",
+                                     "0x1.5775c544ff263p+0")),
+     ("0x1.32f89533aa7f2p-1", "0x1.33a86f32449b6p-1", "0x1.5775c544ff263p+0"),
+     ("0x1.00ff486469025p-3", "0x1.1c9c96c0a5f7ap-1", "0x1.637d96423a854p-1",
+      "0x1.57b8577bdfabep+0"), 52, "diverged-from-critical"),
+    # normalized run converging to the eps = +1 attractor
+    (FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=1), ("0x1.0p-1", "0x1.6666666666666p-1",
+                                                        "0x1.3333333333333p+0"),
+     ("0x1.4e34a8456a38fp+1", "0x1.3333333096361p-1", "0x1.333333372b707p-1",
+      "0x1.5775c54487361p+0"), 110, "converged"),
+])
+def test_float64_runs_are_bitwise_pinned(config, start, final, steps, reason):
+    # values recorded from the zip-loop stage sums the written-out step replaced
+    traj = integrate(config, FlowState(0.0, *_hex_state(*start)))
+    assert _final_hex(traj) == final
+    assert (traj.steps, traj.reason) == (steps, reason)
+
+
+def test_float64_ensemble_is_bitwise_pinned():
+    # sha256 over every state of eight seeded runs of both flavors (long blow-ups with
+    # rejected steps among them), recorded from the zip-loop step; final-state pins of
+    # a few runs can miss a regrouped stage sum that moves the bits of other runs
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    for i in range(8):
+        eps = rng.choice((1, -1))
+        start = tuple(rng.uniform(0.5, 2.0) for _ in range(3))
+        config = FlowConfig(flavor=MODIFIED if i % 2 else NORMALIZED, kappa=4.0, gamma=3.0,
+                            eps=eps, t_max=2.0)
+        for st in integrate(config, FlowState(0.0, *start)).states:
+            digest.update(" ".join(v.hex() for v in (st.t, st.a, st.b, st.c)).encode())
+    assert digest.hexdigest() == \
+        "09256a9279ec7ad3535a2590578404a615a0e1e39e7b59ec2d0e87e9193ef7cd"
+
+
+@pytest.mark.parametrize("overrides, counters", [
+    # a first step of 10 leaves the positive octant; each retry stops at its failing stage
+    ({"first_step": 10.0}, (237, 1443, 2, 4, "converged")),
+    ({"max_steps": 3, "tol_conv": 0.0}, (3, 19, 0, 0, "max-steps")),
+    ({"first_step": 10.0, "max_steps": 3, "tol_conv": 0.0}, (3, 39, 2, 4, "max-steps")),
+])
+def test_run_counters_are_pinned(overrides, counters):
+    # (steps, rhs_evals, rejected, nonfinite_retries) recorded from the zip-loop step
+    traj = integrate(FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1, **overrides),
+                     FlowState(0.0, 1.3, 0.8, 1.1))
+    assert (traj.steps, traj.rhs_evals, traj.rejected, traj.nonfinite_retries,
+            traj.reason) == counters
 
 
 @pytest.mark.parametrize("state, kappa, gamma, eps, rate", [

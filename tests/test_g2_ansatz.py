@@ -208,13 +208,15 @@ def test_identity_suite_derives_dphi_once(monkeypatch):
     from coflow import g2_ansatz
 
     p = random_points(1, seed=78)[0]
-    phi = build(p).phi
+    ans = build(p)
     calls = []
     derive = g2_ansatz.exterior_derivative
     monkeypatch.setattr(g2_ansatz, "exterior_derivative",
-                        lambda alpha: calls.append(alpha == phi) or derive(alpha))
+                        lambda alpha: calls.append(alpha) or derive(alpha))
     assert all(ok for _, ok in identity_suite(p))
-    assert sum(calls) == 1
+    assert sum(alpha == ans.phi for alpha in calls) == 1
+    # d(psi) too: the dual-coclosed check is the only one, build's assertion is not run
+    assert sum(alpha == ans.psi for alpha in calls) == 1
 
 
 def test_tau3_norm_closed_form_matches_algebra():
