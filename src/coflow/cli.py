@@ -29,6 +29,7 @@ from .coflow_dynamics import (
     NORMALIZED,
     FlowConfig,
     FlowState,
+    guarded_rhs,
     integrate,
 )
 from .g2_ansatz import identity_suite
@@ -187,10 +188,15 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             if report.index < 1:
                 sub.error("the selected critical point has no unstable direction")
             direction = state_direction(point, report.eigenpairs[0].vector)
-        start = [point.state[i] + args.delta * direction[i] for i in range(3)]
+        start = [float(point.state[i] + args.delta * direction[i]) for i in range(3)]
         if not min(start) > 0:
             sub.error(f"--delta {args.delta} moves the start off the positive scales: "
                       f"({start[0]}, {start[1]}, {start[2]})")
+        k = guarded_rhs(flavor, start, args.kappa, args.gamma, args.eps) or (math.inf,) * 3
+        rate = math.sqrt(k[0] * k[0] + k[1] * k[1] + k[2] * k[2])  # as integrate's stop test
+        if rate < args.tol_conv:
+            sub.error(f"--delta {args.delta} starts the run already converged: |rhs| = {rate:.3g} "
+                      f"is below --tol-conv {args.tol_conv}; raise --delta or lower --tol-conv")
         initial = FlowState(0.0, *start)
         config = dataclasses.replace(config, reference=point.state)
 

@@ -41,6 +41,7 @@ of the contract.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,8 +50,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .g2_ansatz import _laplacian_psi, _tau0, ansatz_4form, build, tau0_terms, tau3_norm_sq_terms
-from .invariant_forms import (
+from .g2_ansatz import ansatz_4form, build, laplacian_psi, tau0, tau0_terms, tau3_norm_sq_terms
+from .invariant_forms import (  # noqa: F401  exterior_derivative: patched by the derive-once test
     GeometryParams,
     _as_scalar,
     exterior_derivative,
@@ -256,15 +257,13 @@ def symbolic_rhs_crosscheck(params: GeometryParams, kappa, gamma, flavor: str) -
     """
     kap = _as_scalar(kappa)
     ans = build(params)
-    dphi = exterior_derivative(ans.phi)
     if flavor == NORMALIZED:
-        rate_form = _laplacian_psi(ans, dphi) - kap * kap * ans.psi
+        rate_form = laplacian_psi(ans) - kap * kap * ans.psi
         gam = None
     elif flavor == MODIFIED:
         gam = _as_scalar(gamma)
-        t0 = _tau0(ans, dphi)
-        rate_form = (_laplacian_psi(ans, dphi)
-                     + Fraction(1, 2) * ((5 * gam * kap - 7 * t0) * dphi)
+        rate_form = (laplacian_psi(ans)
+                     + Fraction(1, 2) * ((5 * gam * kap - 7 * tau0(ans)) * ans.dphi)
                      + (Fraction(5, 2) * (1 - gam) * kap * kap) * ans.psi)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -315,8 +314,6 @@ _DP_A = (
 _DP_E = (Fraction(71, 57600), Fraction(0), Fraction(-71, 16695), Fraction(71, 1920),
          Fraction(-17253, 339200), Fraction(22, 525), Fraction(-1, 40))
 
-_TABLEAU_CACHE: dict = {}
-
 
 def _scalar_type(dt: np.dtype):
     """Scalar type the step loop computes in for a dtype.
@@ -329,16 +326,15 @@ def _scalar_type(dt: np.dtype):
     return float if dt == np.float64 else dt.type
 
 
+@functools.cache
 def _tableau(dt: np.dtype):
     """(stage rows, error weights) as tuples of the dtype's loop scalars."""
-    if dt not in _TABLEAU_CACHE:
-        scalar = _scalar_type(dt)
+    scalar = _scalar_type(dt)
 
-        def conv(row):
-            return tuple(scalar(dt.type(f.numerator) / dt.type(f.denominator)) for f in row)
+    def conv(row):
+        return tuple(scalar(dt.type(f.numerator) / dt.type(f.denominator)) for f in row)
 
-        _TABLEAU_CACHE[dt] = (tuple(conv(row) for row in _DP_A), conv(_DP_E))
-    return _TABLEAU_CACHE[dt]
+    return tuple(conv(row) for row in _DP_A), conv(_DP_E)
 
 
 @dataclass

@@ -10,12 +10,15 @@ torsion reduces to a scalar part tau0 and a pure 27-type part tau3 with
 
     dphi = tau0 psi + star(tau3),
 
-and the Hodge Laplacian of psi is d(star(dphi)).  Everything here is exact
-rational arithmetic; there are no tolerances in this module.
+and the Hodge Laplacian of psi is d(star(dphi)).  An ansatz derives its
+dphi once, on first use, and tau0, torsion and laplacian_psi all read that
+one copy.  Everything here is exact rational arithmetic; there are no
+tolerances in this module.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +45,11 @@ class G2Ansatz:
     params: GeometryParams
     phi: InvariantForm
     psi: InvariantForm
+
+    @functools.cached_property
+    def dphi(self) -> InvariantForm:
+        """d(phi), derived on first use and kept; a build that never reads it pays nothing."""
+        return exterior_derivative(self.phi)
 
 
 @dataclass(frozen=True)
@@ -100,37 +108,28 @@ def tau3_norm_sq_terms(a, b, q, eps) -> tuple:
     return num, 7 * a ** 4 * q ** 2
 
 
-def _tau0(ans: G2Ansatz, dphi: InvariantForm) -> Fraction:
-    p = ans.params
-    value = Fraction(1, 7) * hodge_star(wedge(dphi, ans.phi), p).coefficient(UNIT)
-    closed = Fraction(*tau0_terms(p.a, p.b, p.q, p.eps))
-    if value != closed:
-        raise AssertionError(f"scalar torsion routes disagree: {value} vs {closed}")
-    return value
-
-
 def tau0(ans: G2Ansatz) -> Fraction:
     """Scalar torsion, evaluated as (1/7) star(dphi ^ phi).
 
     The same quantity has the closed form `tau0_terms`; both routes are
     computed and must agree exactly.
     """
-    return _tau0(ans, exterior_derivative(ans.phi))
-
-
-def _torsion(ans: G2Ansatz, dphi: InvariantForm) -> TorsionData:
-    t0 = _tau0(ans, dphi)
-    t3 = hodge_star(dphi, ans.params) - t0 * ans.phi
-    return TorsionData(tau0=t0, tau3=t3, tau3_norm_sq=inner_product(t3, t3, ans.params))
+    p = ans.params
+    value = Fraction(1, 7) * hodge_star(wedge(ans.dphi, ans.phi), p).coefficient(UNIT)
+    closed = Fraction(*tau0_terms(p.a, p.b, p.q, p.eps))
+    if value != closed:
+        raise AssertionError(f"scalar torsion routes disagree: {value} vs {closed}")
+    return value
 
 
 def torsion(ans: G2Ansatz) -> TorsionData:
     """Split dphi = tau0 psi + star(tau3) and report |tau3|^2.
 
-    Since star is an involution here, tau3 = star(dphi) - tau0 phi.  dphi is
-    derived once and shared with the scalar torsion.
+    Since star is an involution here, tau3 = star(dphi) - tau0 phi.
     """
-    return _torsion(ans, exterior_derivative(ans.phi))
+    t0 = tau0(ans)
+    t3 = hodge_star(ans.dphi, ans.params) - t0 * ans.phi
+    return TorsionData(tau0=t0, tau3=t3, tau3_norm_sq=inner_product(t3, t3, ans.params))
 
 
 def verify_dtau3_lemma(ans: G2Ansatz) -> bool:
@@ -149,13 +148,9 @@ def _dtau3_lemma(ans: G2Ansatz, td: TorsionData) -> bool:
     return lhs == rhs
 
 
-def _laplacian_psi(ans: G2Ansatz, dphi: InvariantForm) -> InvariantForm:
-    return exterior_derivative(hodge_star(dphi, ans.params))
-
-
 def laplacian_psi(ans: G2Ansatz) -> InvariantForm:
     """Hodge Laplacian of the dual 4-form; on co-closed structures d(star(dphi))."""
-    return _laplacian_psi(ans, exterior_derivative(ans.phi))
+    return exterior_derivative(hodge_star(ans.dphi, ans.params))
 
 
 def _det3(m: list[list[Fraction]]) -> Fraction:
@@ -242,8 +237,7 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
     """
     p = params
     ans = _assemble(p)
-    dphi = exterior_derivative(ans.phi)
-    td = _torsion(ans, dphi)
+    td = torsion(ans)
     checks: list[tuple[str, bool]] = []
 
     checks.append(("dual-coclosed", exterior_derivative(ans.psi).is_zero()))
@@ -252,16 +246,16 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
                    wedge(ans.phi, ans.psi) == 7 * volume_form(p)
                    and inner_product(ans.phi, ans.phi, p) == 7
                    and inner_product(ans.psi, ans.psi, p) == 7))
-    checks.append(("dphi-coefficients", dphi == dphi_closed_form(p)))
+    checks.append(("dphi-coefficients", ans.dphi == dphi_closed_form(p)))
     checks.append(("tau0-closed-form",
                    td.tau0 == Fraction(*tau0_terms(p.a, p.b, p.q, p.eps))
-                   and td.tau0 == inner_product(dphi, ans.psi, p) / 7))
+                   and td.tau0 == inner_product(ans.dphi, ans.psi, p) / 7))
     checks.append(("torsion-split",
-                   dphi == td.tau0 * ans.psi + hodge_star(td.tau3, p)
+                   ans.dphi == td.tau0 * ans.psi + hodge_star(td.tau3, p)
                    and wedge(td.tau3, ans.phi).is_zero()
                    and wedge(td.tau3, ans.psi).is_zero()
                    and td.tau3_norm_sq == Fraction(*tau3_norm_sq_terms(p.a, p.b, p.q, p.eps))))
-    checks.append(("laplacian-coefficients", _laplacian_psi(ans, dphi) == laplacian_closed_form(p)))
+    checks.append(("laplacian-coefficients", laplacian_psi(ans) == laplacian_closed_form(p)))
     checks.append(("dtau3-projection", _dtau3_lemma(ans, td)))
     checks.append(("volume-pairing",
                    p.eps * total_integral(wedge(ans.phi, ans.psi), p)

@@ -7,6 +7,10 @@ the complex-step linearization in the scaled perturbation coordinates
 (A, B, C) and its eigenpairs from LAPACK (`numpy.linalg.eig`), counts the
 instability index, and maps unstable directions back to invariant 4-forms.
 
+At a point (a, b, c) with q = c^2 the coordinates are
+(A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
+the closed-form points these are the scales `analytic_jacobian` uses.
+
 The two distinguished 27-type 4-forms
 
     Psi_plus  = e23^w1 - e13^w2 - 2 e12^w3
@@ -179,6 +183,11 @@ def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: i
     return None
 
 
+def _exact(x) -> Fraction:
+    """An int or Fraction exactly, any other number as the Fraction of its float."""
+    return _as_scalar(x) if isinstance(x, (int, Fraction)) else Fraction(float(x))
+
+
 def _exact_point_params(eps: int, kappa_eff: Fraction) -> GeometryParams:
     if eps == +1:
         a = Fraction(12, 5) / kappa_eff
@@ -201,13 +210,13 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
         raise ValueError(f"unknown flavor {flavor!r}")
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    kap = _as_scalar(kappa) if isinstance(kappa, (int, Fraction)) else Fraction(float(kappa))
+    kap = _exact(kappa)
     gam = None
     labels = [(kap, LABEL_PRINCIPAL)]
     if flavor == MODIFIED:
         if gamma is None or not gamma > 2:
             raise ValueError("modified flavor requires gamma > 2")
-        gam = _as_scalar(gamma) if isinstance(gamma, (int, Fraction)) else Fraction(float(gamma))
+        gam = _exact(gamma)
         labels.append(((gam - 1) * kap, LABEL_RESCALED))
 
     points: list[CriticalPoint] = []
@@ -226,16 +235,9 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     return points
 
 
-def _abc_scales(eps: int, kappa_eff: float) -> np.ndarray:
-    if eps == +1:
-        return np.array([kappa_eff / 12, kappa_eff / 12, math.sqrt(5) * kappa_eff / 12])
-    return np.array([kappa_eff / 4, kappa_eff / 4, kappa_eff / 4])
-
-
 def state_direction(point: CriticalPoint, direction) -> np.ndarray:
-    """Unit (a, b, c)-space displacement for a scaled-coordinate direction."""
-    scales = _abc_scales(point.eps, float(point.kappa_eff))
-    v = scales * np.array([complex(x).real for x in direction], dtype=np.float64)
+    """Unit (a, b, c)-space displacement along (a A, b B, c C) for an (A, B, C) direction."""
+    v = np.array(point.state) * np.array([complex(x).real for x in direction], dtype=np.float64)
     norm = float(np.sqrt((v * v).sum()))
     if norm == 0.0:
         raise ValueError("zero direction")
@@ -261,11 +263,12 @@ def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
 def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     """(complex-step matrix, analytic twin or None) in (A, B, C) coordinates.
 
-    The perturbation coordinates carry the scale of the critical point
-    (a sqrt(5) weight on the third slot for eps = +1), so the analytic
-    matrices apply literally.  When the twin exists the two must agree to
-    1e-12 in relative sup norm.  The point must be critical to a relative
-    displacement of 1e-10: |f(y)| <= 1e-10 ||J|| |y| with J in (a, b, c).
+    Since (A, B, C) is q (delta a / a, delta b / b, delta c / c), the
+    (a, b, c) matrix J becomes J_ij y_j / y_i at the point y, so the
+    analytic matrices apply literally.  When the twin exists the two must
+    agree to 1e-12 in relative sup norm.  The point must be critical to a
+    relative displacement of 1e-10: |f(y)| <= 1e-10 ||J|| |y| with J in
+    (a, b, c).
     """
     kap, gam = float(kappa), None if gamma is None else float(gamma)
     y = point.state
@@ -277,8 +280,8 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     if math.hypot(*fy) > 1e-10 * jnorm * math.hypot(*y):
         raise ValueError("jacobian requires a critical point (residual above 1e-10 ||J|| |y|)")
 
-    scales = _abc_scales(eps, float(point.kappa_eff))
-    num = jac * scales / scales[:, None]
+    ys = np.array(y)
+    num = jac * ys / ys[:, None]
 
     ana = None
     if flavor == MODIFIED and point.label == LABEL_PRINCIPAL:
@@ -358,26 +361,16 @@ def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
     """Directional derivative of the dual 4-form along an (A, B, C) perturbation.
 
     Exact whenever the direction is exact: the q-parametrization keeps the
-    c-variation rational (delta q = 2 c delta c is rational at both critical
-    families even though c itself may be irrational).
+    c-variation rational, delta q = 2 c delta c = 2 C, even where c itself
+    is irrational.
     """
-    comps = []
-    for x in direction:
-        comps.append(_as_scalar(x) if isinstance(x, (int, Fraction)) else Fraction(float(x)))
+    comps = [_exact(x) for x in direction]
     if all(x == 0 for x in comps):
         raise ValueError("direction must be nonzero")
     A_, B_, C_ = comps
     p = point.params
-    ke = point.kappa_eff
-    if point.eps == +1:
-        da = ke / 12 * A_
-        db = ke / 12 * B_
-        dq = Fraction(5, 6) * p.a * ke * C_   # 2c * (sqrt(5) ke / 12) with c = sqrt(5) a
-    else:
-        da = ke / 4 * A_
-        db = ke / 4 * B_
-        dq = p.a * ke / 2 * C_                # 2c * (ke / 4) with c = a
     a, b, q = p.a, p.b, p.q
+    da, db, dq = a / q * A_, b / q * B_, 2 * C_
     # variation of the monomials (q^2, a b q, a^2 q)
     return ansatz_4form((2 * q * dq,
                          b * q * da + a * q * db + a * b * dq,

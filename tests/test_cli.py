@@ -385,6 +385,19 @@ def test_flow_rejects_a_perturbation_that_leaves_the_positive_scales(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["1", "-1"])
+def test_flow_rejects_a_perturbation_that_starts_converged(tmp_path, capsys, eps):
+    # 1e-10 off the point the rate is below the default --tol-conv 1e-8
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--flavor", "modified", "--eps", eps, "--perturb", "unstable",
+              "--delta", "1e-10", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--delta 1e-10" in err and "--tol-conv 1e-08" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flow_from_a_degenerate_start_reports_degeneracy(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code, printed = run(["flow", "--a0", "1e-300", "--b0", "1", "--c0", "1",

@@ -219,6 +219,29 @@ def test_identity_suite_derives_dphi_once(monkeypatch):
     assert sum(alpha == ans.psi for alpha in calls) == 1
 
 
+def test_an_ansatz_derives_dphi_once(monkeypatch):
+    from coflow import g2_ansatz
+
+    ans = build(random_points(1, seed=79)[0])
+    calls = []
+    derive = g2_ansatz.exterior_derivative
+    monkeypatch.setattr(g2_ansatz, "exterior_derivative",
+                        lambda alpha: calls.append(alpha) or derive(alpha))
+    tau0(ans)
+    torsion(ans)
+    laplacian_psi(ans)
+    assert verify_dtau3_lemma(ans)
+    assert sum(alpha == ans.phi for alpha in calls) == 1
+
+
+def test_ansatz_dphi_is_the_closed_form():
+    rng = random.Random(406)
+    for eps in (+1, -1):
+        for _ in range(5):
+            p = random_params(rng, eps)
+            assert build(p).dphi == dphi_closed_form(p)
+
+
 def test_tau3_norm_closed_form_matches_algebra():
     # small rationals and Fraction(float) points with ~2^50 denominators, both orientations
     rng = random.Random(404)

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from coflow.coflow_dynamics import MODIFIED, NORMALIZED, monomial_rates, state_rates
-from coflow.g2_ansatz import build, torsion
+from coflow.g2_ansatz import ansatz_4form, build, torsion
 from coflow.invariant_forms import GeometryParams
 from coflow.stability import (
     LABEL_PRINCIPAL,
@@ -484,6 +484,48 @@ def test_rescaled_unstable_form_is_exact_on_the_grid(eps, kappa, gamma):
 def test_linearization_matches_its_analytic_twin_to_rounding(eps, kappa, gamma):
     num, ana = jacobian(MODIFIED, principal(MODIFIED, kappa, gamma, eps), kappa, gamma, eps)
     assert np.max(np.abs(num - ana)) / np.max(np.abs(ana)) <= 1e-12
+
+
+def _variation_to_form_by_eps(point, direction):
+    # the per-family (A, B, C) scales that variation_to_form once wrote out
+    A_, B_, C_ = (Fraction(x) for x in direction)
+    p = point.params
+    ke = point.kappa_eff
+    if point.eps == +1:
+        da = ke / 12 * A_
+        db = ke / 12 * B_
+        dq = Fraction(5, 6) * p.a * ke * C_   # 2c * (sqrt(5) ke / 12) with c = sqrt(5) a
+    else:
+        da = ke / 4 * A_
+        db = ke / 4 * B_
+        dq = p.a * ke / 2 * C_                # 2c * (ke / 4) with c = a
+    a, b, q = p.a, p.b, p.q
+    return ansatz_4form((2 * q * dq,
+                         b * q * da + a * q * db + a * b * dq,
+                         2 * a * q * da + a * a * dq), p.eps)
+
+
+def _scaled_by_family(jac, point):
+    # the per-family scales kappa_eff (1, 1, sqrt 5) / 12 and kappa_eff / 4
+    ke = float(point.kappa_eff)
+    if point.eps == +1:
+        scales = np.array([ke / 12, ke / 12, math.sqrt(5) * ke / 12])
+    else:
+        scales = np.array([ke / 4, ke / 4, ke / 4])
+    return jac * scales / scales[:, None]
+
+
+@pytest.mark.parametrize("eps, kappa, gamma", GRID)
+def test_abc_coordinates_are_the_family_scales(eps, kappa, gamma):
+    # (A, B, C) = q (da/a, db/b, dc/c) gives the family formulas exactly on
+    # 4-forms and to rounding on the linearization
+    for point in find_critical_points(MODIFIED, kappa, gamma, eps):
+        for direction in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            want = _variation_to_form_by_eps(point, direction)
+            assert variation_to_form(point, direction) == want
+        want = _scaled_by_family(_rhs_jacobian(MODIFIED, point.state, kappa, gamma, eps), point)
+        got = jacobian(MODIFIED, point, kappa, gamma, eps)[0]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _exact_rhs_jacobian(flavor, kappa, gamma, eps):
