@@ -28,18 +28,24 @@ the Riemannian volume form is vol_eps = eps * a^2 b q^2 * e123 ^ vol.
 The structure tables do not depend on (a, b, q, eps), so each is derived
 once, on first use, from the relations above and kept: d of each basis
 monomial (the Leibniz rule over the generator differentials), the product
-of each pair of monomials, and each monomial's Hodge complement with the
-sign of its wedge onto the top monomial.  They are keyed by monomials only,
-at most 40 x 40 entries.  Only the coefficient arithmetic of a call depends
-on the geometry.
+of each pair of monomials, each monomial's Hodge complement with the sign
+of its wedge onto the top monomial, and its metric law.  They are keyed by
+monomials only, at most 40 x 40 entries, and hand out the 40 basis
+monomials made at import; Monomial.from_key looks a key up among them.
+Only the coefficient arithmetic of a call depends on the geometry.
 
 algebra_checks splits the same way.  d circ d = 0, the horizontal products
 and the star pairings of distinct monomials are facts about the tables, so
 they run once per process, on the first call.  The 40 stars, their
 involution, the pairing of each monomial with its own star, the star of
 the unit and the support of each star (its complement alone) run at every
-parameter point.  Metric coefficients are built as one Fraction from the
-numerators and denominators of (a, b, q), which costs a single gcd.
+parameter point.
+
+Each metric coefficient is a Laurent monomial in (a, b, q) read off the
+monomial's metric law, so a star coefficient, a weight or the volume
+coefficient is one Fraction built from integer numerators and denominators,
+which costs a single gcd; inner_product keeps its sum as one integer
+numerator and denominator and reduces it once.
 """
 
 from __future__ import annotations
@@ -75,10 +81,18 @@ def _add_term(out: dict, m: Monomial, c: Fraction) -> None:
 
 @dataclass(frozen=True)
 class Monomial:
-    """One of the 40 basis monomials: ascending vertical indices, one horizontal part."""
+    """One of the 40 basis monomials: ascending vertical indices, one horizontal part.
+
+    The degree and the hash are worked out once, on construction.  The hash
+    is the index of the monomial's (vertical bitmask, horizontal part), so
+    it is the same in every process and a copied or unpickled monomial still
+    finds its dict entries; equality compares (verts, horiz) alone.
+    """
 
     verts: tuple[int, ...]
     horiz: str
+    degree: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(i not in (1, 2, 3) for i in self.verts):
@@ -87,10 +101,12 @@ class Monomial:
             raise ValueError(f"vertical indices must be strictly ascending: {self.verts}")
         if self.horiz not in HORIZONTALS:
             raise ValueError(f"unknown horizontal part {self.horiz!r}")
+        mask = sum(1 << (i - 1) for i in self.verts)
+        object.__setattr__(self, "degree", len(self.verts) + _HORIZ_DEGREE[self.horiz])
+        object.__setattr__(self, "_hash", mask * len(HORIZONTALS) + HORIZONTALS.index(self.horiz))
 
-    @property
-    def degree(self) -> int:
-        return len(self.verts) + _HORIZ_DEGREE[self.horiz]
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def key(self) -> str:
@@ -103,31 +119,35 @@ class Monomial:
 
     @staticmethod
     def from_key(key: str) -> "Monomial":
-        if key == "1":
-            return Monomial((), "1")
-        ep, _, hp = key.partition("^")
-        if ep.startswith("e"):
-            verts = tuple(int(ch) for ch in ep[1:])
-            horiz = hp or "1"
-        else:
-            verts, horiz = (), ep
-        return Monomial(verts, horiz)
+        """The basis monomial with this key; any other string raises ValueError."""
+        try:
+            return _BY_KEY[key]
+        except KeyError:
+            raise ValueError(f"unknown monomial key {key!r}") from None
 
     def __repr__(self) -> str:
         return self.key
 
 
+def _make_basis() -> tuple[Monomial, ...]:
+    subsets = [tuple(i for i in (1, 2, 3) if mask & (1 << (i - 1))) for mask in range(8)]
+    basis = [Monomial(s, h) for s in subsets for h in HORIZONTALS]
+    return tuple(sorted(basis, key=lambda m: (m.degree, m.key)))
+
+
+# the 40 monomials, each made once; the tables below hand out these objects
+_BASIS = _make_basis()
+_BY_KEY = {m.key: m for m in _BASIS}
+_BY_PARTS = {(m.verts, m.horiz): m for m in _BASIS}
+
+
 def all_monomials() -> list[Monomial]:
     """The full 40-element basis, ordered by degree then key."""
-    subsets: list[tuple[int, ...]] = []
-    for mask in range(8):
-        subsets.append(tuple(i for i in (1, 2, 3) if mask & (1 << (i - 1))))
-    basis = [Monomial(s, h) for s in subsets for h in HORIZONTALS]
-    return sorted(basis, key=lambda m: (m.degree, m.key))
+    return list(_BASIS)
 
 
-UNIT = Monomial((), "1")
-TOP = Monomial((1, 2, 3), "vol")
+UNIT = Monomial.from_key("1")
+TOP = Monomial.from_key("e123^vol")
 
 
 @dataclass(frozen=True)
@@ -294,7 +314,7 @@ def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[Fraction, Monomial] | N
     hcoeff, horiz = hm
     sign = _merge_sign(m1.verts, m2.verts)
     verts = tuple(sorted(m1.verts + m2.verts))
-    return Fraction(sign * hcoeff), Monomial(verts, horiz)
+    return Fraction(sign * hcoeff), _BY_PARTS[(verts, horiz)]
 
 
 def wedge(alpha: InvariantForm, beta: InvariantForm) -> InvariantForm:
@@ -355,25 +375,43 @@ def exterior_derivative(alpha: InvariantForm) -> InvariantForm:
 _HORIZ_WEIGHT = {"1": (1, 0), "w1": (2, 2), "w2": (2, 2), "w3": (2, 2), "vol": (1, 4)}
 
 
+@functools.cache
+def _metric_law(m: Monomial) -> tuple[int, int, int, int]:
+    """(k, e, na, nb) with <m, m> = k / (a^(2 na) b^(2 nb) q^e).
+
+    k / q^e is the weight of the horizontal part from _HORIZ_WEIGHT; na
+    counts e1 and e2 in m and nb counts e3.
+    """
+    k, e = _HORIZ_WEIGHT[m.horiz]
+    nb = int(3 in m.verts)
+    return k, e, len(m.verts) - nb, nb
+
+
+def _laurent(num: int, den: int, p: GeometryParams, ia: int, ib: int, iq: int) -> tuple[int, int]:
+    """(num, den) times a^ia b^ib q^iq, as an integer numerator and denominator."""
+    for x, i in ((p.a, ia), (p.b, ib), (p.q, iq)):
+        if i > 0:
+            num *= x.numerator ** i
+            den *= x.denominator ** i
+        elif i < 0:
+            num *= x.denominator ** -i
+            den *= x.numerator ** -i
+    return num, den
+
+
 def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
     """Squared norm <m, m>: the basis is orthogonal and the metric multiplicative.
 
     |e1|^2 = |e2|^2 = 1/a^2, |e3|^2 = 1/b^2, and the horizontal part
     contributes k / q^e from _HORIZ_WEIGHT.
     """
-    k, e = _HORIZ_WEIGHT[m.horiz]
-    nb = int(3 in m.verts)
-    na = len(m.verts) - nb
-    a, b, q = p.a, p.b, p.q
-    return Fraction(k * a.denominator ** (2 * na) * b.denominator ** (2 * nb) * q.denominator ** e,
-                    a.numerator ** (2 * na) * b.numerator ** (2 * nb) * q.numerator ** e)
+    k, e, na, nb = _metric_law(m)
+    return Fraction(*_laurent(k, 1, p, -2 * na, -2 * nb, -e))
 
 
 def _top_coeff(p: GeometryParams) -> Fraction:
     """eps a^2 b q^2, the coefficient of e123 ^ vol in the volume form."""
-    a, b, q = p.a, p.b, p.q
-    return Fraction(p.eps * a.numerator ** 2 * b.numerator * q.numerator ** 2,
-                    a.denominator ** 2 * b.denominator * q.denominator ** 2)
+    return Fraction(*_laurent(p.eps, 1, p, 2, 1, 2))
 
 
 def volume_form(p: GeometryParams) -> InvariantForm:
@@ -388,8 +426,8 @@ _HORIZ_PARTNER = {"1": "vol", "vol": "1", "w1": "w1", "w2": "w2", "w3": "w3"}
 @functools.cache
 def _star_partner(m: Monomial) -> tuple[Monomial, Fraction]:
     """Complementary monomial of m and the coefficient of m ^ complement on TOP."""
-    comp = Monomial(tuple(i for i in (1, 2, 3) if i not in m.verts),
-                    _HORIZ_PARTNER[m.horiz])
+    comp = _BY_PARTS[(tuple(i for i in (1, 2, 3) if i not in m.verts),
+                      _HORIZ_PARTNER[m.horiz])]
     pairing = wedge_monomials(m, comp)
     assert pairing is not None and pairing[1] == TOP
     return comp, pairing[0]
@@ -398,32 +436,43 @@ def _star_partner(m: Monomial) -> tuple[Monomial, Fraction]:
 def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     """Hodge star, defined by gamma ^ star(beta) = <gamma, beta> vol_eps.
 
-    Star of a basis monomial is a multiple of its complementary monomial;
-    the multiple is derived from the weight and the wedge onto the top
-    monomial rather than hard-coded.
+    Star of a basis monomial m is a multiple of its complement, by
+    <m, m> eps a^2 b q^2 over the sign of m ^ complement on the top
+    monomial: with m's metric law (k, e, na, nb) that is the Laurent
+    monomial k eps a^(2-2na) b^(1-2nb) q^(2-e) / pairing, and each output
+    coefficient is one Fraction of it times the input coefficient.
     """
     if alpha.is_zero():
         return alpha
     alpha.degree()  # homogeneity check
-    top_coeff = _top_coeff(p)
     out: dict[Monomial, Fraction] = {}
     for m, c in alpha.coeffs.items():
         comp, pairing = _star_partner(m)
-        out[comp] = c * (monomial_weight(m, p) * top_coeff / pairing)
+        k, e, na, nb = _metric_law(m)
+        num, den = _laurent(p.eps * k * c.numerator, pairing.numerator * c.denominator,
+                            p, 2 - 2 * na, 1 - 2 * nb, 2 - e)
+        out[comp] = Fraction(num, den)
     return InvariantForm(out)
 
 
 def inner_product(alpha: InvariantForm, beta: InvariantForm, p: GeometryParams) -> Fraction:
-    """Pointwise inner product <alpha, beta>; requires equal homogeneous degree."""
+    """Pointwise inner product <alpha, beta>; requires equal homogeneous degree.
+
+    The sum of c c' <m, m> is kept as one integer numerator and denominator
+    and reduced once, at the end.
+    """
     da, db = alpha.degree(), beta.degree()
     if da is not None and db is not None and da != db:
         raise ValueError(f"degree mismatch: {da} vs {db}")
-    total = Fraction(0)
+    num, den = 0, 1
     for m, c in alpha.coeffs.items():
         cb = beta.coeffs.get(m)
         if cb is not None:
-            total += c * cb * monomial_weight(m, p)
-    return total
+            k, e, na, nb = _metric_law(m)
+            tn, td = _laurent(k * c.numerator * cb.numerator, c.denominator * cb.denominator,
+                              p, -2 * na, -2 * nb, -e)
+            num, den = num * td + tn * den, den * td
+    return Fraction(num, den)
 
 
 def dstar_on_4forms(rho: InvariantForm, p: GeometryParams) -> InvariantForm:

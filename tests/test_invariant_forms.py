@@ -1,7 +1,13 @@
+import copy
 import json
+import os
+import pickle
 import random
+import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -396,3 +402,147 @@ def test_metric_coefficients_equal_the_fraction_chains():
             weight = monomial_weight(m, p)
             assert type(weight) is Fraction
             assert weight == k / (p.a ** (2 * na) * p.b ** (2 * nb) * p.q ** e)
+
+
+# from_key is a lookup over the 40 keys that Monomial.key produces; any other
+# key is refused rather than parsed to some other monomial.
+
+@pytest.mark.parametrize("key", ["1^w1", "e", "e12^1", "e1^", "e21", "e4", "w4", "", "^vol", "e1^w1^w2"])
+def test_from_key_rejects_non_canonical_keys(key):
+    with pytest.raises(ValueError, match=re.escape(f"unknown monomial key {key!r}")):
+        Monomial.from_key(key)
+
+
+def test_from_key_returns_the_basis_monomial_itself():
+    for m in BASIS:
+        assert Monomial.from_key(m.key) is m
+
+
+def test_json_with_a_non_canonical_key_is_refused_not_merged():
+    # read leniently, "e" is the unit too, and the result 2*1 loses an entry
+    with pytest.raises(ValueError, match="'e'"):
+        InvariantForm.from_json_dict({"e": "1", "1": "2"})
+    with pytest.raises(ValueError, match=re.escape("'e12^1'")):
+        form([("e12^1", 1)])
+
+
+# hodge_star, inner_product and monomial_weight build each term as one
+# Fraction from the per-monomial metric law; the references below are the
+# former Fraction chains, kept verbatim.
+
+def _reference_weight(m, p):
+    k, e = {"1": (1, 0), "w1": (2, 2), "w2": (2, 2), "w3": (2, 2), "vol": (1, 4)}[m.horiz]
+    nb = int(3 in m.verts)
+    na = len(m.verts) - nb
+    a, b, q = p.a, p.b, p.q
+    return Fraction(k * a.denominator ** (2 * na) * b.denominator ** (2 * nb) * q.denominator ** e,
+                    a.numerator ** (2 * na) * b.numerator ** (2 * nb) * q.numerator ** e)
+
+
+def _reference_hodge_star(alpha, p):
+    if alpha.is_zero():
+        return alpha
+    alpha.degree()  # homogeneity check
+    top_coeff = _top_coeff(p)
+    out = {}
+    for m, c in alpha.coeffs.items():
+        comp, pairing = _star_partner(m)
+        out[comp] = c * (_reference_weight(m, p) * top_coeff / pairing)
+    return InvariantForm(out)
+
+
+def _reference_inner_product(alpha, beta, p):
+    da, db = alpha.degree(), beta.degree()
+    if da is not None and db is not None and da != db:
+        raise ValueError(f"degree mismatch: {da} vs {db}")
+    total = Fraction(0)
+    for m, c in alpha.coeffs.items():
+        cb = beta.coeffs.get(m)
+        if cb is not None:
+            weight = _reference_weight(m, p)
+            total += c * cb * weight
+    return total
+
+
+def _reference_forms():
+    """Every monomial alone and times -7/3, and seeded multi-term forms of each degree."""
+    rng = random.Random(1010)
+    forms = [InvariantForm.monomial(m, c) for m in BASIS for c in (1, Fraction(-7, 3))]
+    for deg in range(8):
+        mons = [m for m in BASIS if m.degree == deg]
+        for _ in range(4):
+            chosen = rng.sample(mons, rng.randint(1, len(mons)))
+            forms.append(InvariantForm({m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                                                    rng.randint(2, 10 ** 6)) for m in chosen}))
+    return forms
+
+
+def test_star_and_inner_product_equal_the_fraction_chains():
+    forms = _reference_forms()
+    # each form with itself, and every pair of multi-term forms of one degree
+    pairs = [(f, f) for f in forms]
+    multi = [f for f in forms if len(f.coeffs) > 1]
+    pairs += [(f, g) for f in multi for g in multi if f.degree() == g.degree()]
+    for p in _weight_points():
+        for m in BASIS:
+            assert monomial_weight(m, p) == _reference_weight(m, p)
+        for f in forms:
+            star = hodge_star(f, p)
+            assert star == _reference_hodge_star(f, p)
+            assert all(type(c) is Fraction for c in star.coeffs.values())
+        for f, g in pairs:
+            value = inner_product(f, g, p)
+            assert type(value) is Fraction
+            assert value == _reference_inner_product(f, g, p)
+
+
+def test_star_and_inner_product_reject_mixed_degrees():
+    mixed = form([("e1", Fraction(-3, 2)), ("w1", 5)])
+    for p in (P_PLUS, P_ODD):
+        with pytest.raises(ValueError):
+            hodge_star(mixed, p)
+        with pytest.raises(ValueError):
+            _reference_hodge_star(mixed, p)
+        with pytest.raises(ValueError):
+            inner_product(mixed, E1, p)
+        with pytest.raises(ValueError):
+            inner_product(E1, mixed, p)
+
+
+# A monomial's hash is fixed on construction from its vertical bitmask and
+# horizontal part, so it does not depend on the process.
+
+def test_monomials_from_every_route_are_equal_and_hash_equal():
+    assert len({hash(m) for m in BASIS}) == len(BASIS)
+    for m in BASIS:
+        routes = [Monomial(m.verts, m.horiz), Monomial.from_key(m.key),
+                  wedge_monomials(UNIT, m)[1], _star_partner(_star_partner(m)[0])[0]]
+        for r in routes:
+            assert r == m and hash(r) == hash(m) and r.degree == m.degree
+    for m1 in BASIS:
+        for m2 in BASIS:
+            prod = wedge_monomials(m1, m2)
+            if prod is not None:
+                built = Monomial(tuple(sorted(m1.verts + m2.verts)), prod[1].horiz)
+                assert built == prod[1] and hash(built) == hash(prod[1])
+
+
+def test_copied_and_unpickled_monomials_find_their_dict_entries():
+    table = {m: i for i, m in enumerate(BASIS)}
+    for i, m in enumerate(BASIS):
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and hash(twin) == hash(m) and twin.degree == m.degree
+            assert table[twin] == i
+
+
+def test_monomial_hash_does_not_depend_on_the_hash_seed():
+    src = str(Path(invariant_forms.__file__).resolve().parents[1])
+    code = "from coflow.invariant_forms import Monomial; print(hash(Monomial((1, 3), 'w2')))"
+    printed = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        printed.append(proc.stdout.strip())
+    assert printed == [str(hash(Monomial((1, 3), "w2")))] * 2
