@@ -44,8 +44,13 @@ parameter point.
 Each metric coefficient is a Laurent monomial in (a, b, q) read off the
 monomial's metric law, so a star coefficient, a weight or the volume
 coefficient is one Fraction built from integer numerators and denominators,
-which costs a single gcd; inner_product keeps its sum as one integer
-numerator and denominator and reduces it once.
+which costs a single gcd.  The product table holds its structure
+constants as ints and each d(m) has whole-number coefficients, so wedge,
+exterior_derivative and inner_product keep each output coefficient's sum
+as one integer numerator and denominator and reduce it once, dropping the
+sums that cancel to 0.  The kernels and the form arithmetic hand the maps
+they have just built to InvariantForm._of, which takes them over without
+the copy, type and zero scan of the public constructor.
 """
 
 from __future__ import annotations
@@ -71,12 +76,20 @@ def _as_scalar(x: ScalarLike) -> Fraction:
     raise TypeError(f"exact coefficient required, got {type(x).__name__}")
 
 
-def _add_term(out: dict, m: Monomial, c: Fraction) -> None:
-    """Add c to the coefficient of m in a coefficient map, in place."""
-    if m in out:
-        out[m] += c
+def _add_ratio(sums: dict[Monomial, tuple[int, int]], m: Monomial, n: int, d: int) -> None:
+    """Add n/d to the unreduced (numerator, denominator) sum of m, in place."""
+    s = sums.get(m)
+    if s is None:
+        sums[m] = (n, d)
+    elif s[1] == d:
+        sums[m] = (s[0] + n, d)
     else:
-        out[m] = c
+        sums[m] = (s[0] * d + n * s[1], s[1] * d)
+
+
+def _reduced(sums: dict[Monomial, tuple[int, int]]) -> dict[Monomial, Fraction]:
+    """One Fraction per (numerator, denominator) sum, leaving out the sums that are 0."""
+    return {m: Fraction(n, d) for m, (n, d) in sums.items() if n}
 
 
 @dataclass(frozen=True)
@@ -155,15 +168,23 @@ class InvariantForm:
     """A formal rational combination of basis monomials.
 
     The zero form has an empty coefficient map; construction drops zero
-    coefficients, so equality of forms is equality of the maps.
+    coefficients, so equality of forms is equality of the maps.  The
+    constructor copies the map, refuses any coefficient that is not an int
+    or a Fraction (a float 0.0 too) and then drops the zeros.
     """
 
     coeffs: dict[Monomial, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        cleaned = {m: c if type(c) is Fraction else _as_scalar(c)
-                   for m, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", cleaned)
+        checked = ((m, c if type(c) is Fraction else _as_scalar(c)) for m, c in self.coeffs.items())
+        object.__setattr__(self, "coeffs", {m: c for m, c in checked if c})
+
+    @classmethod
+    def _of(cls, coeffs: dict[Monomial, Fraction]) -> "InvariantForm":
+        """A form that takes over coeffs, a new map of non-zero Fractions, unchecked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "coeffs", coeffs)
+        return f
 
     @staticmethod
     def zero() -> "InvariantForm":
@@ -194,18 +215,26 @@ class InvariantForm:
     def __add__(self, other: "InvariantForm") -> "InvariantForm":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            _add_term(out, m, c)
-        return InvariantForm(out)
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s += c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return InvariantForm._of(out)
 
     def __sub__(self, other: "InvariantForm") -> "InvariantForm":
         return self + (-other)
 
     def __neg__(self) -> "InvariantForm":
-        return InvariantForm({m: -c for m, c in self.coeffs.items()})
+        return InvariantForm._of({m: -c for m, c in self.coeffs.items()})
 
     def __rmul__(self, scalar: ScalarLike) -> "InvariantForm":
         s = _as_scalar(scalar)
-        return InvariantForm({m: s * c for m, c in self.coeffs.items()})
+        return InvariantForm._of({m: s * c for m, c in self.coeffs.items()} if s else {})
 
     def __mul__(self, scalar: ScalarLike) -> "InvariantForm":
         return self.__rmul__(scalar)
@@ -300,8 +329,8 @@ for _i in (1, 2, 3):
 
 
 @functools.cache
-def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[Fraction, Monomial] | None:
-    """Product of two monomials as (coefficient, monomial), or None when zero.
+def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
+    """Product of two monomials as (integer coefficient, monomial), or None when zero.
 
     Horizontal parts have even degree, so the only sign comes from sorting
     the vertical indices.  Each pair is worked out once and then kept.
@@ -314,19 +343,25 @@ def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[Fraction, Monomial] | N
     hcoeff, horiz = hm
     sign = _merge_sign(m1.verts, m2.verts)
     verts = tuple(sorted(m1.verts + m2.verts))
-    return Fraction(sign * hcoeff), _BY_PARTS[(verts, horiz)]
+    return sign * hcoeff, _BY_PARTS[(verts, horiz)]
 
 
 def wedge(alpha: InvariantForm, beta: InvariantForm) -> InvariantForm:
-    """Bilinear, associative wedge product; degree overflow gives zero."""
-    out: dict[Monomial, Fraction] = {}
+    """Bilinear, associative wedge product; degree overflow gives zero.
+
+    Each output coefficient is summed as one integer numerator and
+    denominator and reduced once.
+    """
+    terms = [(m2, *c2.as_integer_ratio()) for m2, c2 in beta.coeffs.items()]
+    sums: dict[Monomial, tuple[int, int]] = {}
     for m1, c1 in alpha.coeffs.items():
-        for m2, c2 in beta.coeffs.items():
+        n1, d1 = c1.as_integer_ratio()
+        for m2, n2, d2 in terms:
             prod = wedge_monomials(m1, m2)
             if prod is not None:
-                c, m = prod
-                _add_term(out, m, c1 * c2 * c)
-    return InvariantForm(out)
+                k, m = prod
+                _add_ratio(sums, m, k * n1 * n2, d1 * d2)
+    return InvariantForm._of(_reduced(sums))
 
 
 # differentials of the generators; everything else follows by the Leibniz rule
@@ -363,12 +398,18 @@ def _d_monomial(m: Monomial) -> InvariantForm:
 
 
 def exterior_derivative(alpha: InvariantForm) -> InvariantForm:
-    """Exterior derivative from the structure relations and the Leibniz rule."""
-    out: dict[Monomial, Fraction] = {}
+    """Exterior derivative from the structure relations and the Leibniz rule.
+
+    The coefficients of each d(m) are integers (denominator 1), so each
+    output coefficient is summed as one integer numerator and denominator
+    and reduced once.
+    """
+    sums: dict[Monomial, tuple[int, int]] = {}
     for m, c in alpha.coeffs.items():
+        n, d = c.as_integer_ratio()
         for dm, dc in _d_monomial(m).coeffs.items():
-            _add_term(out, dm, c * dc)
-    return InvariantForm(out)
+            _add_ratio(sums, dm, dc.numerator * n, d)
+    return InvariantForm._of(_reduced(sums))
 
 
 # <h, h> = k / q^e for the horizontal part h, as (k, e)
@@ -424,7 +465,7 @@ _HORIZ_PARTNER = {"1": "vol", "vol": "1", "w1": "w1", "w2": "w2", "w3": "w3"}
 
 
 @functools.cache
-def _star_partner(m: Monomial) -> tuple[Monomial, Fraction]:
+def _star_partner(m: Monomial) -> tuple[Monomial, int]:
     """Complementary monomial of m and the coefficient of m ^ complement on TOP."""
     comp = _BY_PARTS[(tuple(i for i in (1, 2, 3) if i not in m.verts),
                       _HORIZ_PARTNER[m.horiz])]
@@ -442,17 +483,15 @@ def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     monomial k eps a^(2-2na) b^(1-2nb) q^(2-e) / pairing, and each output
     coefficient is one Fraction of it times the input coefficient.
     """
-    if alpha.is_zero():
-        return alpha
     alpha.degree()  # homogeneity check
     out: dict[Monomial, Fraction] = {}
     for m, c in alpha.coeffs.items():
         comp, pairing = _star_partner(m)
         k, e, na, nb = _metric_law(m)
-        num, den = _laurent(p.eps * k * c.numerator, pairing.numerator * c.denominator,
+        num, den = _laurent(p.eps * k * c.numerator, pairing * c.denominator,
                             p, 2 - 2 * na, 1 - 2 * nb, 2 - e)
         out[comp] = Fraction(num, den)
-    return InvariantForm(out)
+    return InvariantForm._of(out)
 
 
 def inner_product(alpha: InvariantForm, beta: InvariantForm, p: GeometryParams) -> Fraction:

@@ -575,6 +575,23 @@ def test_hitchin_rate_builds_no_exact_forms(monkeypatch):
     assert hitchin_rate((1.01, 1.0, 1.0), 4.0, 3.0, -1) < 0
 
 
+def test_hitchin_rate_builds_no_exact_forms_through_either_constructor(monkeypatch):
+    # the kernels and the form arithmetic build their results through the
+    # unchecked InvariantForm._of, which skips __post_init__
+    def refuse(*args, **kwargs):
+        raise AssertionError("hitchin_rate reached the exact algebra")
+
+    from coflow.invariant_forms import E1 as e1
+
+    monkeypatch.setattr(InvariantForm, "__post_init__", refuse)
+    monkeypatch.setattr(InvariantForm, "_of", refuse)
+    monkeypatch.setattr(GeometryParams, "__post_init__", refuse)
+    for exact_call in (lambda: wedge(e1, e1), lambda: -e1, lambda: e1 + e1):
+        with pytest.raises(AssertionError, match="reached the exact algebra"):
+            exact_call()
+    assert hitchin_rate((1.01, 1.0, 1.0), 4.0, 3.0, -1) < 0
+
+
 def test_hitchin_rate_rejects_states_off_the_family():
     for y in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0), (math.nan, 1.0, 1.0)):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -546,3 +547,163 @@ def test_monomial_hash_does_not_depend_on_the_hash_seed():
                               env=env, timeout=120, check=True)
         printed.append(proc.stdout.strip())
     assert printed == [str(hash(Monomial((1, 3), "w2")))] * 2
+
+
+# The public constructor checks each coefficient's type before it drops the
+# zeros, so a float zero is refused like any other float.
+
+@pytest.mark.parametrize("value", [0.0, -0.0, np.float64(0), 0.5, np.int64(3)])
+def test_constructor_refuses_inexact_coefficients_zero_or_not(value):
+    with pytest.raises(TypeError, match="exact coefficient required"):
+        InvariantForm({BASIS[5]: value})
+    with pytest.raises(TypeError, match="exact coefficient required"):
+        InvariantForm({BASIS[5]: Fraction(1), BASIS[6]: value})
+    with pytest.raises(TypeError, match="exact coefficient required"):
+        form([("e1", value)])
+
+
+# wedge and exterior_derivative sum each output coefficient as one integer
+# numerator and denominator, and the kernels and the arithmetic hand their
+# new maps to the unchecked private constructor.  The references below are
+# the former Fraction chains through the public constructor, kept verbatim.
+
+def _reference_add_term(out, m, c):
+    if m in out:
+        out[m] += c
+    else:
+        out[m] = c
+
+
+def _reference_wedge(alpha, beta):
+    out = {}
+    for m1, c1 in alpha.coeffs.items():
+        for m2, c2 in beta.coeffs.items():
+            prod = wedge_monomials(m1, m2)
+            if prod is not None:
+                c, m = prod
+                _reference_add_term(out, m, c1 * c2 * c)
+    return InvariantForm(out)
+
+
+def _reference_exterior_derivative(alpha):
+    out = {}
+    for m, c in alpha.coeffs.items():
+        for dm, dc in _d_monomial(m).coeffs.items():
+            _reference_add_term(out, dm, c * dc)
+    return InvariantForm(out)
+
+
+def _reference_add(self, other):
+    out = dict(self.coeffs)
+    for m, c in other.coeffs.items():
+        _reference_add_term(out, m, c)
+    return InvariantForm(out)
+
+
+def _reference_neg(self):
+    return InvariantForm({m: -c for m, c in self.coeffs.items()})
+
+
+def _reference_sub(self, other):
+    return _reference_add(self, _reference_neg(other))
+
+
+def _reference_rmul(self, scalar):
+    s = invariant_forms._as_scalar(scalar)
+    return InvariantForm({m: s * c for m, c in self.coeffs.items()})
+
+
+def _assert_exact(f):
+    assert all(type(c) is Fraction and c != 0 for c in f.coeffs.values())
+
+
+def _arithmetic_forms():
+    """Seeded multi-term forms, Fraction(float) ones, their stars at both eps, and 0."""
+    rng = random.Random(3131)
+    forms = [InvariantForm.zero()] + [f for f in _reference_forms() if len(f.coeffs) > 1]
+    for deg in range(8):
+        mons = [m for m in BASIS if m.degree == deg]
+        chosen = rng.sample(mons, min(3, len(mons)))
+        forms.append(InvariantForm({m: Fraction(rng.uniform(-20.0, 20.0)) for m in chosen}))
+    return forms + [hodge_star(f, p) for f in forms[1:] for p in (P_PLUS, P_ODD)]
+
+
+SCALARS = (0, 1, -1, 7, Fraction(-5, 3))
+
+
+def test_kernels_and_arithmetic_equal_the_fraction_chains():
+    forms = _arithmetic_forms()
+    assert any(c.denominator > 2 ** 40 for f in forms for c in f.coeffs.values())
+    for f in forms:
+        for new, old in ((exterior_derivative(f), _reference_exterior_derivative(f)),
+                         (-f, _reference_neg(f)),
+                         (f + (-f), InvariantForm.zero()),
+                         (f - f, InvariantForm.zero())):
+            assert new == old
+            _assert_exact(new)
+        for s in SCALARS:
+            for new in (s * f, f * s):
+                assert new == _reference_rmul(f, s)
+                _assert_exact(new)
+    for f in forms[::3]:
+        for g in forms[::2]:
+            for new, old in ((wedge(f, g), _reference_wedge(f, g)),
+                             (f + g, _reference_add(f, g)),
+                             (f - g, _reference_sub(f, g))):
+                assert new == old
+                _assert_exact(new)
+
+
+def test_kernels_and_arithmetic_cancel_to_exact_zero():
+    odd = form([("e1", Fraction(3, 7)), ("e2", -2), ("e3", Fraction(1, 2 ** 52))])
+    assert wedge(odd, odd).coeffs == {}
+    assert (odd + (-odd)).coeffs == {} and (odd - odd).coeffs == {}
+    for f in _arithmetic_forms():
+        assert exterior_derivative(exterior_derivative(f)).coeffs == {}
+        assert (0 * f).coeffs == {} and (f * Fraction(0)).coeffs == {}
+    # a partial cancellation leaves only the surviving entry
+    partial = form([("e1", Fraction(1, 3)), ("w1", 2)]) + form([("e1", Fraction(-1, 3)), ("w2", 1)])
+    assert partial == form([("w1", 2), ("w2", 1)])
+    _assert_exact(partial)
+
+
+def test_results_own_their_coefficient_maps():
+    # the private constructor takes a map over without copying it, so each
+    # result must hold a map no operand, cached table or later call shares
+    zero = InvariantForm.zero()
+    unit = InvariantForm.monomial(UNIT)
+    f = form([("e1", Fraction(3, 7)), ("e12", -2), ("w1", 5)])
+    g = form([("e3", Fraction(-1, 4)), ("w2", 1), ("e23", 3)])
+    f1 = form([("e1", Fraction(3, 7)), ("e2", -2)])
+    operands = (zero, unit, f, g, f1, E1, W1)
+    calls = [
+        lambda: wedge(f, g), lambda: wedge(f, zero), lambda: wedge(E1, unit),
+        lambda: wedge(unit, W1),
+        lambda: exterior_derivative(f), lambda: exterior_derivative(zero),
+        lambda: exterior_derivative(E1), lambda: exterior_derivative(W1),
+        lambda: hodge_star(f1, P_ODD), lambda: hodge_star(zero, P_PLUS),
+        lambda: f + g, lambda: f + zero, lambda: zero + f, lambda: f - g, lambda: f - zero,
+        lambda: -f, lambda: -zero,
+        lambda: 1 * f, lambda: f * 1, lambda: 0 * f, lambda: Fraction(2, 3) * zero,
+    ]
+    snapshot = [dict(x.coeffs) for x in operands]
+    for call in calls:
+        expected = call()
+        result = call()
+        result.coeffs.clear()
+        result.coeffs[TOP] = Fraction(12345)
+        assert [dict(x.coeffs) for x in operands] == snapshot
+        assert call() == expected
+    assert all(_d_monomial(m) == _d_monomial.__wrapped__(m) for m in BASIS)
+    assert all(wedge_monomials(m1, m2) == wedge_monomials.__wrapped__(m1, m2)
+               for m1 in BASIS for m2 in BASIS)
+
+
+def test_structure_tables_hold_integers():
+    # exterior_derivative reads the numerators of the cached d(m) alone
+    for m in BASIS:
+        assert all(type(c) is Fraction and c.denominator == 1 for c in _d_monomial(m).coeffs.values())
+        assert type(_star_partner(m)[1]) is int
+        for m2 in BASIS:
+            prod = wedge_monomials(m, m2)
+            assert prod is None or type(prod[0]) is int
