@@ -19,9 +19,15 @@ The hand-coded rates never stand alone: symbolic_rhs_crosscheck recomputes
 the right-hand side inside the exact exterior-algebra modules and compares
 coefficient by coefficient.
 
-The rate polynomials have one hand-coded copy, the `_rates` factory, which
-multiplies out the constant prefixes of a flavor once; monomial_rates, and
-through it the rhs_* functions, calls it.  Every float caller but the
+The rates have one source, the `_rates` factory, which multiplies out the
+constant prefixes of a flavor once; monomial_rates, and through it the
+rhs_* functions, calls it.  The normalized rates are Lap(psi) - kappa^2 psi,
+so `_rates` returns the closure of `g2_ansatz._laplacian_rates`, the one
+hand-coded copy of the Laplacian, with kk = kappa^2; reduced_xy_rhs is
+derived from the same closure.  The modified flavor keeps its own expanded
+polynomial: building it from Lap(psi) + (1/2)(5 gamma kappa - 7 tau0) dphi
+would reorder its floating-point operations, which the trajectory pins fix
+bit for bit.  Every float caller but the
 complex-step linearization (the integrator, the residual checks, the
 volume-rate probe) evaluates the flow through a guarded closure from
 `_guarded_flow`, which returns None off the domain: integrate and
@@ -50,7 +56,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .g2_ansatz import ansatz_4form, build, laplacian_psi, tau0, tau0_terms, tau3_norm_sq_terms
+from .g2_ansatz import (_laplacian_rates, ansatz_4form, build, laplacian_psi, tau0, tau0_terms,
+                        tau3_norm_sq_terms)
 from .invariant_forms import (  # noqa: F401  exterior_derivative: patched by the derive-once test
     GeometryParams,
     _as_scalar,
@@ -133,25 +140,15 @@ def tau0_state(a, b, c, eps):
 def _rates(flavor: str, kappa, gamma, eps) -> Callable:
     """rates(a, b, q): time derivatives of (c^4, a b c^2, a^2 c^2) with q = c^2.
 
-    This is the one hand-coded copy of the rate polynomials.  The constant
-    left prefixes of each term are multiplied out once here; Python
-    evaluates `10 * eps * gamma * kappa * b * q` left to right, so the
-    rates are the same to the bit as with the prefixes written inline.
-    gamma is ignored by the normalized flavor.
+    The normalized rates are `_laplacian_rates` with kk = kappa^2.  The
+    modified rates are hand-coded here; their constant left prefixes are
+    multiplied out once, and Python evaluates
+    `10 * eps * gamma * kappa * b * q` left to right, so the rates are the
+    same to the bit as with the prefixes written inline.  gamma is ignored
+    by the normalized flavor.
     """
     if flavor == NORMALIZED:
-        kk = kappa * kappa
-        eps2, eps4 = 2 * eps, 4 * eps
-
-        def rates(a, b, q):
-            u1 = 8 * (2 * a * a + b * b + 2 * q + eps2 * b * q / a - b * b * q / (a * a)) \
-                - kk * q * q
-            u2 = 4 * (eps * b * b + 4 * a ** 3 * b / q + eps2 * a * a * b * b / q
-                      + 2 * b * q / a - eps * b * b * q / (a * a)) - kk * a * b * q
-            u3 = 4 * (2 * a * a - b * b + 2 * q + eps4 * a ** 3 * b / q + 2 * a * a * b * b / q
-                      - eps2 * b * q / a + b * b * q / (a * a)) - kk * a * a * q
-            return (u1, u2, u3)
-        return rates
+        return _laplacian_rates(eps, kappa * kappa)
     if flavor == MODIFIED:
         gk5, gk10, gk20 = 5 * gamma * kappa, 10 * gamma * kappa, 20 * gamma * kappa
         egk5, egk10 = 5 * eps * gamma * kappa, 10 * eps * gamma * kappa
@@ -277,14 +274,28 @@ def symbolic_rhs_crosscheck(params: GeometryParams, kappa, gamma, flavor: str) -
 
 
 def reduced_xy_rhs(X, Y, eps) -> tuple:
-    """Scale-invariant reduction in X = a^2/c^2, Y = ab/c^2, per unit s with ds = dt/c^2."""
-    if not (X > 0 and Y > 0):
-        raise ValueError(f"reduced coordinates must be positive, got ({X}, {Y})")
-    dX = (4 / (X * X)) * ((X + 1) * Y * Y + 2 * eps * (2 * X * X - 2 * X - 1) * X * Y
-                          - 2 * X * X * (2 * X - 1) * (X + 1))
-    dY = (4 * Y / (X * X)) * (2 * (1 - X) * Y * Y + eps * (2 * X * X - 3 * X - 1) * Y
-                              + 2 * X * (1 - 2 * X))
-    return (dX, dY)
+    """Scale-invariant reduction in X = a^2/c^2, Y = ab/c^2, per unit s with ds = dt/c^2.
+
+    With q = c^2 and the monomials m = (q^2, a b q, a^2 q), X = m3/m1 and
+    Y = m2/m1, so the quotient rule gives, for the monomial rates u,
+
+        dX/dt = (u3 - X u1) / m1,    dY/dt = (u2 - Y u1) / m1,
+
+    and per unit s, with m1 = q^2, dX/ds = (u3 - X u1) / q and likewise for
+    Y.  Both are invariant under (a, b, q) -> (l a, l b, l^2 q), so they are
+    evaluated at the representative (a, b, q) = (1, Y/X, 1/X), where 1/q = X:
+
+        (dX, dY) = (X (u3 - X u1), X (u2 - Y u1)).
+
+    The normalized flow's -kappa^2 psi term adds -kappa^2 m to u, which
+    cancels in both differences since m3 = X m1 and m2 = Y m1; so u is the
+    Laplacian's rates alone (kk = 0) and kappa does not enter.  X and Y must
+    be positive and finite.
+    """
+    if not (X > 0 and Y > 0 and X - X == 0 and Y - Y == 0):
+        raise ValueError(f"reduced coordinates must be positive and finite, got ({X}, {Y})")
+    u1, u2, u3 = _laplacian_rates(eps, 0)(1, Y / X, 1 / X)
+    return (X * (u3 - X * u1), X * (u2 - Y * u1))
 
 
 def scaling_ode_rhs(mu, kappa, gamma, flavor: str):

@@ -14,6 +14,13 @@ and the Hodge Laplacian of psi is d(star(dphi)).  An ansatz derives its
 dphi once, on first use, and tau0, torsion and laplacian_psi all read that
 one copy.  Everything here is exact rational arithmetic; there are no
 tolerances in this module.
+
+The Laplacian's closed form has one hand-coded copy, `_laplacian_rates`,
+which gives its coefficients on the monomials (q^2, a b q, a^2 q) of psi.
+laplacian_closed_form maps them to a 4-form, so identity_suite checks that
+copy against d(star(dphi)); coflow_dynamics builds the normalized co-flow's
+rates and the reduced (X, Y) flow from the same closure.  The copy lives
+here because coflow_dynamics imports this module, not the other way round.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .invariant_forms import (
     E1,
@@ -215,15 +223,32 @@ def dphi_closed_form(p: GeometryParams) -> InvariantForm:
                          2 * eps * a * a * b + 4 * a * q - 2 * eps * b * q), eps)
 
 
+def _laplacian_rates(eps, kk) -> Callable:
+    """rates(a, b, q): coefficients of Lap(psi) - kk psi on the monomials (q^2, a b q, a^2 q).
+
+    This is the one hand-coded copy of the Laplacian's closed form.  The
+    normalized co-flow's rates are this closure with kk = kappa^2, and
+    laplacian_closed_form and the reduced (X, Y) flow use it with kk = 0.
+    The prefixes 2 eps and 4 eps are multiplied out once; Python evaluates
+    `eps2 * b * q / a` left to right, so the rates are the same to the bit
+    as with the prefixes written inline.  The expressions are dtype-generic.
+    """
+    eps2, eps4 = 2 * eps, 4 * eps
+
+    def rates(a, b, q):
+        u1 = 8 * (2 * a * a + b * b + 2 * q + eps2 * b * q / a - b * b * q / (a * a)) \
+            - kk * q * q
+        u2 = 4 * (eps * b * b + 4 * a ** 3 * b / q + eps2 * a * a * b * b / q
+                  + 2 * b * q / a - eps * b * b * q / (a * a)) - kk * a * b * q
+        u3 = 4 * (2 * a * a - b * b + 2 * q + eps4 * a ** 3 * b / q + 2 * a * a * b * b / q
+                  - eps2 * b * q / a + b * b * q / (a * a)) - kk * a * a * q
+        return (u1, u2, u3)
+    return rates
+
+
 def laplacian_closed_form(p: GeometryParams) -> InvariantForm:
     """Hand-coded closed form of the Laplacian of psi, for cross-checking."""
-    a, b, q, eps = p.a, p.b, p.q, p.eps
-    u1 = 8 * (2 * a * a + b * b + 2 * q + 2 * eps * b * q / a - b * b * q / (a * a))
-    u2 = 4 * (eps * b * b + 4 * a ** 3 * b / q + 2 * eps * a * a * b * b / q
-              + 2 * b * q / a - eps * b * b * q / (a * a))
-    u3 = 4 * (2 * a * a - b * b + 2 * q + 4 * eps * a ** 3 * b / q
-              + 2 * a * a * b * b / q - 2 * eps * b * q / a + b * b * q / (a * a))
-    return ansatz_4form((u1, u2, u3), eps)
+    return ansatz_4form(_laplacian_rates(p.eps, 0)(p.a, p.b, p.q), p.eps)
 
 
 def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:

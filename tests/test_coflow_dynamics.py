@@ -38,7 +38,7 @@ from coflow.invariant_forms import (
     total_integral,
     wedge,
 )
-from coflow.g2_ansatz import build, tau0 as ansatz_tau0, torsion
+from coflow.g2_ansatz import ansatz_4form, build, laplacian_closed_form, tau0 as ansatz_tau0, torsion
 from coflow.stability import LABEL_PRINCIPAL, LABEL_RESCALED, find_critical_points
 
 
@@ -178,6 +178,35 @@ def test_reduction_consistency_finite_difference():
         dX, dY = reduced_xy_rhs(X1, Y1, eps)
         assert (X2 - X1) / h == pytest.approx(dX / q, rel=1e-3)
         assert (Y2 - Y1) / h == pytest.approx(dY / q, rel=1e-3)
+
+
+@pytest.mark.parametrize("X, Y", [
+    (math.inf, 1.0),
+    (1.0, math.inf),
+    (math.inf, math.inf),
+    (math.nan, 1.0),
+])
+def test_reduced_xy_rhs_refuses_non_finite_coordinates(X, Y):
+    # an infinite coordinate passed the positivity test and gave (nan, nan)
+    with pytest.raises(ValueError, match="positive and finite"):
+        reduced_xy_rhs(X, Y, +1)
+
+
+def _hand_written_reduced_xy_rhs(X, Y, eps):
+    # the reduced flow as it was hand-written before being derived from the Laplacian's rates
+    dX = (4 / (X * X)) * ((X + 1) * Y * Y + 2 * eps * (2 * X * X - 2 * X - 1) * X * Y
+                          - 2 * X * X * (2 * X - 1) * (X + 1))
+    dY = (4 * Y / (X * X)) * (2 * (1 - X) * Y * Y + eps * (2 * X * X - 3 * X - 1) * Y
+                              + 2 * X * (1 - 2 * X))
+    return (dX, dY)
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_reduced_xy_rhs_equals_the_hand_written_form_for_all_x_and_y(eps):
+    X, Y = sympy.symbols("X Y", positive=True)
+    derived = reduced_xy_rhs(X, Y, eps)
+    for got, expected in zip(derived, _hand_written_reduced_xy_rhs(X, Y, eps)):
+        assert sympy.cancel(got - expected) == 0
 
 
 def test_scaling_ode_fixed_points_and_slopes():
@@ -399,6 +428,53 @@ def test_every_rates_entry_point_is_the_one_copy(flavor, eps, scalar, kappa, gam
                else rhs_modified(y, kappa, gamma, eps))
         for got in (rhs, guarded_rhs(flavor, y, kappa, gamma, eps), flow(y)):
             assert _bits(got) == expected
+
+
+def _hand_written_normalized_rates(kappa, eps):
+    # the normalized rates closure as it was written out before being derived from g2_ansatz
+    kk = kappa * kappa
+    eps2, eps4 = 2 * eps, 4 * eps
+
+    def rates(a, b, q):
+        u1 = 8 * (2 * a * a + b * b + 2 * q + eps2 * b * q / a - b * b * q / (a * a)) \
+            - kk * q * q
+        u2 = 4 * (eps * b * b + 4 * a ** 3 * b / q + eps2 * a * a * b * b / q
+                  + 2 * b * q / a - eps * b * b * q / (a * a)) - kk * a * b * q
+        u3 = 4 * (2 * a * a - b * b + 2 * q + eps4 * a ** 3 * b / q + 2 * a * a * b * b / q
+                  - eps2 * b * q / a + b * b * q / (a * a)) - kk * a * a * q
+        return (u1, u2, u3)
+    return rates
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("scalar, kappa", [
+    (float, 2.7),
+    (np.longdouble, 2.7),
+    (Fraction, Fraction(27, 10)),
+    (lambda v: complex(v, 1e-20 * v), 2.7),
+], ids=["float64", "longdouble", "Fraction", "complex"])
+def test_normalized_rates_are_the_hand_written_rates_bit_for_bit(eps, scalar, kappa):
+    reference = _hand_written_normalized_rates(kappa, eps)
+    flow = coflow_dynamics._guarded_flow(NORMALIZED, kappa, None, eps)
+    rng = random.Random(17)
+    for _ in range(25):
+        a, b, c = y = tuple(scalar(rng.uniform(0.05, 5.0)) for _ in range(3))
+        u = reference(a, b, c * c)
+        assert _bits(monomial_rates(NORMALIZED, a, b, c * c, kappa, None, eps)) == _bits(u)
+        if isinstance(a, complex):
+            continue  # the positivity guard orders scalars, which complex ones are not
+        expected = _bits(state_rates(a, b, c, u))
+        assert _bits(rhs_normalized(y, kappa, eps)) == expected
+        assert _bits(flow(y)) == expected
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_laplacian_closed_form_is_the_normalized_rates_at_kappa_zero(eps):
+    rng = random.Random(23)
+    for _ in range(10):
+        p = random_params(rng, eps)
+        rates = monomial_rates(NORMALIZED, p.a, p.b, p.q, 0, None, p.eps)
+        assert laplacian_closed_form(p) == ansatz_4form(rates, p.eps)
 
 
 def test_run_counters():
