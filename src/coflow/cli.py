@@ -214,20 +214,18 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     flavor = _flavor(sub, args.flavor)
     _check_finite(sub, "kappa", args.kappa, positive=True)
     _check_finite(sub, "gamma", args.gamma)
-    gamma = args.gamma
-    if flavor == MODIFIED and not gamma > 2:
-        sub.error("the modified flow needs gamma > 2")
-    if flavor == NORMALIZED:
-        if args.point == "rescaled":
-            sub.error("the rescaled point exists only for the modified flavor")
-        gamma = None
+    if flavor == NORMALIZED and args.point == "rescaled":
+        sub.error("the rescaled point exists only for the modified flavor")
+    # the decimals as typed; find_critical_points checks gamma > 2
+    kappa = Fraction(str(args.kappa))
+    gamma = Fraction(str(args.gamma)) if flavor == MODIFIED else None
     label = LABEL_PRINCIPAL if args.point == "principal" else LABEL_RESCALED
 
     with _usage_errors(sub):
-        points = find_critical_points(flavor, args.kappa, gamma, args.eps)
+        points = find_critical_points(flavor, kappa, gamma, args.eps)
         point = next(p for p in points if p.label == label)
-        report = classify(flavor, point, args.kappa, gamma, args.eps)
-        psi = verify_psi_identities(args.eps, Fraction(str(args.kappa)))
+        report = classify(flavor, point, kappa, gamma, args.eps)
+        psi = verify_psi_identities(args.eps, point.kappa)
     _emit(report.to_json_dict(), args.out)
     if not psi.all_pass:
         print("psi identity sub-checks FAILED", file=sys.stderr)
@@ -237,14 +235,8 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 def _cmd_sphere_index(args: argparse.Namespace) -> int:
     sub = args.subparser
-    if args.l_min < 0:
-        sub.error(f"--l-min must be non-negative, got {args.l_min}")
-    if args.l_max < args.l_min:
-        sub.error(f"empty level range [{args.l_min}, {args.l_max}]")
     _check_finite(sub, "gamma", args.gamma)
-    if not args.gamma > 2:
-        sub.error("the window requires gamma > 2")
-    gamma = Fraction(str(args.gamma))
+    gamma = Fraction(str(args.gamma))  # index_lower_bound checks it and the level range
     with _usage_errors(sub):
         total, records = index_lower_bound(args.l_min, args.l_max, gamma)
     if args.out:

@@ -292,7 +292,7 @@ def reduced_xy_rhs(X, Y, eps) -> tuple:
     Laplacian's rates alone (kk = 0) and kappa does not enter.  X and Y must
     be positive and finite.
     """
-    if not (X > 0 and Y > 0 and X - X == 0 and Y - Y == 0):
+    if not (X > 0 and Y > 0 and X != math.inf and Y != math.inf):  # nan fails X > 0
         raise ValueError(f"reduced coordinates must be positive and finite, got ({X}, {Y})")
     u1, u2, u3 = _laplacian_rates(eps, 0)(1, Y / X, 1 / X)
     return (X * (u3 - X * u1), X * (u2 - Y * u1))

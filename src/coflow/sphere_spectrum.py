@@ -14,6 +14,12 @@ and max(0, d - d0 - d1) bounds the eigenvalue's multiplicity on the exact
 raises instead of rounding.  Levels whose ratio mu = -(4+l)/4 falls in the
 destabilizing window -1 > mu > -(5/2)(gamma-1) contribute to the index
 bound of the modified flow.
+
+The window rule is written once here: `_window_floor` owns the floor and
+its gamma > 2 check, and `stability.window_verdict` reads the same floor.
+gamma is read exactly, a float as the exact value of the binary float.
+index_lower_bound checks the level range, and the command line leaves
+that check, like the gamma check, to this module.
 """
 
 from __future__ import annotations
@@ -66,10 +72,10 @@ def dim_lower(l: int) -> int:
 def displayed_closed_form(l: int) -> Fraction:
     """A closed-form expression for the lower bound that does NOT match d - d0 - d1.
 
-    Kept only as a flagged comparison column: at l = 3 it gives 3840 where
-    the direct difference gives 160, while the direct difference reproduces
-    the quoted total of 7047.  Returned as an exact rational since it need
-    not be an integer.
+    Kept for comparison only; no report prints it, and `table_rows` has no
+    column for it.  At l = 3 it gives 3840 where the direct difference
+    gives 160, while the direct difference reproduces the quoted total of
+    7047.  Returned as an exact rational since it need not be an integer.
     """
     _check_level(l)
     return Fraction((l * l + 5 * l - 16) * factorial(l + 7), 120 * (l + 4) * (l + 6))
@@ -87,8 +93,13 @@ def level_mu(l: int) -> Fraction:
 
 
 def _window_floor(gamma) -> Fraction:
-    """Lower end -(5/2)(gamma - 1) of the destabilizing window; gamma > 2."""
-    if not gamma > 2:
+    """Lower end -(5/2)(gamma - 1) of the destabilizing window, exactly; gamma > 2.
+
+    The one copy of the window rule: `stability.window_verdict` reads its
+    floor from here too.  A float gamma stands for the exact value of the
+    binary float; None is refused like any gamma <= 2.
+    """
+    if gamma is None or not gamma > 2:
         raise ValueError("the window requires gamma > 2")
     return Fraction(-5, 2) * (Fraction(gamma) - 1)
 

@@ -7,6 +7,13 @@ the complex-step linearization in the scaled perturbation coordinates
 (A, B, C) and its eigenpairs from LAPACK (`numpy.linalg.eig`), counts the
 instability index, and maps unstable directions back to invariant 4-forms.
 
+find_critical_points is where kappa and gamma become exact rationals: an
+int or Fraction is taken as itself and a float as the exact value of the
+binary float.  The CriticalPoint carries those values, and window_mu and
+classify's window verdict read them from the point, so every exact
+decision is made at the one rational the point was built at.  The window
+rule itself lives in `sphere_spectrum._window_floor`.
+
 At a point (a, b, c) with q = c^2 the coordinates are
 (A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
 the closed-form points these are the scales `analytic_jacobian` uses.
@@ -50,6 +57,7 @@ from .invariant_forms import (
     wedge,
     exterior_derivative,
 )
+from .sphere_spectrum import _window_floor
 
 PSI_PLUS = form([("e23^w1", 1), ("e13^w2", -1), ("e12^w3", -2)])
 PSI_MINUS = form([("vol", 2), ("e23^w1", -1), ("e13^w2", 1), ("e12^w3", -1)])
@@ -60,10 +68,17 @@ LABEL_RESCALED = "tau0_eq_gamma_minus_1_kappa"
 
 @dataclass(frozen=True)
 class CriticalPoint:
+    """A nearly parallel equilibrium at the exact kappa and gamma it was found for.
+
+    kappa and gamma are the rationals `find_critical_points` read its inputs
+    as (gamma is None for the normalized flavor); everything that later
+    needs the point's constants exactly reads them from here.
+    """
+
     flavor: str
     eps: int
-    kappa: float
-    gamma: float | None
+    kappa: Fraction
+    gamma: Fraction | None
     label: str
     kappa_eff: Fraction
     params: GeometryParams
@@ -200,11 +215,13 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     """The nearly parallel equilibria for the given flavor, certified exactly.
 
     Normalized flavor has the single tau0 = kappa point per eps; the
-    modified flavor adds the (gamma - 1)^-1-rescaled copy.  Each closed-form
-    point is an equilibrium by proof, not by a float residual: its monomial
-    rates, evaluated over Fraction at the exact kappa and gamma the floats
-    stand for, are all exactly zero.  The returned state is that exact point
-    rounded to floats.
+    modified flavor adds the (gamma - 1)^-1-rescaled copy.  This is where
+    the library reads kappa and gamma as exact rationals: an int or Fraction
+    as itself, a float as the exact value of the binary float.  Each point
+    carries those values, and each closed-form point is an equilibrium by
+    proof, not by a float residual: its monomial rates, evaluated over
+    Fraction at them, are all exactly zero.  The returned state is that
+    exact point rounded to floats.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -227,8 +244,7 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
             raise RuntimeError(f"the closed-form {label} point is not an equilibrium: rates {rates}")
         state = params.state()
         points.append(CriticalPoint(
-            flavor=flavor, eps=eps, kappa=float(kappa),
-            gamma=None if gamma is None else float(gamma),
+            flavor=flavor, eps=eps, kappa=kap, gamma=gam,
             label=label, kappa_eff=keff, params=params,
             state=state, tau0=tau0_state(*state, eps),
         ))
@@ -385,7 +401,7 @@ def window_mu(point: CriticalPoint) -> Fraction:
     """
     psi_27 = PSI_PLUS if point.eps == +1 else PSI_MINUS
     image = dstar_on_4forms(psi_27, point.params)
-    kap = Fraction(point.kappa)
+    kap = point.kappa
     mu = inner_product(image, psi_27, point.params) / (kap * inner_product(psi_27, psi_27, point.params))
     if image != (kap * mu) * psi_27:
         raise AssertionError("d(star(Psi)) is not proportional to Psi at this point")
@@ -395,14 +411,13 @@ def window_mu(point: CriticalPoint) -> Fraction:
 def window_verdict(mu, gamma, flavor: str) -> WindowVerdict:
     """Classify a d*-eigenvalue ratio against the flavor's quadratic form.
 
-    Modified flavor: form (mu + 1)(mu + (5/2)(gamma - 1)), destabilizing
-    exactly on -1 > mu > -(5/2)(gamma - 1).  Normalized flavor: form
-    (mu + 1)^2, never destabilizing.  Kernel when the form vanishes.
+    Modified flavor: form (mu + 1)(mu - floor) with the window floor
+    -(5/2)(gamma - 1) of `sphere_spectrum._window_floor`, destabilizing
+    exactly on -1 > mu > floor; gamma must exceed 2.  Normalized flavor:
+    form (mu + 1)^2, never destabilizing.  Kernel when the form vanishes.
     """
     if flavor == MODIFIED:
-        if gamma is None or not gamma > 2:
-            raise ValueError("modified flavor requires gamma > 2")
-        value = (mu + 1) * (mu + 5 * (gamma - 1) / 2)
+        value = (mu + 1) * (mu - _window_floor(gamma))
     elif flavor == NORMALIZED:
         value = (mu + 1) ** 2
     else:
@@ -424,6 +439,8 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     where it exists (modified flavor at tau0 = kappa), only checks it.
     Index counts strictly positive real parts; eigenvalues within
     1e-9 ||J|| of the imaginary axis are flagged marginal and not counted.
+    The window verdict is decided exactly, at the point's own kappa and
+    gamma.
     """
     J, _ = jacobian(flavor, point, kappa, gamma, eps)
     pairs = eigen3(J)
@@ -443,7 +460,7 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
         unstable_form = variation_to_form(point, direction)
 
     mu = window_mu(point)
-    window = window_verdict(mu, gamma if flavor == MODIFIED else None, flavor)
+    window = window_verdict(mu, point.gamma, flavor)
 
     return SpectralReport(
         flavor=flavor, epsilon=eps, kappa=float(kappa),
@@ -476,9 +493,10 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
     the form under d (a structure-equation identity, parameter-free);
     (iii) d(star(Psi)) returns the form scaled by -(5/3) kappa for the plus
     family and -(3/2) kappa for the minus family; (iv) star(Psi) matches its
-    closed form.  Every comparison is exact.
+    closed form.  Every comparison is exact; kappa is read as
+    find_critical_points reads it, a float as its exact binary value.
     """
-    kap = _as_scalar(kappa)
+    kap = _exact(kappa)
     if kap <= 0:
         raise ValueError("kappa must be positive")
     params = _exact_point_params(eps, kap)

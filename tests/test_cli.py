@@ -61,6 +61,29 @@ def test_verify_reports_a_dual_form_that_is_not_closed(monkeypatch, capsys):
     assert set(status.values()) == {("pass", 0)}
 
 
+def test_verify_reports_disagreeing_scalar_torsion_routes(monkeypatch, capsys):
+    # a closed form off by 1/d at every point: the suite reports it, nothing raises
+    from coflow import g2_ansatz
+
+    closed = g2_ansatz.tau0_terms
+
+    def broken(a, b, q, eps):
+        num, den = closed(a, b, q, eps)
+        return num + 1, den
+
+    monkeypatch.setattr(g2_ansatz, "tau0_terms", broken)
+    code = main(["verify", "--seed", "7", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "fail"
+    assert report["first_failure"]["id"] == "tau0-closed-form"
+    status = {c["id"]: (c["status"], c["failures"]) for c in report["checks"]}
+    assert status.pop("tau0-closed-form") == ("fail", 2)
+    assert set(status.values()) == {("pass", 0)}
+
+
 def test_verify_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--trials", "0"])
@@ -275,6 +298,38 @@ def test_stability_input_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stability", "--flavor", "coflow", "--point", "rescaled"])
     assert exc.value.code == 2
+
+
+def test_stability_reads_the_typed_decimals_exactly(capsys):
+    # kappa = 3/10 exactly, so the rescaled point and its unstable form are small rationals
+    code, out = run(["stability", "--eps", "1", "--kappa", "0.3", "--gamma", "16",
+                     "--point", "rescaled"], capsys)
+    assert code == 0
+    assert json.loads(out)["unstable_form"] == {
+        "vol": "256/45", "e23^w1": "-256/225", "e13^w2": "256/225", "e12^w3": "-256/225"}
+
+    # mu = -(3/2)(gamma - 1) at gamma = 21/10 exactly
+    code, out = run(["stability", "--eps", "-1", "--kappa", "0.1", "--gamma", "2.1",
+                     "--point", "rescaled"], capsys)
+    assert code == 0
+    assert json.loads(out)["window"] == {"mu": -1.65, "verdict": "destabilizing"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--gamma", "2"], "modified flavor requires gamma > 2"),
+    (["sphere-index", "--l-min", "-1", "--l-max", "3"],
+     "level must be a non-negative integer, got -1"),
+    (["sphere-index", "--l-min", "5", "--l-max", "3"], "empty level range [5, 3]"),
+    (["sphere-index", "--l-min", "0", "--l-max", "3", "--gamma", "2"],
+     "the window requires gamma > 2"),
+])
+def test_input_checks_left_to_the_library_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_sphere_index_table_and_total(capsys):

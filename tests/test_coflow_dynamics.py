@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,20 @@ def test_reduced_xy_rhs_refuses_non_finite_coordinates(X, Y):
         reduced_xy_rhs(X, Y, +1)
 
 
+@pytest.mark.parametrize("X, Y", [
+    (np.longdouble("inf"), np.longdouble(1)),
+    (np.longdouble(1), np.longdouble("inf")),
+    (np.longdouble("nan"), np.longdouble(1)),
+    (np.longdouble(1), np.longdouble("nan")),
+])
+def test_reduced_xy_rhs_refuses_non_finite_longdouble_without_a_warning(X, Y):
+    # inf - inf in numpy scalars warns; the finiteness test must not compute it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive and finite"):
+            reduced_xy_rhs(X, Y, +1)
+
+
 def _hand_written_reduced_xy_rhs(X, Y, eps):
     # the reduced flow as it was hand-written before being derived from the Laplacian's rates
     dX = (4 / (X * X)) * ((X + 1) * Y * Y + 2 * eps * (2 * X * X - 2 * X - 1) * X * Y
@@ -225,6 +240,26 @@ def test_scaling_ode_fixed_points_and_slopes():
     slope_at_rescaled = sympy.diff(f_mod, mu).subs(mu, 1 / (gam - 1))
     expected = sympy.Rational(5, 8) * kap ** 2 * (1 - gam) * (2 - gam)
     assert sympy.simplify(slope_at_rescaled - expected) == 0
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_normalized_flow_follows_the_closed_form_scaling_ray(eps, dtype):
+    # from mu0 y* the state stays on the ray mu(t) y*, and the normalized flow's
+    # scaling ODE gives mu(t)^2 = 1 + (mu0^2 - 1) exp(-kappa^2 t / 2)
+    kappa, mu0 = 4.0, 1.5
+    star = find_critical_points(NORMALIZED, kappa, None, eps)[0].state
+    config = FlowConfig(flavor=NORMALIZED, kappa=kappa, eps=eps, t_max=0.5, tol_conv=0,
+                        dtype=dtype)
+    traj = integrate(config, FlowState(0.0, *(mu0 * v for v in star)))
+    assert traj.reason == "horizon" and traj.steps > 10
+    worst = 0.0
+    for s in traj.states:
+        mu = math.sqrt(1 + (mu0 * mu0 - 1) * math.exp(-kappa * kappa * s.t / 2))
+        worst = max(worst, *(abs(v - mu * v0) / (mu * v0) for v, v0 in zip((s.a, s.b, s.c), star)))
+        for ratio, start in ((s.b / s.a, star[1] / star[0]), (s.c / s.a, star[2] / star[0])):
+            assert abs(ratio - start) <= 1e-13 * start
+    assert worst <= 100 * config.rtol
 
 
 def test_flow_config_validation():

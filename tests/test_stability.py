@@ -262,6 +262,44 @@ def test_window_verdicts():
     assert window_verdict(Fraction(-1), None, NORMALIZED).verdict == "kernel"
 
 
+def test_window_mu_at_the_exact_constants_of_the_point():
+    kap, gam = Fraction(1, 10), Fraction(7, 3)
+    # rescaled points sit at kappa_eff = (gamma - 1) kappa = (4/3) kappa
+    assert window_mu(principal(MODIFIED, kap, gam, +1)) == Fraction(-5, 3)
+    assert window_mu(rescaled(kap, gam, +1)) == Fraction(-20, 9)
+    assert window_mu(principal(MODIFIED, kap, gam, -1)) == Fraction(-3, 2)
+    assert window_mu(rescaled(kap, gam, -1)) == Fraction(-2)
+
+
+@pytest.mark.parametrize("kappa, gamma, exact_kappa, exact_gamma", [
+    (Fraction(1, 10), Fraction(7, 3), Fraction(1, 10), Fraction(7, 3)),
+    (4, 3, Fraction(4), Fraction(3)),
+    (0.1, 2.1, Fraction(0.1), Fraction(2.1)),
+])
+def test_critical_points_carry_the_exact_constants_they_read(kappa, gamma, exact_kappa,
+                                                              exact_gamma):
+    for eps in (+1, -1):
+        for point in find_critical_points(MODIFIED, kappa, gamma, eps):
+            assert type(point.kappa) is Fraction and point.kappa == exact_kappa
+            assert type(point.gamma) is Fraction and point.gamma == exact_gamma
+        point = principal(NORMALIZED, kappa, gamma, eps)
+        assert point.kappa == exact_kappa and point.gamma is None
+
+
+def test_classify_decides_the_window_at_the_point_gamma():
+    # gamma = 2.1 as a float is its binary value; the form is evaluated over Fraction there
+    pt = rescaled(0.1, 2.1, -1)
+    rep = classify(MODIFIED, pt, 0.1, 2.1, -1)
+    mu = window_mu(pt)
+    assert rep.window.form_value == float((mu + 1) * (mu + Fraction(5, 2) * (Fraction(2.1) - 1)))
+
+
+@pytest.mark.parametrize("gamma", (None, 2, Fraction(2), 1.5))
+def test_modified_window_verdict_requires_gamma_above_2(gamma):
+    with pytest.raises(ValueError, match="gamma > 2"):
+        window_verdict(Fraction(-3, 2), gamma, MODIFIED)
+
+
 def test_classify_reports_destabilizing_window_only_for_modified():
     kap = 4.0
     rep = classify(MODIFIED, principal(MODIFIED, kap, 3.0, -1), kap, 3.0, -1)
@@ -278,6 +316,14 @@ def test_psi_identities():
         for kap in (1, 4, Fraction(5, 2)):
             report = verify_psi_identities(eps, kap)
             assert report.all_pass, report.details
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("kap", (4.0, 0.1))
+def test_psi_identities_at_a_float_kappa(eps, kap):
+    # read as the exact binary value, as find_critical_points reads it
+    report = verify_psi_identities(eps, kap)
+    assert report.all_pass, report.details
 
 
 def test_spectral_report_json_schema():
