@@ -27,7 +27,12 @@ hand-coded copy of the Laplacian, with kk = kappa^2; reduced_xy_rhs is
 derived from the same closure.  The modified flavor keeps its own expanded
 polynomial: building it from Lap(psi) + (1/2)(5 gamma kappa - 7 tau0) dphi
 would reorder its floating-point operations, which the trajectory pins fix
-bit for bit.  Every float caller but the
+bit for bit.  On exact inputs (a, b, q, kappa and gamma all int or
+Fraction) monomial_rates evaluates the same closure through
+`invariant_forms._exactly`, over unreduced integer ratios reduced once per
+rate, so symbolic_rhs_crosscheck and the equilibrium proof of
+`stability.find_critical_points` pay no gcd per operation; every other
+scalar type calls the closure directly.  Every float caller but the
 complex-step linearization (the integrator, the residual checks, the
 volume-rate probe) evaluates the flow through a guarded closure from
 `_guarded_flow`, which returns None off the domain: integrate and
@@ -61,12 +66,18 @@ from .g2_ansatz import (_laplacian_rates, ansatz_4form, build, laplacian_psi, ta
 from .invariant_forms import (  # noqa: F401  exterior_derivative: patched by the derive-once test
     GeometryParams,
     _as_scalar,
+    _exactly,
     exterior_derivative,
 )
 
 NORMALIZED = "normalized_coflow"
 MODIFIED = "modified_coflow"
 FLAVORS = (NORMALIZED, MODIFIED)
+
+# the argument types monomial_rates evaluates through _exactly (None is the
+# normalized flavor's gamma); tested as a set of types, because isinstance
+# against Fraction, an abstract base class, added about 1 us to each float call
+_EXACT_TYPES = frozenset((int, Fraction, type(None)))
 
 
 @dataclass(frozen=True)
@@ -172,8 +183,14 @@ def monomial_rates(flavor: str, a, b, q, kappa, gamma, eps) -> tuple:
 
     Only even powers of c appear, so the rates are rational in (a, b, q)
     and stay exact on exact inputs.  gamma is ignored by the normalized
-    flavor.
+    flavor.  When a, b, q, kappa and gamma (unless None) are all of type
+    int or Fraction, the rates are evaluated over unreduced integer ratios
+    (`invariant_forms._exactly`) and come back as Fractions; any other
+    scalars go through the closure as they are.
     """
+    if {type(a), type(b), type(q), type(kappa), type(gamma)} <= _EXACT_TYPES:
+        return _exactly(lambda a, b, q, kappa, gamma: _rates(flavor, kappa, gamma, eps)(a, b, q),
+                        a, b, q, kappa, gamma)
     return _rates(flavor, kappa, gamma, eps)(a, b, q)
 
 

@@ -21,6 +21,9 @@ laplacian_closed_form maps them to a 4-form, so identity_suite checks that
 copy against d(star(dphi)); coflow_dynamics builds the normalized co-flow's
 rates and the reduced (X, Y) flow from the same closure.  The copy lives
 here because coflow_dynamics imports this module, not the other way round.
+laplacian_closed_form, dphi_closed_form and identity_suite's tau0 and
+|tau3|^2 quotients evaluate their closed forms through
+`invariant_forms._exactly`, over unreduced integer ratios reduced once.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import Callable
 
 from .invariant_forms import (
@@ -38,6 +42,7 @@ from .invariant_forms import (
     UNIT,
     GeometryParams,
     InvariantForm,
+    _exactly,
     exterior_derivative,
     form,
     hodge_star,
@@ -213,10 +218,13 @@ def ansatz_4form(u, eps) -> InvariantForm:
 
 def dphi_closed_form(p: GeometryParams) -> InvariantForm:
     """Hand-coded closed form of dphi, kept separate from the algebra route."""
-    a, b, q, eps = p.a, p.b, p.q, p.eps
-    return ansatz_4form((8 * a * q + 4 * eps * b * q,
-                         2 * a * a * b + 2 * b * q,
-                         2 * eps * a * a * b + 4 * a * q - 2 * eps * b * q), eps)
+    eps = p.eps
+
+    def coefficients(a, b, q):
+        return (8 * a * q + 4 * eps * b * q,
+                2 * a * a * b + 2 * b * q,
+                2 * eps * a * a * b + 4 * a * q - 2 * eps * b * q)
+    return ansatz_4form(_exactly(coefficients, p.a, p.b, p.q), eps)
 
 
 def _laplacian_rates(eps, kk) -> Callable:
@@ -244,7 +252,7 @@ def _laplacian_rates(eps, kk) -> Callable:
 
 def laplacian_closed_form(p: GeometryParams) -> InvariantForm:
     """Hand-coded closed form of the Laplacian of psi, for cross-checking."""
-    return ansatz_4form(_laplacian_rates(p.eps, 0)(p.a, p.b, p.q), p.eps)
+    return ansatz_4form(_exactly(_laplacian_rates(p.eps, 0), p.a, p.b, p.q), p.eps)
 
 
 def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
@@ -261,6 +269,10 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
     td = torsion(ans)
     checks: list[tuple[str, bool]] = []
 
+    def quotient(terms) -> Fraction:
+        """terms(a, b, q, eps) = (n, d) at p, as the one Fraction n / d."""
+        return _exactly(lambda a, b, q: truediv(*terms(a, b, q, p.eps)), p.a, p.b, p.q)
+
     checks.append(("dual-coclosed", exterior_derivative(ans.psi).is_zero()))
     checks.append(("star-duality", hodge_star(ans.psi, p) == ans.phi))
     checks.append(("normalization-constants",
@@ -269,13 +281,13 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
                    and inner_product(ans.psi, ans.psi, p) == 7))
     checks.append(("dphi-coefficients", ans.dphi == dphi_closed_form(p)))
     checks.append(("tau0-closed-form",
-                   td.tau0 == Fraction(*tau0_terms(p.a, p.b, p.q, p.eps))
+                   td.tau0 == quotient(tau0_terms)
                    and td.tau0 == inner_product(ans.dphi, ans.psi, p) / 7))
     checks.append(("torsion-split",
                    ans.dphi == td.tau0 * ans.psi + hodge_star(td.tau3, p)
                    and wedge(td.tau3, ans.phi).is_zero()
                    and wedge(td.tau3, ans.psi).is_zero()
-                   and td.tau3_norm_sq == Fraction(*tau3_norm_sq_terms(p.a, p.b, p.q, p.eps))))
+                   and td.tau3_norm_sq == quotient(tau3_norm_sq_terms)))
     checks.append(("laplacian-coefficients", laplacian_psi(ans) == laplacian_closed_form(p)))
     checks.append(("dtau3-projection", _dtau3_lemma(ans, td)))
     checks.append(("volume-pairing",

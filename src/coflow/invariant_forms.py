@@ -51,6 +51,15 @@ as one integer numerator and denominator and reduce it once, dropping the
 sums that cancel to 0.  The kernels and the form arithmetic hand the maps
 they have just built to InvariantForm._of, which takes them over without
 the copy, type and zero scan of the public constructor.
+
+The hand-coded closed forms of the other modules (the co-flow rates, the
+Laplacian's and dphi's coefficients, the tau0 and |tau3|^2 quotients) are
+plain arithmetic expressions that serve every scalar type.  On exact data
+they are evaluated by _exactly, which hands each closed form its int or
+Fraction arguments as _Ratio values: an unreduced integer numerator and
+denominator whose every operation is integer arithmetic with no gcd, in
+the way _add_ratio keeps a sum.  Each result is reduced once, to one
+Fraction, and no _Ratio leaves _exactly.
 """
 
 from __future__ import annotations
@@ -90,6 +99,106 @@ def _add_ratio(sums: dict[Monomial, tuple[int, int]], m: Monomial, n: int, d: in
 def _reduced(sums: dict[Monomial, tuple[int, int]]) -> dict[Monomial, Fraction]:
     """One Fraction per (numerator, denominator) sum, leaving out the sums that are 0."""
     return {m: Fraction(n, d) for m, (n, d) in sums.items() if n}
+
+
+def _refuse(*_):
+    raise TypeError("an unreduced ratio takes ints and ratios only and has no order or truth value")
+
+
+class _Ratio:
+    """An exact n / d kept unreduced, for evaluating a closed form inside _exactly.
+
+    Every operation is integer multiplication and addition only, with no
+    gcd: a sum of two ratios over the same denominator keeps it, and an int
+    operand is n / 1.  A float, a Fraction or any other operand, a
+    comparison, bool() and a negative power raise TypeError, so a closed
+    form that leaves the plain arithmetic of its inputs fails instead of
+    silently changing type; a zero divisor raises ZeroDivisionError.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int) -> None:
+        self.n = n
+        self.d = d
+
+    def __add__(self, o):
+        if type(o) is _Ratio:
+            if o.d == self.d:
+                return _Ratio(self.n + o.n, self.d)
+            return _Ratio(self.n * o.d + o.n * self.d, self.d * o.d)
+        if type(o) is int:
+            return _Ratio(self.n + o * self.d, self.d)
+        _refuse()
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is _Ratio:
+            if o.d == self.d:
+                return _Ratio(self.n - o.n, self.d)
+            return _Ratio(self.n * o.d - o.n * self.d, self.d * o.d)
+        if type(o) is int:
+            return _Ratio(self.n - o * self.d, self.d)
+        _refuse()
+
+    def __rsub__(self, o):
+        if type(o) is int:
+            return _Ratio(o * self.d - self.n, self.d)
+        _refuse()
+
+    def __mul__(self, o):
+        if type(o) is _Ratio:
+            return _Ratio(self.n * o.n, self.d * o.d)
+        if type(o) is int:
+            return _Ratio(self.n * o, self.d)
+        _refuse()
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if type(o) is _Ratio:
+            if not o.n:
+                raise ZeroDivisionError("division by zero")
+            return _Ratio(self.n * o.d, self.d * o.n)
+        if type(o) is int:
+            if not o:
+                raise ZeroDivisionError("division by zero")
+            return _Ratio(self.n, self.d * o)
+        _refuse()
+
+    def __rtruediv__(self, o):
+        if type(o) is int:
+            if not self.n:
+                raise ZeroDivisionError("division by zero")
+            return _Ratio(o * self.d, self.n)
+        _refuse()
+
+    def __neg__(self):
+        return _Ratio(-self.n, self.d)
+
+    def __pow__(self, k):
+        if type(k) is int and k >= 0:
+            return _Ratio(self.n ** k, self.d ** k)
+        _refuse()
+
+    __rpow__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _refuse
+    __hash__ = None
+
+
+def _exactly(fn, *args):
+    """fn(*args) evaluated over unreduced ratios, each result reduced once to a Fraction.
+
+    Each int or Fraction argument becomes a _Ratio and any other argument
+    (None) is passed as it is.  fn returns one value or a tuple of values,
+    each a _Ratio, and each is reduced with a single gcd; no _Ratio leaves
+    this function.
+    """
+    out = fn(*(_Ratio(*x.as_integer_ratio()) if isinstance(x, (int, Fraction)) else x
+               for x in args))
+    if type(out) is tuple:
+        return tuple(Fraction(r.n, r.d) for r in out)
+    return Fraction(out.n, out.d)
 
 
 @dataclass(frozen=True)

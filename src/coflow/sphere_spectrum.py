@@ -124,14 +124,10 @@ class MultiplicityRecord:
 
     @staticmethod
     def at(l: int) -> "MultiplicityRecord":
-        return MultiplicityRecord(
-            l=l,
-            eigenvalue=sphere_eigenvalue(l),
-            d=multiplicity_d(l),
-            d0=multiplicity_d0(l),
-            d1=multiplicity_d1(l),
-            lower_bound=dim_lower(l),
-        )
+        """The record of level l; its lower bound is dim_lower(l), from the three dimensions."""
+        d, d0, d1 = multiplicity_d(l), multiplicity_d0(l), multiplicity_d1(l)
+        return MultiplicityRecord(l=l, eigenvalue=sphere_eigenvalue(l), d=d, d0=d0, d1=d1,
+                                  lower_bound=max(0, d - d0 - d1))
 
 
 def index_lower_bound(l_min: int, l_max: int, gamma) -> tuple[int, list[MultiplicityRecord]]:

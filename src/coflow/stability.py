@@ -11,8 +11,9 @@ find_critical_points is where kappa and gamma become exact rationals: an
 int or Fraction is taken as itself and a float as the exact value of the
 binary float.  The CriticalPoint carries those values, and window_mu and
 classify's window verdict read them from the point, so every exact
-decision is made at the one rational the point was built at.  The window
-rule itself lives in `sphere_spectrum._window_floor`.
+decision is made at the one rational the point was built at; classify
+refuses constants other than the point's own.  The window rule itself
+lives in `sphere_spectrum._window_floor`.
 
 At a point (a, b, c) with q = c^2 the coordinates are
 (A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
@@ -219,9 +220,9 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     the library reads kappa and gamma as exact rationals: an int or Fraction
     as itself, a float as the exact value of the binary float.  Each point
     carries those values, and each closed-form point is an equilibrium by
-    proof, not by a float residual: its monomial rates, evaluated over
-    Fraction at them, are all exactly zero.  The returned state is that
-    exact point rounded to floats.
+    proof, not by a float residual: its monomial rates, evaluated exactly
+    at them, are all zero.  The returned state is that exact point rounded
+    to floats.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -440,8 +441,18 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     Index counts strictly positive real parts; eigenvalues within
     1e-9 ||J|| of the imaginary axis are flagged marginal and not counted.
     The window verdict is decided exactly, at the point's own kappa and
+    gamma.  flavor, eps and kappa (read as find_critical_points reads it),
+    and gamma for the modified flavor, must be the point's own, or
+    ValueError names the one that differs; the normalized flavor ignores
     gamma.
     """
+    checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
+              ("kappa", kappa, _exact(kappa) == point.kappa)]
+    if flavor == MODIFIED:
+        checks.append(("gamma", gamma, gamma is not None and _exact(gamma) == point.gamma))
+    for name, value, same in checks:
+        if not same:
+            raise ValueError(f"{name} {value} differs from the point's {name} {getattr(point, name)}")
     J, _ = jacobian(flavor, point, kappa, gamma, eps)
     pairs = eigen3(J)
     anorm = float(np.sqrt(np.sum(np.asarray(J) ** 2)))

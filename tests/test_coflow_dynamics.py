@@ -107,6 +107,74 @@ def test_symbolic_crosscheck_derives_dphi_once(monkeypatch):
         assert sum(calls) == 1
 
 
+def _routed_and_direct(monkeypatch):
+    """Record (routed, direct Fraction evaluation) for every call of coflow_dynamics._exactly."""
+    exactly = coflow_dynamics._exactly
+    pairs = []
+
+    def record(fn, *args):
+        routed = exactly(fn, *args)
+        pairs.append((routed, fn(*args)))
+        return routed
+
+    monkeypatch.setattr(coflow_dynamics, "_exactly", record)
+    return pairs
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kappa, gamma", [(4, 3), (Fraction(5, 2), Fraction(7, 3)), (3, Fraction(9, 4))],
+                         ids=["int", "Fraction", "mixed"])
+def test_exact_rates_are_their_direct_fraction_evaluation(monkeypatch, flavor, kappa, gamma):
+    # small rationals and Fraction(float) points with ~2^50 denominators, both eps
+    pairs = _routed_and_direct(monkeypatch)
+    rng = random.Random(419)
+    points = []
+    for eps in (+1, -1):
+        for _ in range(4):
+            p = random_params(rng, eps)
+            points += [p, GeometryParams(*(Fraction(float(x)) for x in (p.a, p.b, p.q)), eps)]
+    gam = gamma if flavor == MODIFIED else None
+    for p in points:
+        rates = monomial_rates(flavor, p.a, p.b, p.q, kappa, gam, p.eps)
+        assert all(type(u) is Fraction for u in rates)
+        assert symbolic_rhs_crosscheck(p, kappa, gamma, flavor)
+    critical = find_critical_points(flavor, kappa, gamma, +1) + find_critical_points(flavor, kappa, gamma, -1)
+    assert len(pairs) == 2 * len(points) + len(critical)
+    for routed, direct in pairs:
+        assert routed == direct
+        assert len(routed) == 3 and all(type(u) is Fraction for u in routed)
+
+
+def test_inexact_rates_make_the_direct_call(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("an inexact evaluation went through _exactly")
+
+    monkeypatch.setattr(coflow_dynamics, "_exactly", refuse)
+    third = Fraction(1, 3)
+    cases = [
+        (NORMALIZED, 1.3, 0.8, 1.2, 4.0, None),
+        (MODIFIED, np.longdouble(1.3), np.longdouble(0.8), np.longdouble(1.2), 4.0, 3.0),
+        (MODIFIED, complex(1.3, 1e-20), 0.8, 1.2, 4.0, 3.0),
+        (MODIFIED, sympy.Rational(13, 10), sympy.Rational(4, 5), sympy.Rational(6, 5), 4, 3),
+        (NORMALIZED, third, third, third, 4.0, None),
+        (MODIFIED, third, third, third, 4, 3.0),
+        (NORMALIZED, third, third, third, 4, 3.0),  # gamma given, so it must be exact too
+    ]
+    for flavor, a, b, q, kappa, gamma in cases:
+        direct = coflow_dynamics._rates(flavor, kappa, gamma, -1)(a, b, q)
+        assert monomial_rates(flavor, a, b, q, kappa, gamma, -1) == direct
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_exact_rates_at_a_zero_scale_raise_zero_division(flavor, eps):
+    # a = 0 divides by zero in both flavors, as the Fraction evaluation does
+    with pytest.raises(ZeroDivisionError):
+        monomial_rates(flavor, Fraction(0), Fraction(1), Fraction(1), Fraction(4), Fraction(3), eps)
+    with pytest.raises(ZeroDivisionError):
+        coflow_dynamics._rates(flavor, Fraction(4), Fraction(3), eps)(Fraction(0), Fraction(1), Fraction(1))
+
+
 def test_float_path_matches_exact_path():
     rng = random.Random(2718)
     for _ in range(20):

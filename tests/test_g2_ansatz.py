@@ -278,3 +278,37 @@ def test_ansatz_4form_is_not_exported():
     import coflow
 
     assert "ansatz_4form" not in coflow.__all__
+
+
+def exact_and_float_points(seed):
+    """Seeded small-rational points and their Fraction(float) roundings (~2^50 denominators)."""
+    out = []
+    for p in random_points(4, seed):
+        out.append(p)
+        out.append(GeometryParams(*(Fraction(float(x)) for x in (p.a, p.b, p.q)), p.eps))
+    return out
+
+
+def test_routed_closed_forms_are_their_direct_fraction_evaluation(monkeypatch):
+    # identity_suite evaluates the Laplacian's and dphi's closed forms and the
+    # tau0 and |tau3|^2 quotients through _exactly; each must be the Fraction
+    # evaluation of the same closure, and every value it hands out a Fraction
+    from coflow import g2_ansatz
+
+    exactly = g2_ansatz._exactly
+    pairs = []
+
+    def routed_and_direct(fn, *args):
+        routed = exactly(fn, *args)
+        pairs.append((routed, fn(*args)))
+        return routed
+
+    monkeypatch.setattr(g2_ansatz, "_exactly", routed_and_direct)
+    points = exact_and_float_points(411)
+    for p in points:
+        assert all(ok for _, ok in identity_suite(p))
+    assert len(pairs) == 4 * len(points)
+    for routed, direct in pairs:
+        assert routed == direct
+        values = routed if isinstance(routed, tuple) else (routed,)
+        assert values and all(type(v) is Fraction for v in values)

@@ -707,3 +707,62 @@ def test_structure_tables_hold_integers():
         for m2 in BASIS:
             prod = wedge_monomials(m, m2)
             assert prod is None or type(prod[0]) is int
+
+
+# ------------------------------------------------------- unreduced exact ratios
+
+def _ratio_expressions(x, y):
+    # every operation of the ratio, each sum and difference both over one
+    # denominator (x with x) and over two (x with y), and with ints on either side
+    return (x + y, x + x, x + 3, 3 + x, x - y, x - x * 2, y - x, x - 3, 3 - x,
+            x * y, x * 4, 4 * x, x / y, x / 5, 5 / x, -x, x ** 0, x ** 3,
+            2 * x * x - y * y / x + 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=rationals.filter(bool), y=rationals.filter(bool))
+def test_exactly_is_the_fraction_arithmetic(x, y):
+    results = invariant_forms._exactly(_ratio_expressions, x, y)
+    assert results == _ratio_expressions(x, y)
+    assert all(type(r) is Fraction for r in results)
+
+
+def test_exactly_reads_ints_and_passes_other_arguments_through():
+    seen = []
+    assert invariant_forms._exactly(lambda x, y, z: seen.append(z) or (x * y,),
+                                    3, Fraction(1, 6), None) == (Fraction(1, 2),)
+    assert seen == [None]
+    out = invariant_forms._exactly(lambda x: x - 1, 1)
+    assert type(out) is Fraction and out == 0
+
+
+def test_a_sum_over_one_denominator_keeps_it():
+    x, y = invariant_forms._Ratio(1, 6), invariant_forms._Ratio(5, 6)
+    for r, n in ((x + y, 6), (x - y, -4), (x + 1, 7), (1 - x, 5), (-x, -1)):
+        assert (r.n, r.d) == (n, 6)
+    r = x + invariant_forms._Ratio(1, 4)
+    assert (r.n, r.d) == (10, 24)  # no gcd is taken before the one reduction
+
+
+@pytest.mark.parametrize("misuse", [
+    lambda x: x + 0.5, lambda x: 0.5 + x, lambda x: x - Fraction(1, 2), lambda x: Fraction(1, 2) * x,
+    lambda x: x * np.float64(2), lambda x: x / 2.0, lambda x: 2.0 / x, lambda x: x - "1",
+    lambda x: 1.5 - x, lambda x: x + True,
+    lambda x: x < 1, lambda x: x >= x, lambda x: x == 1, lambda x: x != x, lambda x: bool(x),
+    lambda x: 1 if x else 0, lambda x: hash(x),
+    lambda x: x ** -1, lambda x: x ** Fraction(1), lambda x: x ** 0.5, lambda x: 2 ** x,
+    lambda x: float(x), lambda x: +x,
+])
+def test_exactly_refuses_what_a_ratio_is_not(misuse):
+    with pytest.raises(TypeError):
+        invariant_forms._exactly(misuse, Fraction(3, 7))
+
+
+@pytest.mark.parametrize("division", [
+    lambda x, z: x / z, lambda x, z: 1 / z, lambda x, z: x / 0, lambda x, z: x / (x - x),
+])
+def test_exactly_divides_by_zero_as_fraction_does(division):
+    with pytest.raises(ZeroDivisionError):
+        division(Fraction(3, 7), Fraction(0))
+    with pytest.raises(ZeroDivisionError):
+        invariant_forms._exactly(division, Fraction(3, 7), Fraction(0))

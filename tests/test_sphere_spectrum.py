@@ -133,3 +133,10 @@ def test_level_on_the_window_floor_is_excluded(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert [row[6] for row in rows[1:]] == ["true", "false"]
+
+
+def test_records_agree_with_the_level_functions():
+    for l in range(61):
+        assert MultiplicityRecord.at(l) == MultiplicityRecord(
+            l=l, eigenvalue=sphere_eigenvalue(l), d=multiplicity_d(l), d0=multiplicity_d0(l),
+            d1=multiplicity_d1(l), lower_bound=dim_lower(l))

@@ -294,6 +294,46 @@ def test_classify_decides_the_window_at_the_point_gamma():
     assert rep.window.form_value == float((mu + 1) * (mu + Fraction(5, 2) * (Fraction(2.1) - 1)))
 
 
+@pytest.mark.parametrize("flavor, kappa, gamma, eps, name", [
+    (MODIFIED, 4.0, 5.0, -1, "gamma"),  # a gamma = 5 Jacobian beside a gamma = 3 window verdict
+    (MODIFIED, 2.0, 3.0, -1, "kappa"),  # also the kappa = 2, gamma = 3 rescaled point
+    (MODIFIED, 4.0, 3.0, +1, "eps"),
+    (NORMALIZED, 4.0, 3.0, -1, "flavor"),
+    (MODIFIED, 4.0, None, -1, "gamma"),
+    (MODIFIED, Fraction(4), Fraction(3, 1) + Fraction(1, 10 ** 30), -1, "gamma"),
+])
+def test_classify_refuses_constants_that_are_not_the_points_own(flavor, kappa, gamma, eps, name):
+    point = principal(MODIFIED, 4.0, 3.0, -1)
+    with pytest.raises(ValueError, match=rf"^{name} .* differs from the point's {name} "):
+        classify(flavor, point, kappa, gamma, eps)
+
+
+def test_classify_takes_the_point_constants_in_any_exact_spelling():
+    point = principal(MODIFIED, 4.0, 3.0, -1)
+    reports = [classify(MODIFIED, point, k, g, -1)
+               for k, g in ((4.0, 3.0), (4, 3), (Fraction(4), Fraction(3)), (np.float64(4), 3.0))]
+    assert all(r == reports[0] for r in reports)
+    # the normalized flavor ignores gamma (flow --perturb passes its default --gamma)
+    point = principal(NORMALIZED, 4.0, None, -1)
+    assert classify(NORMALIZED, point, 4.0, 3.0, -1).index == 0
+
+
+def test_find_critical_points_refuses_a_closed_form_point_that_is_not_an_equilibrium(monkeypatch):
+    from coflow import stability
+
+    exact = stability._exact_point_params
+
+    def shifted(eps, kappa_eff):
+        p = exact(eps, kappa_eff)
+        return dataclasses.replace(p, a=p.a + Fraction(1, 10 ** 12))
+
+    monkeypatch.setattr(stability, "_exact_point_params", shifted)
+    for flavor, gamma in ((NORMALIZED, None), (MODIFIED, 3)):
+        for eps in (+1, -1):
+            with pytest.raises(RuntimeError, match="tau0_eq_kappa point is not an equilibrium"):
+                find_critical_points(flavor, 4, gamma, eps)
+
+
 @pytest.mark.parametrize("gamma", (None, 2, Fraction(2), 1.5))
 def test_modified_window_verdict_requires_gamma_above_2(gamma):
     with pytest.raises(ValueError, match="gamma > 2"):
