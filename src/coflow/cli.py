@@ -68,6 +68,31 @@ def _check_finite(sub: argparse.ArgumentParser, name: str, value: float,
         sub.error(f"--{name} must be positive, got {value}")
 
 
+def _rational(name: str, positive: bool = False):
+    """An argparse type that reads --name exactly as typed: a decimal or a ratio p/q.
+
+    A decimal must be finite as a float; one that underflows to 0.0 reads
+    as 0, so no unbounded power of ten is ever expanded.
+    """
+    def parse(text: str) -> Fraction:
+        try:
+            x = float(text)
+        except ValueError:  # p/q, which float does not read
+            x = None
+        if x is not None and not math.isfinite(x):
+            raise argparse.ArgumentTypeError(f"--{name} must be finite, got {text}")
+        try:
+            value = Fraction(text) if x != 0 else Fraction(0)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"--{name} must be a decimal or a ratio p/q, got {text!r}") from None
+        if positive and not value > 0:
+            raise argparse.ArgumentTypeError(f"--{name} must be positive, got {text}")
+        return value
+
+    return parse
+
+
 @contextmanager
 def _usage_errors(sub: argparse.ArgumentParser):
     """Report a ValueError or ArithmeticError raised on the inputs as a usage error (exit 2)."""
@@ -119,38 +144,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     rng = random.Random(seed)
     failures: dict[str, int] = {}
-    order: list[str] = []
     first_failure: dict | None = None
     for trial in range(args.trials):
         for eps in (+1, -1):
             params = random_params(rng, eps)
             results = algebra_checks(params) + identity_suite(params)
             for check_id, ok in results:
-                if check_id not in failures:
-                    failures[check_id] = 0
-                    order.append(check_id)
-                if not ok:
-                    failures[check_id] += 1
-                    if first_failure is None:
-                        first_failure = {
-                            "id": check_id,
-                            "trial": trial,
-                            "params": {
-                                "a": str(params.a),
-                                "b": str(params.b),
-                                "q": str(params.q),
-                                "eps": params.eps,
-                            },
-                        }
+                failures[check_id] = failures.get(check_id, 0) + (not ok)
+                if not ok and first_failure is None:
+                    first_failure = {
+                        "id": check_id,
+                        "trial": trial,
+                        "params": {
+                            "a": str(params.a),
+                            "b": str(params.b),
+                            "q": str(params.q),
+                            "eps": params.eps,
+                        },
+                    }
 
     all_pass = first_failure is None
     report = {
         "seed": seed,
         "trials": args.trials,
         "checks": [
-            {"id": cid, "status": "pass" if failures[cid] == 0 else "fail",
-             "failures": failures[cid]}
-            for cid in order
+            {"id": cid, "status": "pass" if n == 0 else "fail", "failures": n}
+            for cid, n in failures.items()
         ],
         "status": "pass" if all_pass else "fail",
     }
@@ -212,13 +231,10 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 def _cmd_stability(args: argparse.Namespace) -> int:
     sub = args.subparser
     flavor = _flavor(sub, args.flavor)
-    _check_finite(sub, "kappa", args.kappa, positive=True)
-    _check_finite(sub, "gamma", args.gamma)
     if flavor == NORMALIZED and args.point == "rescaled":
         sub.error("the rescaled point exists only for the modified flavor")
-    # the decimals as typed; find_critical_points checks gamma > 2
-    kappa = Fraction(str(args.kappa))
-    gamma = Fraction(str(args.gamma)) if flavor == MODIFIED else None
+    kappa = args.kappa
+    gamma = args.gamma if flavor == MODIFIED else None  # find_critical_points checks gamma > 2
     label = LABEL_PRINCIPAL if args.point == "principal" else LABEL_RESCALED
 
     with _usage_errors(sub):
@@ -235,14 +251,12 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 def _cmd_sphere_index(args: argparse.Namespace) -> int:
     sub = args.subparser
-    _check_finite(sub, "gamma", args.gamma)
-    gamma = Fraction(str(args.gamma))  # index_lower_bound checks it and the level range
-    with _usage_errors(sub):
-        total, records = index_lower_bound(args.l_min, args.l_max, gamma)
+    with _usage_errors(sub):  # index_lower_bound checks gamma and the level range
+        total, records = index_lower_bound(args.l_min, args.l_max, args.gamma)
     if args.out:
-        write_sphere_csv(args.out, records, gamma)
+        write_sphere_csv(args.out, records, args.gamma)
     else:
-        for row in table_rows(records, gamma):
+        for row in table_rows(records, args.gamma):
             _print(",".join(str(x) for x in row))
     _print(str(total))
     return 0
@@ -286,8 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stab = subs.add_parser("stability", help="spectral report at a critical point")
     p_stab.add_argument("--flavor", default="modified")
     p_stab.add_argument("--eps", type=int, choices=(1, -1), default=-1)
-    p_stab.add_argument("--kappa", type=float, default=4.0)
-    p_stab.add_argument("--gamma", type=float, default=3.0)
+    p_stab.add_argument("--kappa", type=_rational("kappa", positive=True), default="4")
+    p_stab.add_argument("--gamma", type=_rational("gamma"), default="3")
     p_stab.add_argument("--point", choices=("principal", "rescaled"), default="principal")
     p_stab.add_argument("--out", default=None, help="also write the JSON report here")
     p_stab.set_defaults(handler=_cmd_stability, subparser=p_stab)
@@ -295,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sphere = subs.add_parser("sphere-index", help="multiplicity table and index bound")
     p_sphere.add_argument("--l-min", type=int, required=True)
     p_sphere.add_argument("--l-max", type=int, required=True)
-    p_sphere.add_argument("--gamma", type=float, default=3.0)
+    p_sphere.add_argument("--gamma", type=_rational("gamma"), default="3")
     p_sphere.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p_sphere.set_defaults(handler=_cmd_sphere_index, subparser=p_sphere)
 

@@ -145,16 +145,14 @@ def verify_dtau3_lemma(ans: G2Ansatz) -> bool:
     """Check that the pure-scalar part of d(tau3) is (1/7)|tau3|^2 psi.
 
     Both sides are computed independently: the left from the inner product
-    of d(tau3) with psi, the right from |tau3|^2.  Exact comparison.
+    of d(tau3) with psi, the right from |tau3|^2.  Since psi is not zero,
+    the exact comparison of the two scalars is the comparison of the forms.
     """
     return _dtau3_lemma(ans, torsion(ans))
 
 
 def _dtau3_lemma(ans: G2Ansatz, td: TorsionData) -> bool:
-    dtau3 = exterior_derivative(td.tau3)
-    lhs = (inner_product(dtau3, ans.psi, ans.params) / 7) * ans.psi
-    rhs = (td.tau3_norm_sq / 7) * ans.psi
-    return lhs == rhs
+    return inner_product(exterior_derivative(td.tau3), ans.psi, ans.params) == td.tau3_norm_sq
 
 
 def laplacian_psi(ans: G2Ansatz) -> InvariantForm:

@@ -369,8 +369,9 @@ def form(terms: Iterable[tuple[str, ScalarLike]]) -> InvariantForm:
     out: dict[Monomial, Fraction] = {}
     for key, c in terms:
         m = Monomial.from_key(key)
-        out[m] = out.get(m, Fraction(0)) + _as_scalar(c)
-    return InvariantForm(out)
+        c = _as_scalar(c)
+        out[m] = out[m] + c if m in out else c
+    return InvariantForm._of({m: c for m, c in out.items() if c})
 
 
 # vertical and horizontal generators as forms

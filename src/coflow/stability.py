@@ -9,11 +9,12 @@ instability index, and maps unstable directions back to invariant 4-forms.
 
 find_critical_points is where kappa and gamma become exact rationals: an
 int or Fraction is taken as itself and a float as the exact value of the
-binary float.  The CriticalPoint carries those values, and window_mu and
-classify's window verdict read them from the point, so every exact
-decision is made at the one rational the point was built at; classify
-refuses constants other than the point's own.  The window rule itself
-lives in `sphere_spectrum._window_floor`.
+binary float.  The CriticalPoint carries those values, and jacobian,
+window_mu and classify's window verdict and report read them from the
+point, so every decision is made at the one rational the point was built
+at.  jacobian owns the check that refuses a flavor, eps, kappa or gamma
+other than the point's own; classify gets it by calling jacobian first.
+The window rule itself lives in `sphere_spectrum._window_floor`.
 
 At a point (a, b, c) with q = c^2 the coordinates are
 (A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
@@ -280,14 +281,25 @@ def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
 def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     """(complex-step matrix, analytic twin or None) in (A, B, C) coordinates.
 
-    Since (A, B, C) is q (delta a / a, delta b / b, delta c / c), the
-    (a, b, c) matrix J becomes J_ij y_j / y_i at the point y, so the
-    analytic matrices apply literally.  When the twin exists the two must
-    agree to 1e-12 in relative sup norm.  The point must be critical to a
-    relative displacement of 1e-10: |f(y)| <= 1e-10 ||J|| |y| with J in
-    (a, b, c).
+    Computed at the point's own constants: flavor, eps and kappa (read as
+    find_critical_points reads it), and gamma for the modified flavor, must
+    be the point's own, or ValueError names the one that differs; the
+    normalized flavor ignores gamma.  Since (A, B, C) is
+    q (delta a / a, delta b / b, delta c / c), the (a, b, c) matrix J
+    becomes J_ij y_j / y_i at the point y, so the analytic matrices apply
+    literally.  When the twin exists the two must agree to 1e-12 in
+    relative sup norm.  The point must be critical to a relative
+    displacement of 1e-10: |f(y)| <= 1e-10 ||J|| |y| with J in (a, b, c).
     """
-    kap, gam = float(kappa), None if gamma is None else float(gamma)
+    checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
+              ("kappa", kappa, _exact(kappa) == point.kappa)]
+    if flavor == MODIFIED:
+        checks.append(("gamma", gamma, gamma is not None and _exact(gamma) == point.gamma))
+    for name, value, same in checks:
+        if not same:
+            raise ValueError(f"{name} {value} differs from the point's {name} {getattr(point, name)}")
+    flavor, eps = point.flavor, point.eps
+    kap, gam = float(point.kappa), None if point.gamma is None else float(point.gamma)
     y = point.state
     fy = guarded_rhs(flavor, y, kap, gam, eps)
     jac = None if fy is None else _rhs_jacobian(flavor, y, kap, gam, eps)
@@ -441,18 +453,9 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     Index counts strictly positive real parts; eigenvalues within
     1e-9 ||J|| of the imaginary axis are flagged marginal and not counted.
     The window verdict is decided exactly, at the point's own kappa and
-    gamma.  flavor, eps and kappa (read as find_critical_points reads it),
-    and gamma for the modified flavor, must be the point's own, or
-    ValueError names the one that differs; the normalized flavor ignores
-    gamma.
+    gamma, and the report carries the point's flavor, eps, kappa and gamma
+    (None for the normalized flavor); `jacobian` refuses other constants.
     """
-    checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
-              ("kappa", kappa, _exact(kappa) == point.kappa)]
-    if flavor == MODIFIED:
-        checks.append(("gamma", gamma, gamma is not None and _exact(gamma) == point.gamma))
-    for name, value, same in checks:
-        if not same:
-            raise ValueError(f"{name} {value} differs from the point's {name} {getattr(point, name)}")
     J, _ = jacobian(flavor, point, kappa, gamma, eps)
     pairs = eigen3(J)
     anorm = float(np.sqrt(np.sum(np.asarray(J) ** 2)))
@@ -474,8 +477,8 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     window = window_verdict(mu, point.gamma, flavor)
 
     return SpectralReport(
-        flavor=flavor, epsilon=eps, kappa=float(kappa),
-        gamma=None if gamma is None else float(gamma),
+        flavor=point.flavor, epsilon=point.eps, kappa=float(point.kappa),
+        gamma=None if point.gamma is None else float(point.gamma),
         point=point.state, tau0=point.tau0,
         jacobian=tuple(tuple(float(x) for x in row) for row in np.asarray(J)),
         eigenpairs=tuple(pairs), index=index, marginal=marginal,
@@ -512,17 +515,8 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
         raise ValueError("kappa must be positive")
     params = _exact_point_params(eps, kap)
     ans = build(params)
-    details: list[str] = []
-
     psi_27 = PSI_PLUS if eps == +1 else PSI_MINUS
     star_psi = hodge_star(psi_27, params)
-
-    cert_phi = wedge(star_psi, ans.phi)
-    cert_psi = wedge(star_psi, ans.psi)
-    wedge_ok = cert_phi.is_zero() and cert_psi.is_zero()
-    if not wedge_ok:
-        bad = list(cert_phi.coeffs) + list(cert_psi.coeffs)
-        details.append(f"wedge certificate residue on {sorted(m.key for m in bad)}")
 
     if eps == +1:
         primitive = form([("e3^w3", 2), ("e1^w1", -1), ("e2^w2", -1)])
@@ -535,26 +529,19 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
         mu_expect = Fraction(-3, 2)
         star_closed = (Fraction(1, 4) * kap) * form([("e1^w1", 1), ("e2^w2", 1), ("e3^w3", 1), ("e123", -2)])
 
-    primitive_ok = reproduced == psi_27
-    if not primitive_ok:
-        diff = reproduced - psi_27
-        details.append(f"primitive mismatch on {sorted(m.key for m in diff.coeffs)}")
-
-    target = (mu_expect * kap) * psi_27
-    dstar_ok = dstar_on_4forms(psi_27, params) == target
-    if not dstar_ok:
-        diff = dstar_on_4forms(psi_27, params) - target
-        details.append(f"dstar eigenvalue mismatch on {sorted(m.key for m in diff.coeffs)}")
-
-    star_ok = star_psi == star_closed
-    if not star_ok:
-        diff = star_psi - star_closed
-        details.append(f"star closed form mismatch on {sorted(m.key for m in diff.coeffs)}")
-
-    return PsiIdentityReport(
-        wedge_certificates=wedge_ok,
-        exact_primitive=primitive_ok,
-        dstar_eigenvalue=dstar_ok,
-        star_formula=star_ok,
-        details=tuple(details),
+    # (detail label, left side, right side) in the report's field order; the
+    # two wedge certificates have degrees 6 and 7, so their sum is zero
+    # exactly when both are
+    rows = (
+        ("wedge certificate residue", wedge(star_psi, ans.phi) + wedge(star_psi, ans.psi),
+         InvariantForm.zero()),
+        ("primitive mismatch", reproduced, psi_27),
+        ("dstar eigenvalue mismatch", dstar_on_4forms(psi_27, params), (mu_expect * kap) * psi_27),
+        ("star closed form mismatch", star_psi, star_closed),
     )
+    flags, details = [], []
+    for label, lhs, rhs in rows:
+        flags.append(lhs == rhs)
+        if not flags[-1]:
+            details.append(f"{label} on {sorted(m.key for m in (lhs - rhs).coeffs)}")
+    return PsiIdentityReport(*flags, details=tuple(details))

@@ -486,3 +486,48 @@ def test_a_closed_stdout_ends_the_output_not_the_command(argv, written, tmp_path
     assert proc.stderr == b""
     for name in written:
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_stability_reads_a_ratio_for_gamma(capsys):
+    # gamma = 8/3 exactly: the kernel of the eps = -1 rescaled point, which
+    # the float nearest 8/3 misses
+    code, out = run(["stability", "--eps", "-1", "--kappa", "4", "--gamma", "8/3",
+                     "--point", "rescaled"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["index"] == 1
+    assert report["gamma"] == 8 / 3
+    jnorm = math.hypot(*(x for row in report["jacobian"] for x in row))
+    assert sum(abs(e["re"]) < 1e-9 * jnorm for e in report["eigenvalues"]) == 1
+    code, out = run(["sphere-index", "--l-min", "1", "--l-max", "4", "--gamma", "8/3"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "853"
+
+
+def test_stability_reads_every_typed_digit_of_kappa(capsys):
+    forms = []
+    for kappa in ("0.3", "0.30000000000000001"):
+        code, out = run(["stability", "--eps", "1", "--kappa", kappa, "--gamma", "16",
+                         "--point", "rescaled"], capsys)
+        assert code == 0
+        forms.append(json.loads(out)["unstable_form"])
+    assert forms[0] == {
+        "vol": "256/45", "e23^w1": "-256/225", "e13^w2": "256/225", "e12^w3": "-256/225"}
+    assert forms[1] != forms[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--gamma", "8/0"], "--gamma must be a decimal or a ratio p/q, got '8/0'"),
+    (["--gamma", "three"], "--gamma must be a decimal or a ratio p/q, got 'three'"),
+    (["--kappa=-8/3"], "--kappa must be positive, got -8/3"),
+    (["--kappa", "0"], "--kappa must be positive, got 0"),
+    # underflows to 0.0 as a float, so it is read as 0 with no power of ten expanded
+    (["--gamma", "1e-999999999"], "modified flavor requires gamma > 2"),
+])
+def test_stability_rejects_unreadable_ratios(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["stability"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

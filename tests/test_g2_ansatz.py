@@ -312,3 +312,18 @@ def test_routed_closed_forms_are_their_direct_fraction_evaluation(monkeypatch):
         assert routed == direct
         values = routed if isinstance(routed, tuple) else (routed,)
         assert values and all(type(v) is Fraction for v in values)
+
+
+def test_dtau3_lemma_compares_the_scalar_parts():
+    import dataclasses
+
+    from coflow.g2_ansatz import _dtau3_lemma
+
+    for p in random_points(3):
+        ans = build(p)
+        td = torsion(ans)
+        scalar = inner_product(exterior_derivative(td.tau3), ans.psi, p)
+        assert (scalar / 7) * ans.psi == (td.tau3_norm_sq / 7) * ans.psi
+        assert _dtau3_lemma(ans, td)
+        off = dataclasses.replace(td, tau3_norm_sq=td.tau3_norm_sq + Fraction(1, 10 ** 20))
+        assert not _dtau3_lemma(ans, off)

@@ -766,3 +766,13 @@ def test_exactly_divides_by_zero_as_fraction_does(division):
         division(Fraction(3, 7), Fraction(0))
     with pytest.raises(ZeroDivisionError):
         invariant_forms._exactly(division, Fraction(3, 7), Fraction(0))
+
+
+def test_form_sums_repeated_keys_and_drops_zeros():
+    f = form([("e1", 1), ("w1", Fraction(1, 2)), ("e1", -1), ("w1", Fraction(1, 3)), ("e2", 0), ("w2", 3)])
+    assert f.coeffs == {Monomial.from_key("w1"): Fraction(5, 6), Monomial.from_key("w2"): Fraction(3)}
+    assert all(type(c) is Fraction for c in f.coeffs.values())
+    assert f == InvariantForm({Monomial.from_key("w1"): Fraction(5, 6), Monomial.from_key("w2"): 3})
+    assert form([("e1", 2), ("e1", -2)]).is_zero()
+    with pytest.raises(TypeError, match="exact coefficient required"):
+        form([("e1", 1), ("e1", 0.5)])

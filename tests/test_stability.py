@@ -639,3 +639,97 @@ def test_complex_step_jacobian_is_none_off_the_domain():
     assert _rhs_jacobian(MODIFIED, (1e200, 1.0, 1e200), 4.0, 3.0, +1) is None
     assert _rhs_jacobian(MODIFIED, (1.0, 1.0, 1.0), 4.0, 3.0, -1) is not None
 
+
+
+@pytest.mark.parametrize("kappa, gamma, name", [(4.0, 5.0, "gamma 5.0"), (2.0, 3.0, "kappa 2.0")])
+def test_jacobian_refuses_constants_that_are_not_the_points_own(kappa, gamma, name):
+    # once the gamma = 5 matrix and an AssertionError (the point is also the
+    # kappa = 2, gamma = 3 rescaled point); now classify's own ValueError
+    point = principal(MODIFIED, 4.0, 3.0, -1)
+    with pytest.raises(ValueError) as from_jacobian:
+        jacobian(MODIFIED, point, kappa, gamma, -1)
+    with pytest.raises(ValueError) as from_classify:
+        classify(MODIFIED, point, kappa, gamma, -1)
+    assert str(from_jacobian.value).startswith(f"{name} differs from the point's ")
+    assert str(from_jacobian.value) == str(from_classify.value)
+
+
+def _jacobian_at_the_callers_constants(flavor, point, kappa, gamma, eps):
+    """jacobian's matrices computed with the caller's kappa and gamma, unchecked."""
+    kap, gam = float(kappa), None if gamma is None else float(gamma)
+    ys = np.array(point.state)
+    num = _rhs_jacobian(flavor, point.state, kap, gam, eps) * ys / ys[:, None]
+    principal_twin = flavor == MODIFIED and point.label == LABEL_PRINCIPAL
+    return num, analytic_jacobian(eps, kap, gam) if principal_twin else None
+
+
+@pytest.mark.parametrize("flavor, gamma", [(NORMALIZED, None), (MODIFIED, 2.5), (MODIFIED, 3.0)])
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("kappa", (0.1, 4.0, 1000.0))
+def test_jacobian_at_the_points_own_constants_is_unchanged(flavor, gamma, eps, kappa):
+    spellings = [(kappa, gamma), (Fraction(kappa), None if gamma is None else Fraction(gamma)),
+                 (np.float64(kappa), gamma)]
+    if flavor == NORMALIZED:
+        spellings.append((kappa, 3.0))  # ignored, as flow --perturb passes its default
+    for point in find_critical_points(flavor, kappa, gamma, eps):
+        for k, g in spellings:
+            want_num, want_ana = _jacobian_at_the_callers_constants(flavor, point, k, g, eps)
+            num, ana = jacobian(flavor, point, k, g, eps)
+            assert num.tobytes() == want_num.tobytes()
+            assert (ana is None and want_ana is None) or ana.tobytes() == want_ana.tobytes()
+
+
+def test_the_report_carries_the_points_constants():
+    point = principal(NORMALIZED, 4.0, None, -1)
+    for gamma in (None, 3.0, 7):
+        report = classify(NORMALIZED, point, 4.0, gamma, -1)
+        assert (report.flavor, report.epsilon, report.kappa) == (NORMALIZED, -1, 4.0)
+        assert report.gamma is None
+        assert report.to_json_dict()["gamma"] is None
+    point = rescaled(0.1, 2.1, -1)
+    for k, g in ((0.1, 2.1), (Fraction(0.1), Fraction(2.1)), (np.float64(0.1), np.float64(2.1))):
+        report = classify(MODIFIED, point, k, g, -1)
+        assert (report.flavor, report.epsilon, report.kappa, report.gamma) == (MODIFIED, -1, 0.1, 2.1)
+        assert type(report.kappa) is float and type(report.gamma) is float
+
+
+PSI_FLAGS = ("wedge_certificates", "exact_primitive", "dstar_eigenvalue", "star_formula")
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("name, flag, label", [
+    ("wedge", "wedge_certificates", "wedge certificate residue"),
+    ("exterior_derivative", "exact_primitive", "primitive mismatch"),
+    ("dstar_on_4forms", "dstar_eigenvalue", "dstar eigenvalue mismatch"),
+    ("hodge_star", "star_formula", "star closed form mismatch"),
+])
+def test_each_broken_psi_identity_reports_its_own_flag_and_detail(monkeypatch, eps, name, flag, label):
+    from coflow import stability
+    from coflow.invariant_forms import VOL
+
+    params = stability._exact_point_params(eps, Fraction(4))
+    ans = build(params)
+    psi_27 = PSI_PLUS if eps == +1 else PSI_MINUS
+    real = getattr(stability, name)
+    if name == "wedge":
+        # each certificate returns its right factor, phi (degree 3) and psi (degree 4)
+        def broken(x, y):
+            return y
+        keys = list(ans.phi.coeffs) + list(ans.psi.coeffs)
+    elif name == "hodge_star":
+        # doubled: 2 star(Psi) keeps its wedge certificates zero, so only its
+        # own identity breaks, by star(Psi) itself
+        def broken(*args):
+            return 2 * real(*args)
+        keys = real(psi_27, params).coeffs
+    else:
+        # one extra vol term on the left side, so the mismatch is on vol alone
+        def broken(*args):
+            return real(*args) + VOL
+        keys = VOL.coeffs
+    monkeypatch.setattr(stability, name, broken)
+
+    report = verify_psi_identities(eps, 4)
+    assert {f: getattr(report, f) for f in PSI_FLAGS} == {f: f != flag for f in PSI_FLAGS}
+    assert not report.all_pass
+    assert report.details == (f"{label} on {sorted(m.key for m in keys)}",)
