@@ -46,7 +46,10 @@ stage is rounded to double.  The Dormand-Prince step is written out: each
 stage sum and the error sum add their terms in tableau order, per
 component, with plain `+` (never `sum`, which compensates on Python 3.12).
 The tests pin trajectories bit for bit, so that written-out order is part
-of the contract.
+of the contract.  The loop keeps no bookkeeping beyond its counters: each
+accepted step is recorded raw, as (t, y) in the run's scalar type, and the
+Trajectory derives its float states and its tau0, volume, X and Y columns
+from those records on first read.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import truediv
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -365,49 +369,68 @@ def _tableau(dt: np.dtype):
     return tuple(conv(row) for row in _DP_A), conv(_DP_E)
 
 
+def _flow_state(record) -> FlowState:
+    t, (a, b, c) = record
+    return FlowState(float(t), float(a), float(b), float(c))
+
+
+def _or_nan(f, *args) -> float:
+    """f(*args), or nan where a denominator underflowed to zero (a state far below the floor)."""
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return math.nan
+
+
 @dataclass
 class Trajectory:
     """Accepted integration samples plus scalars derived from each state.
 
-    The derived columns are always recomputed from (a, b, c); nothing is
-    integrated twice.  A quotient column whose denominator underflowed to
-    zero (a start far below the floor) is recorded as nan.  The run
-    counters are `rhs_evals` (right-hand-side calls), `rejected` (steps the
-    error control refused) and `nonfinite_retries` (steps retried because a
-    stage left the domain of the flow or the error norm was not finite);
-    they are not written to the sidecar.
+    integrate keeps each accepted step raw, as the pair (t, (a, b, c)) in
+    the run's scalar type; the columns `states`, `tau0`, `volume`, `X` and
+    `Y` are derived from those records in floats on first read and kept, so
+    a run pays for them only if a caller reads them, and `final_state`
+    builds the last state alone.  Nothing is integrated twice.  A quotient
+    column whose denominator underflowed to zero (a start far below the
+    floor) is recorded as nan.  The run counters are `rhs_evals`
+    (right-hand-side calls), `rejected` (steps the error control refused)
+    and `nonfinite_retries` (steps retried because a stage left the domain
+    of the flow or the error norm was not finite); they are not written to
+    the sidecar.
     """
 
     config: FlowConfig
-    states: list[FlowState] = field(default_factory=list)
-    tau0: list[float] = field(default_factory=list)
-    volume: list[float] = field(default_factory=list)
-    X: list[float] = field(default_factory=list)
-    Y: list[float] = field(default_factory=list)
     reason: str = "max-steps"
     steps: int = 0
     rhs_evals: int = 0
     rejected: int = 0
     nonfinite_retries: int = 0
+    _records: list[tuple] = field(default_factory=list, init=False, repr=False)
 
-    def _append(self, t, y) -> None:
-        a, b, c = float(y[0]), float(y[1]), float(y[2])
-        q = c * c
-        self.states.append(FlowState(float(t), a, b, c))
-        try:
-            t0, x, yy = tau0_state(a, b, c, self.config.eps), a * a / q, a * b / q
-        except ZeroDivisionError:
-            # a^2 c^2 or c^2 underflowed to zero: a state far below the floor
-            t0 = math.nan
-            x, yy = (a * a / q, a * b / q) if q else (math.nan, math.nan)
-        self.tau0.append(t0)
-        self.volume.append(a * a * b * q * q)
-        self.X.append(x)
-        self.Y.append(yy)
+    @functools.cached_property
+    def states(self) -> list[FlowState]:
+        return [_flow_state(r) for r in self._records]
+
+    @functools.cached_property
+    def tau0(self) -> list[float]:
+        eps = self.config.eps
+        return [_or_nan(tau0_state, s.a, s.b, s.c, eps) for s in self.states]
+
+    @functools.cached_property
+    def volume(self) -> list[float]:
+        return [s.a * s.a * s.b * (s.c * s.c) * (s.c * s.c) for s in self.states]
+
+    @functools.cached_property
+    def X(self) -> list[float]:
+        return [_or_nan(truediv, s.a * s.a, s.c * s.c) for s in self.states]
+
+    @functools.cached_property
+    def Y(self) -> list[float]:
+        return [_or_nan(truediv, s.a * s.b, s.c * s.c) for s in self.states]
 
     @property
     def final_state(self) -> FlowState:
-        return self.states[-1]
+        return _flow_state(self._records[-1])
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -539,7 +562,8 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     shrink = scalar(0.2)
 
     traj = Trajectory(config=config)
-    traj._append(t, y)
+    records = traj._records
+    records.append((t, y))
     k1 = f(y)
     if k1 is None and config.floor <= min(y) and max(y) <= config.ceiling:
         raise ValueError("right-hand side is not finite at the initial state")
@@ -586,7 +610,7 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
             y = y_new
             k1 = k7
             steps += 1
-            traj._append(t, y)
+            records.append((t, y))
             reason = _stop_reason(config, y, k1, ref, sqrt)
             if reason is None and t >= t_max:
                 reason = "horizon"
@@ -661,12 +685,19 @@ def hitchin_rate_check(trajectory: Trajectory, kappa, gamma,
     steps of the exact flow through that point and a centered difference of
     V; probing keeps the difference-quotient truncation error far below the
     comparison tolerance, which spacing of the accepted steps would not.
+    kappa and gamma must equal the run's own (`trajectory.config`'s), or
+    ValueError names the one that differs: a check at other constants
+    would test a flow that was never integrated.
     """
     cfg = trajectory.config
     if cfg.flavor != MODIFIED:
         raise ValueError("volume-rate check applies to modified-flow trajectories")
-    states = trajectory.states
-    if len(states) < 3:
+    for name, value in (("kappa", kappa), ("gamma", gamma)):
+        own = getattr(cfg, name)
+        if value != own:
+            raise ValueError(f"{name} {value} differs from the trajectory's {name} {own}")
+    records = trajectory._records
+    if len(records) < 3:
         raise ValueError("trajectory too short for interior finite differences")
 
     eps = cfg.eps
@@ -678,11 +709,10 @@ def hitchin_rate_check(trajectory: Trajectory, kappa, gamma,
             raise ValueError("volume-rate probe left the domain of the flow")
         return rates
 
-    interior = range(1, len(states) - 1)
-    stride = max(1, len(states) // max_samples)
+    stride = max(1, len(records) // max_samples)
     worst = 0.0
-    for i in list(interior)[::stride]:
-        st = states[i]
+    for i in range(1, len(records) - 1, stride):
+        st = _flow_state(records[i])  # only the sampled states are built
         y = (st.a, st.b, st.c)
         y_fwd = _rk4_step(f, y, probe_step)
         y_bwd = _rk4_step(f, y, -probe_step)

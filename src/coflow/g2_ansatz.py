@@ -233,17 +233,29 @@ def _laplacian_rates(eps, kk) -> Callable:
     laplacian_closed_form and the reduced (X, Y) flow use it with kk = 0.
     The prefixes 2 eps and 4 eps are multiplied out once; Python evaluates
     `eps2 * b * q / a` left to right, so the rates are the same to the bit
-    as with the prefixes written inline.  The expressions are dtype-generic.
+    as with the prefixes written inline.  Each subexpression that repeats
+    is computed once and named, and only where it is the same expression
+    tree as in the inline text parsed left to right (`2 * a * a * b * b / q`
+    reuses `2 * a * a`, while `eps2 * a * a * b * b / q` shares nothing), so
+    nothing is re-associated and the rates stay the same to the bit in
+    every scalar type.  The expressions are dtype-generic.
     """
     eps2, eps4 = 2 * eps, 4 * eps
 
     def rates(a, b, q):
-        u1 = 8 * (2 * a * a + b * b + 2 * q + eps2 * b * q / a - b * b * q / (a * a)) \
-            - kk * q * q
-        u2 = 4 * (eps * b * b + 4 * a ** 3 * b / q + eps2 * a * a * b * b / q
-                  + 2 * b * q / a - eps * b * b * q / (a * a)) - kk * a * b * q
-        u3 = 4 * (2 * a * a - b * b + 2 * q + eps4 * a ** 3 * b / q + 2 * a * a * b * b / q
-                  - eps2 * b * q / a + b * b * q / (a * a)) - kk * a * a * q
+        aa = a * a
+        bb = b * b
+        a3 = a ** 3
+        two_aa = 2 * a * a
+        two_q = 2 * q
+        ebb = eps * b * b
+        e2bq_a = eps2 * b * q / a
+        bbq_aa = bb * q / aa
+        u1 = 8 * (two_aa + bb + two_q + e2bq_a - bbq_aa) - kk * q * q
+        u2 = 4 * (ebb + 4 * a3 * b / q + eps2 * a * a * b * b / q
+                  + 2 * b * q / a - ebb * q / aa) - kk * a * b * q
+        u3 = 4 * (two_aa - bb + two_q + eps4 * a3 * b / q + two_aa * b * b / q
+                  - e2bq_a + bbq_aa) - kk * a * a * q
         return (u1, u2, u3)
     return rates
 

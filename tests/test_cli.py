@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -132,6 +133,17 @@ def test_flow_converges_to_the_round_point(tmp_path, capsys):
     assert rows[0] == ["t", "a", "b", "c", "tau0", "V", "X", "Y"]
     assert len(rows) - 1 == sidecar["steps"] + 1
     assert json.loads((tmp_path / "traj.json").read_text()) == sidecar
+
+
+def test_readme_flow_csv_is_bitwise_pinned(tmp_path, capsys):
+    # the README's first flow command, recorded while the step loop still built
+    # every derived column: deriving them on read must move no byte
+    out = tmp_path / "run.csv"
+    code, _ = run(["flow", "--flavor", "coflow", "--eps", "-1", "--kappa", "4",
+                   "--a0", "1.3", "--b0", "0.8", "--c0", "1.1", "--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "16ded4b021f595a156eb64c3ed1f814f14ed98bc81063b1b625f36f725c6ad26"
 
 
 def test_flow_perturbed_unstable_mode_escapes(tmp_path, capsys):

@@ -628,6 +628,64 @@ def test_integrate_is_bitwise_pinned():
     assert traj.reason == "diverged-from-critical"
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="pinned on 64-bit-mantissa longdouble")
+def test_longdouble_escape_columns_are_bitwise_pinned():
+    # (tau0, V, X, Y) at the first and last rows of the longdouble escape of
+    # test_integrate_is_bitwise_pinned, recorded while the step loop still built them
+    config = FlowConfig(flavor=MODIFIED, kappa=4.0, gamma=3.0, eps=-1, t_max=1.5,
+                        reference=(1.0, 1.0, 1.0), escape_radius=1e-1, dtype=np.longdouble)
+    start = (float.fromhex("0x1.0000000000000p+0"), float.fromhex("0x1.003f944a4f827p+0"),
+             float.fromhex("0x1.ffe035dad83edp-1"))
+    traj = integrate(config, FlowState(0.0, *start))
+    assert len(traj.states) == 50
+    rows = {i: tuple(v.hex() for v in (traj.tau0[i], traj.volume[i], traj.X[i], traj.Y[i]))
+            for i in (0, -1)}
+    assert rows == {
+        0: ("0x1.fffffd2de0657p+1", "0x1.ffffec458c416p-1", "0x1.001fcd1b55fbcp+0",
+            "0x1.005f694b8b075p+0"),
+        -1: ("0x1.ff2e2362941e2p+1", "0x1.ff495cb496b6fp-1", "0x1.0cfe62b596f2cp+0",
+             "0x1.283fa15739a04p+0"),
+    }
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+def test_derived_columns_are_computed_on_first_read_only(monkeypatch, dtype):
+    calls = []
+
+    def counting_tau0_state(*args):
+        calls.append(args)
+        return tau0_state(*args)
+
+    monkeypatch.setattr(coflow_dynamics, "tau0_state", counting_tau0_state)
+    config = FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1, t_max=0.5, tol_conv=0.0,
+                        dtype=dtype)
+    traj = integrate(config, FlowState(0.0, 1.3, 0.8, 1.1))
+    assert calls == []
+    # the end alone is read without building every state
+    fin = traj.final_state
+    assert "states" not in vars(traj)
+    assert fin == traj.states[-1]
+    assert all(type(v) is float for v in (fin.t, fin.a, fin.b, fin.c))
+    first = traj.tau0
+    assert len(calls) == len(traj.states) > 2
+    assert traj.tau0 is first
+    assert len(calls) == len(traj.states)
+    assert len(traj.volume) == len(traj.X) == len(traj.Y) == len(first)
+
+
+def test_hitchin_rate_check_refuses_constants_that_are_not_the_runs_own():
+    cfg = FlowConfig(flavor=MODIFIED, kappa=4.0, gamma=3.0, eps=-1, t_max=0.4, tol_conv=0.0)
+    traj = integrate(cfg, FlowState(0.0, 1.25, 0.85, 1.05))
+    with pytest.raises(ValueError, match="gamma 5.0 differs from the trajectory's gamma 3.0"):
+        hitchin_rate_check(traj, 4.0, 5.0)
+    with pytest.raises(ValueError, match="kappa 2.0 differs from the trajectory's kappa 4.0"):
+        hitchin_rate_check(traj, 2.0, 3.0)
+    # equal values of any numeric type are the run's own constants
+    worst = hitchin_rate_check(traj, 4.0, 3.0)
+    assert hitchin_rate_check(traj, 4, Fraction(3)) == worst
+    assert hitchin_rate_check(traj, np.float64(4.0), 3) == worst
+
+
 def _hex_state(*values):
     return tuple(float.fromhex(v) for v in values)
 
