@@ -629,12 +629,15 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
 
 
 def _rk4_step(f: Callable, y: tuple, h: float) -> tuple:
-    k1 = f(y)
-    k2 = f(tuple(v + (h / 2) * k for v, k in zip(y, k1)))
-    k3 = f(tuple(v + (h / 2) * k for v, k in zip(y, k2)))
-    k4 = f(tuple(v + h * k for v, k in zip(y, k3)))
-    return tuple(v + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
-                 for v, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+    y1, y2, y3 = y
+    half, sixth = h / 2, h / 6
+    p1, p2, p3 = f(y)
+    q1, q2, q3 = f((y1 + half * p1, y2 + half * p2, y3 + half * p3))
+    r1, r2, r3 = f((y1 + half * q1, y2 + half * q2, y3 + half * q3))
+    s1, s2, s3 = f((y1 + h * r1, y2 + h * r2, y3 + h * r3))
+    return (y1 + sixth * (p1 + 2 * q1 + 2 * r1 + s1),
+            y2 + sixth * (p2 + 2 * q2 + 2 * r2 + s2),
+            y3 + sixth * (p3 + 2 * q3 + 2 * r3 + s3))
 
 
 def hitchin_volume(state) -> float:

@@ -10,8 +10,16 @@ dimensions enter per level:
     d1(l) = 2 (l+7)! (l+4) / (5! l! (l+2)(l+6)) co-closed 1-form block
 
 and max(0, d - d0 - d1) bounds the eigenvalue's multiplicity on the exact
-27-type part from below.  Every division must be exact; a nonzero remainder
-raises instead of rounding.  Levels whose ratio mu = -(4+l)/4 falls in the
+27-type part from below.  The factorials cancel, so each dimension is a
+degree-6 integer polynomial in l over a constant, and that is how it is
+computed:
+
+    d(l)  = (l+1)(l+2)(l+3)(l+5)(l+6)(l+7) / 36
+    d0(l) = (l+3)(l+4)(l+5)^2(l+6)(l+7) / 360
+    d1(l) = (l+1)(l+3)(l+4)^2(l+5)(l+7) / 60
+
+Every division must be exact; a nonzero remainder raises instead of
+rounding.  Levels whose ratio mu = -(4+l)/4 falls in the
 destabilizing window -1 > mu > -(5/2)(gamma-1) contribute to the index
 bound of the modified flow.
 
@@ -48,20 +56,19 @@ def _check_level(l: int) -> int:
 def multiplicity_d(l: int) -> int:
     """Total multiplicity at level l."""
     _check_level(l)
-    return _exact_div(factorial(l + 7), 36 * (l + 4) * factorial(l))
+    return _exact_div((l + 1) * (l + 2) * (l + 3) * (l + 5) * (l + 6) * (l + 7), 36)
 
 
 def multiplicity_d0(l: int) -> int:
     """Dimension of the harmonic-polynomial eigenspace at level l."""
     _check_level(l)
-    return _exact_div(2 * factorial(l + 7) * (l + 5), factorial(6) * factorial(l + 2))
+    return _exact_div((l + 3) * (l + 4) * (l + 5) ** 2 * (l + 6) * (l + 7), 360)
 
 
 def multiplicity_d1(l: int) -> int:
     """Dimension of the co-closed one-form block at level l."""
     _check_level(l)
-    return _exact_div(2 * factorial(l + 7) * (l + 4),
-                      factorial(5) * factorial(l) * (l + 2) * (l + 6))
+    return _exact_div((l + 1) * (l + 3) * (l + 4) ** 2 * (l + 5) * (l + 7), 60)
 
 
 def dim_lower(l: int) -> int:
@@ -105,7 +112,8 @@ def _window_floor(gamma) -> Fraction:
 
 
 def _in_window(l: int, floor: Fraction) -> bool:
-    return -1 > level_mu(l) > floor
+    """-1 > level_mu(l) > floor, in integers: mu = -(4 + l)/4 and floor's denominator is positive."""
+    return l > 0 and -(4 + l) * floor.denominator > 4 * floor.numerator
 
 
 def in_window(l: int, gamma) -> bool:

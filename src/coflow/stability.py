@@ -1,10 +1,13 @@
 """Critical points of the flows and their spectral classification.
 
-Both flows have equilibria exactly where the structure is nearly parallel:
-scalar torsion tau0 equal to kappa, and for the modified flavor additionally
-tau0 equal to (gamma - 1) kappa.  This module locates those points, takes
-the complex-step linearization in the scaled perturbation coordinates
-(A, B, C) and its eigenpairs from LAPACK (`numpy.linalg.eig`), counts the
+This module finds the nearly parallel equilibria of both flows: scalar
+torsion tau0 equal to kappa, and for the modified flavor also the points
+with tau0 equal to (gamma - 1) kappa.  They are not the only equilibria of
+the modified flow: at eps = +1, kappa = 4 and gamma = 8/3 its rates vanish
+exactly at (a, b, q) = (3/5, 3/5, 9/25), where tau0 = 60/7.  At the nearly
+parallel points the module takes the complex-step linearization in the
+scaled perturbation coordinates (A, B, C) and its eigenpairs (eigenvalues
+and eigenvectors from LAPACK via `numpy.linalg.eig`), counts the
 instability index, and maps unstable directions back to invariant 4-forms.
 
 find_critical_points is where kappa and gamma become exact rationals: an
@@ -55,7 +58,6 @@ from .invariant_forms import (
     dstar_on_4forms,
     form,
     hodge_star,
-    inner_product,
     wedge,
     exterior_derivative,
 )
@@ -321,19 +323,21 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     return num, ana
 
 
-def _oriented(v: np.ndarray) -> np.ndarray:
+def _oriented(v: list) -> list:
     """v turned so that its largest-magnitude component is real and positive.
 
     Among components within 1e-9 of the largest magnitude the first one
     decides, so near-ties do not flip with roundoff.
     """
-    mags = np.abs(v)
-    k = int(np.argmax(mags >= (1 - 1e-9) * mags.max()))
-    return v * (np.conj(v[k]) / mags[k])
+    mags = [abs(x) for x in v]
+    top = max(mags)
+    k = next(i for i, m in enumerate(mags) if m >= (1 - 1e-9) * top)
+    unit = v[k].conjugate() / mags[k]
+    return [x * unit for x in v]
 
 
 def eigen3(matrix) -> list[Eigenpair]:
-    """Eigenpairs of a 3x3 real matrix from LAPACK, via `numpy.linalg.eig`.
+    """Eigenpairs of a 3x3 real matrix; values and vectors from LAPACK via `numpy.linalg.eig`.
 
     Values within 2e-7 ||A|| of each other form one cluster, and every
     member reports the cluster's mean value, with its residual
@@ -345,12 +349,23 @@ def eigen3(matrix) -> list[Eigenpair]:
     largest-magnitude component real and positive; pairs are sorted by
     decreasing real part, then decreasing |imag|, so a conjugate pair lists
     +imag first.
+
+    Only the eig call, and for a cluster of two or more values the singular
+    values of its block, run in LAPACK.  Sorting, clustering, orientation
+    and residuals work on Python scalars: for three 3-vectors numpy's array
+    wrapping costs several times the arithmetic.  The tests keep a numpy
+    array version as the oracle: on a real spectrum the two agree bit for
+    bit, and on a complex one numpy may round the vectors and residuals
+    differently (with fused multiply-adds on some hosts).
     """
     A = np.asarray(matrix, dtype=np.float64)
     if A.shape != (3, 3):
         raise ValueError("eigen3 expects a 3x3 matrix")
-    anorm = float(np.sqrt(np.sum(A * A)))
     values, vectors = np.linalg.eig(A)
+    rows = A.tolist()
+    anorm = math.hypot(*rows[0], *rows[1], *rows[2])
+    values = values.tolist()
+    columns = vectors.T.tolist()
     order = sorted(range(3), key=lambda i: (-values[i].real, -abs(values[i].imag), -values[i].imag))
 
     clusters: list[list[int]] = []
@@ -362,19 +377,22 @@ def eigen3(matrix) -> list[Eigenpair]:
 
     pairs: list[Eigenpair] = []
     for cluster in clusters:
-        lam = sum(values[i] for i in cluster) / len(cluster)
-        kept: list[np.ndarray] = []
+        lam = 0  # a loop, not sum(), which adds Python floats with compensation since 3.12
         for i in cluster:
-            v = _oriented(vectors[:, i])
-            block = np.column_stack(kept + [v])
-            generalized = bool(kept) and np.linalg.svd(block, compute_uv=False)[-1] <= 1e-6
+            lam += values[i]
+        lam /= len(cluster)
+        kept: list[list] = []
+        for i in cluster:
+            v = _oriented(columns[i])
+            generalized = bool(kept) and np.linalg.svd(np.column_stack(kept + [v]),
+                                                       compute_uv=False)[-1] <= 1e-6
             if not generalized:
                 kept.append(v)
-            res = A @ v - lam * v
+            res = [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] - lam * x for r, x in zip(rows, v)]
             pairs.append(Eigenpair(
                 value=complex(lam),
                 vector=tuple(complex(x) for x in v),
-                residual=float(np.sqrt(np.abs(res @ np.conj(res)))),
+                residual=math.hypot(*(abs(x) for x in res)),
                 generalized=bool(generalized),
             ))
     return pairs
@@ -415,7 +433,9 @@ def window_mu(point: CriticalPoint) -> Fraction:
     psi_27 = PSI_PLUS if point.eps == +1 else PSI_MINUS
     image = dstar_on_4forms(psi_27, point.params)
     kap = point.kappa
-    mu = inner_product(image, psi_27, point.params) / (kap * inner_product(psi_27, psi_27, point.params))
+    # mu from one coefficient; the comparison below checks all of them
+    m, c = next(iter(psi_27.coeffs.items()))
+    mu = image.coefficient(m) / (kap * c)
     if image != (kap * mu) * psi_27:
         raise AssertionError("d(star(Psi)) is not proportional to Psi at this point")
     return mu
@@ -458,7 +478,8 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     """
     J, _ = jacobian(flavor, point, kappa, gamma, eps)
     pairs = eigen3(J)
-    anorm = float(np.sqrt(np.sum(np.asarray(J) ** 2)))
+    rows = J.tolist()
+    anorm = math.hypot(*rows[0], *rows[1], *rows[2])
     marginal = tuple(abs(p.value.real) < 1e-9 * anorm for p in pairs)
     index = sum(1 for p, m in zip(pairs, marginal) if p.value.real > 0 and not m)
 
@@ -480,7 +501,7 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
         flavor=point.flavor, epsilon=point.eps, kappa=float(point.kappa),
         gamma=None if point.gamma is None else float(point.gamma),
         point=point.state, tau0=point.tau0,
-        jacobian=tuple(tuple(float(x) for x in row) for row in np.asarray(J)),
+        jacobian=tuple(map(tuple, rows)),
         eigenpairs=tuple(pairs), index=index, marginal=marginal,
         unstable_form=unstable_form, window=window,
     )

@@ -40,7 +40,7 @@ from coflow.invariant_forms import (
     wedge,
 )
 from coflow.g2_ansatz import ansatz_4form, build, laplacian_closed_form, tau0 as ansatz_tau0, torsion
-from coflow.stability import LABEL_PRINCIPAL, LABEL_RESCALED, find_critical_points
+from coflow.stability import LABEL_PRINCIPAL, LABEL_RESCALED, find_critical_points, state_direction
 
 
 def frac_state(a, b, q):
@@ -863,3 +863,116 @@ def test_integrate_never_raises_inside_the_floor_and_ceiling(start, flavor, eps)
     traj = integrate(config, FlowState(0.0, *start))
     assert traj.reason in _STOP_REASONS
     assert traj.steps <= config.max_steps
+
+
+# float.hex of hitchin_rate_check at max_samples 8 and 40 on one short run off
+# the principal point of each (eps, kappa, gamma) of the spectral-audit
+# benchmark grid; the run and the probe step are those of that benchmark, with
+# a fixed push along a fixed direction
+VOLUME_RATE_PINS = {
+    (1, 0.5, 2.5): ("0x1.e962bbde36fb2p-30", "0x1.e962bbde36fb2p-30"),
+    (1, 0.5, 3.0): ("0x1.5c19673b7ac29p-28", "0x1.80e618438bd78p-28"),
+    (1, 0.5, 4.0): ("0x1.de12197ed1699p-27", "0x1.07abcf9789f06p-26"),
+    (1, 0.5, 5.0): ("0x1.a40ee5275e265p-26", "0x1.a40ee5275e265p-26"),
+    (1, 0.5, 6.0): ("0x1.020944d250c28p-25", "0x1.1bb48c86576f4p-25"),
+    (1, 1.0, 2.5): ("0x1.ea2d94c9cfbffp-30", "0x1.ea2d94c9cfbffp-30"),
+    (1, 1.0, 3.0): ("0x1.7517af1827bf2p-28", "0x1.7517af1827bf2p-28"),
+    (1, 1.0, 4.0): ("0x1.01e333b4cd8f0p-26", "0x1.01e333b4cd8f0p-26"),
+    (1, 1.0, 5.0): ("0x1.774f19f85b357p-26", "0x1.9d675fb9746ebp-26"),
+    (1, 1.0, 6.0): ("0x1.19b359e1aefc1p-25", "0x1.19b359e1aefc1p-25"),
+    (1, 2.0, 2.5): ("0x1.f1a44f5553e74p-30", "0x1.f1a44f5553e74p-30"),
+    (1, 2.0, 3.0): ("0x1.9afbd8f105342p-28", "0x1.9afbd8f105342p-28"),
+    (1, 2.0, 4.0): ("0x1.ccee96ff15847p-27", "0x1.fb940275e9f75p-27"),
+    (1, 2.0, 5.0): ("0x1.94ef771deedc0p-26", "0x1.94ef771deedc0p-26"),
+    (1, 2.0, 6.0): ("0x1.f81abfa8e5217p-26", "0x1.159973613355ep-25"),
+    (1, 3.0, 2.5): ("0x1.f97447d6ab614p-30", "0x1.f97447d6ab614p-30"),
+    (1, 3.0, 3.0): ("0x1.8c0e40a363976p-28", "0x1.8c0e40a363976p-28"),
+    (1, 3.0, 4.0): ("0x1.e99f1768e751ap-27", "0x1.0e661e89cbd93p-26"),
+    (1, 3.0, 5.0): ("0x1.aa50002aba473p-26", "0x1.aa50002aba473p-26"),
+    (1, 3.0, 6.0): ("0x1.05bb56de1456cp-25", "0x1.05bb56de1456cp-25"),
+    (1, 4.0, 2.5): ("0x1.ebf3b5c25037ep-30", "0x1.ebf3b5c25037ep-30"),
+    (1, 4.0, 3.0): ("0x1.97e62bb5f882cp-28", "0x1.97e62bb5f882cp-28"),
+    (1, 4.0, 4.0): ("0x1.f5ce72c453ffbp-27", "0x1.f5ce72c453ffbp-27"),
+    (1, 4.0, 5.0): ("0x1.6894c026a38e6p-26", "0x1.8dd705214c187p-26"),
+    (1, 4.0, 6.0): ("0x1.0faa7685dbb81p-25", "0x1.0faa7685dbb81p-25"),
+    (1, 6.0, 2.5): ("0x1.f42c20bc614a9p-30", "0x1.f42c20bc614a9p-30"),
+    (1, 6.0, 3.0): ("0x1.83e598e8d133ap-28", "0x1.83e598e8d133ap-28"),
+    (1, 6.0, 4.0): ("0x1.0bc6690df6fe3p-26", "0x1.0bc6690df6fe3p-26"),
+    (1, 6.0, 5.0): ("0x1.7e9d303b2c5efp-26", "0x1.a67671fbebd77p-26"),
+    (1, 6.0, 6.0): ("0x1.1ca3f03859af2p-25", "0x1.1ca3f03859af2p-25"),
+    (1, 8.0, 2.5): ("0x1.0685d35da98f5p-29", "0x1.0685d35da98f5p-29"),
+    (1, 8.0, 3.0): ("0x1.9884ef93c0c5bp-28", "0x1.9884ef93c0c5bp-28"),
+    (1, 8.0, 4.0): ("0x1.ef92c93d708f6p-27", "0x1.ef92c93d708f6p-27"),
+    (1, 8.0, 5.0): ("0x1.86a8bef3c94fcp-26", "0x1.aea55a79e24e7p-26"),
+    (1, 8.0, 6.0): ("0x1.e1aeab5240cc0p-26", "0x1.09ad75e69299bp-25"),
+    (1, 16.0, 2.5): ("0x1.04d52a39550c6p-29", "0x1.04d52a39550c6p-29"),
+    (1, 16.0, 3.0): ("0x1.8b77df9727a55p-28", "0x1.8b77df9727a55p-28"),
+    (1, 16.0, 4.0): ("0x1.09bc6c6628d9bp-26", "0x1.09bc6c6628d9bp-26"),
+    (1, 16.0, 5.0): ("0x1.9f4f9f032a21cp-26", "0x1.9f4f9f032a21cp-26"),
+    (1, 16.0, 6.0): ("0x1.f96bcb1e31891p-26", "0x1.16e7c3c7cac6fp-25"),
+    (1, 32.0, 2.5): ("0x1.0a170c0c7e8e9p-29", "0x1.0a170c0c7e8e9p-29"),
+    (1, 32.0, 3.0): ("0x1.9291cbf819f2dp-28", "0x1.9291cbf819f2dp-28"),
+    (1, 32.0, 4.0): ("0x1.0f9062be7d6f7p-26", "0x1.0f9062be7d6f7p-26"),
+    (1, 32.0, 5.0): ("0x1.a63f145375909p-26", "0x1.a63f145375909p-26"),
+    (1, 32.0, 6.0): ("0x1.00d10e0d80e04p-25", "0x1.1b149fdd98fd9p-25"),
+    (-1, 0.5, 2.5): ("0x1.8ad210df30d50p-23", "0x1.8ad210df30d50p-23"),
+    (-1, 0.5, 3.0): ("0x1.291cb53ff0866p-23", "0x1.291cb53ff0866p-23"),
+    (-1, 0.5, 4.0): ("0x1.fe479673a21aap-24", "0x1.fe479673a21aap-24"),
+    (-1, 0.5, 5.0): ("0x1.e6dadc7de2f76p-24", "0x1.e6dadc7de2f76p-24"),
+    (-1, 0.5, 6.0): ("0x1.dc4ad2ab962bap-24", "0x1.dc4ad2ab962bap-24"),
+    (-1, 1.0, 2.5): ("0x1.8aa6ae0ebeeffp-23", "0x1.8aa6ae0ebeeffp-23"),
+    (-1, 1.0, 3.0): ("0x1.285c6371b91d9p-23", "0x1.285c6371b91d9p-23"),
+    (-1, 1.0, 4.0): ("0x1.fc8beeb264f61p-24", "0x1.fc8beeb264f61p-24"),
+    (-1, 1.0, 5.0): ("0x1.e523165d872fbp-24", "0x1.e523165d872fbp-24"),
+    (-1, 1.0, 6.0): ("0x1.da49cf23d5748p-24", "0x1.da49cf23d5748p-24"),
+    (-1, 2.0, 2.5): ("0x1.87f67d745f125p-23", "0x1.87f67d745f125p-23"),
+    (-1, 2.0, 3.0): ("0x1.2629d7cb0f585p-23", "0x1.2629d7cb0f585p-23"),
+    (-1, 2.0, 4.0): ("0x1.f7a53d50fcd9ap-24", "0x1.f7a53d50fcd9ap-24"),
+    (-1, 2.0, 5.0): ("0x1.de867400548b5p-24", "0x1.de867400548b5p-24"),
+    (-1, 2.0, 6.0): ("0x1.d286618f08415p-24", "0x1.d286618f08415p-24"),
+    (-1, 3.0, 2.5): ("0x1.842393afc9723p-23", "0x1.842393afc9723p-23"),
+    (-1, 3.0, 3.0): ("0x1.22837497b096cp-23", "0x1.22837497b096cp-23"),
+    (-1, 3.0, 4.0): ("0x1.eed47607ab743p-24", "0x1.eed47607ab743p-24"),
+    (-1, 3.0, 5.0): ("0x1.d3846d4340cc7p-24", "0x1.d3846d4340cc7p-24"),
+    (-1, 3.0, 6.0): ("0x1.c5390b06a3e40p-24", "0x1.c5390b06a3e40p-24"),
+    (-1, 4.0, 2.5): ("0x1.7e50203bca477p-23", "0x1.7e50203bca477p-23"),
+    (-1, 4.0, 3.0): ("0x1.1d7cd6ca0b27cp-23", "0x1.1d7cd6ca0b27cp-23"),
+    (-1, 4.0, 4.0): ("0x1.e29467af3ff60p-24", "0x1.e29467af3ff60p-24"),
+    (-1, 4.0, 5.0): ("0x1.c4ca3dd666b33p-24", "0x1.c4ca3dd666b33p-24"),
+    (-1, 4.0, 6.0): ("0x1.b361ef380855bp-24", "0x1.b361ef380855bp-24"),
+    (-1, 6.0, 2.5): ("0x1.6fea175816ac7p-23", "0x1.6fea175816ac7p-23"),
+    (-1, 6.0, 3.0): ("0x1.0fc6fb1d3de5ep-23", "0x1.0fc6fb1d3de5ep-23"),
+    (-1, 6.0, 4.0): ("0x1.c1bd94615db5ap-24", "0x1.c1bd94615db5ap-24"),
+    (-1, 6.0, 5.0): ("0x1.9cab2649b1b7ap-24", "0x1.9cab2649b1b7ap-24"),
+    (-1, 6.0, 6.0): ("0x1.845933384e2d0p-24", "0x1.845933384e2d0p-24"),
+    (-1, 8.0, 2.5): ("0x1.5b237c9e62c10p-23", "0x1.5b237c9e62c10p-23"),
+    (-1, 8.0, 3.0): ("0x1.fac94669c38d4p-24", "0x1.fac94669c38d4p-24"),
+    (-1, 8.0, 4.0): ("0x1.9751fb183875ep-24", "0x1.9751fb183875ep-24"),
+    (-1, 8.0, 5.0): ("0x1.89121d12d6e58p-24", "0x1.89121d12d6e58p-24"),
+    (-1, 8.0, 6.0): ("0x1.802e537c3b71bp-24", "0x1.802e537c3b71bp-24"),
+    (-1, 16.0, 2.5): ("0x1.3ec918695fb7bp-23", "0x1.3ec918695fb7bp-23"),
+    (-1, 16.0, 3.0): ("0x1.e22a493427647p-24", "0x1.e22a493427647p-24"),
+    (-1, 16.0, 4.0): ("0x1.9e7dd39b229ffp-24", "0x1.9e7dd39b229ffp-24"),
+    (-1, 16.0, 5.0): ("0x1.809d2388cbfd1p-24", "0x1.809d2388cbfd1p-24"),
+    (-1, 16.0, 6.0): ("0x1.7f9335d338d6dp-24", "0x1.7f9335d338d6dp-24"),
+    (-1, 32.0, 2.5): ("0x1.3e01b383b9137p-23", "0x1.3e01b383b9137p-23"),
+    (-1, 32.0, 3.0): ("0x1.e0b3536a9c472p-24", "0x1.e0b3536a9c472p-24"),
+    (-1, 32.0, 4.0): ("0x1.9d03a62cdd2f2p-24", "0x1.9d03a62cdd2f2p-24"),
+    (-1, 32.0, 5.0): ("0x1.8a09a5c20921ep-24", "0x1.8a09a5c20921ep-24"),
+    (-1, 32.0, 6.0): ("0x1.792aa5eb3f3e7p-24", "0x1.792aa5eb3f3e7p-24"),
+}
+
+
+def test_volume_rate_probe_is_bitwise_pinned_on_the_benchmark_grid():
+    assert len(VOLUME_RATE_PINS) == 90
+    for (eps, kappa, gamma), pinned in VOLUME_RATE_PINS.items():
+        point = find_critical_points(MODIFIED, kappa, gamma, eps)[0]
+        assert point.label == LABEL_PRINCIPAL
+        start = np.array(point.state)
+        start = start + 0.01 * float(np.linalg.norm(start)) * state_direction(point, (1.0, -0.5, 0.25))
+        t_max = 1 / (kappa * kappa * gamma)
+        config = FlowConfig(flavor=MODIFIED, kappa=kappa, gamma=gamma, eps=eps, t_max=t_max, tol_conv=0)
+        traj = integrate(config, FlowState(0.0, *start))
+        assert traj.reason == "horizon"
+        assert tuple(hitchin_rate_check(traj, kappa, gamma, probe_step=5e-4 * t_max, max_samples=n).hex()
+                     for n in (8, 40)) == pinned

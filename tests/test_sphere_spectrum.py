@@ -1,10 +1,13 @@
 import csv
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from coflow.sphere_spectrum import (
     MultiplicityRecord,
+    _in_window,
+    _window_floor,
     dim_lower,
     displayed_closed_form,
     in_window,
@@ -140,3 +143,27 @@ def test_records_agree_with_the_level_functions():
         assert MultiplicityRecord.at(l) == MultiplicityRecord(
             l=l, eigenvalue=sphere_eigenvalue(l), d=multiplicity_d(l), d0=multiplicity_d0(l),
             d1=multiplicity_d1(l), lower_bound=dim_lower(l))
+
+
+def test_product_forms_equal_the_factorial_definitions():
+    # the factorial quotients the dimensions are defined by, as the oracle
+    for l in range(1001):
+        assert multiplicity_d(l) * 36 * (l + 4) * factorial(l) == factorial(l + 7)
+        assert multiplicity_d0(l) * factorial(6) * factorial(l + 2) == 2 * factorial(l + 7) * (l + 5)
+        assert (multiplicity_d1(l) * factorial(5) * factorial(l) * (l + 2) * (l + 6)
+                == 2 * factorial(l + 7) * (l + 4))
+
+
+@pytest.mark.parametrize("gamma", [2.1, Fraction(21, 10), 8 / 3, Fraction(8, 3), 3, 16, 20,
+                                   2 + 2 ** -40])
+def test_integer_window_rule_equals_the_rational_one(gamma):
+    floor = _window_floor(gamma)
+    for l in range(201):
+        assert _in_window(l, floor) == (-1 > level_mu(l) > floor)
+
+
+def test_whole_window_totals():
+    # gamma = 21/10 holds levels 1..6 and gamma = 3 levels 1..15; levels past
+    # the window add nothing
+    assert index_lower_bound(0, 60, Fraction(21, 10))[0] == 7047
+    assert index_lower_bound(0, 60, 3)[0] == 980733

@@ -1,16 +1,20 @@
 import dataclasses
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
 from coflow.coflow_dynamics import MODIFIED, NORMALIZED, monomial_rates, state_rates
-from coflow.g2_ansatz import ansatz_4form, build, torsion
-from coflow.invariant_forms import GeometryParams
+from coflow.g2_ansatz import ansatz_4form, build, tau0_terms, torsion
+from coflow.invariant_forms import GeometryParams, dstar_on_4forms, inner_product
 from coflow.stability import (
+    Eigenpair,
     LABEL_PRINCIPAL,
     LABEL_RESCALED,
     PSI_MINUS,
@@ -733,3 +737,124 @@ def test_each_broken_psi_identity_reports_its_own_flag_and_detail(monkeypatch, e
     assert {f: getattr(report, f) for f in PSI_FLAGS} == {f: f != flag for f in PSI_FLAGS}
     assert not report.all_pass
     assert report.details == (f"{label} on {sorted(m.key for m in keys)}",)
+
+
+def _benchmark_grid():
+    """FULL_GRID of benchmarks/workloads.py: every (eps, kappa, gamma) of the spectral audit."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_coflow_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.FULL_GRID
+
+
+BENCHMARK_GRID = _benchmark_grid()
+
+
+def _oriented_numpy(v):
+    mags = np.abs(v)
+    k = int(np.argmax(mags >= (1 - 1e-9) * mags.max()))
+    return v * (np.conj(v[k]) / mags[k])
+
+
+def _eigen3_numpy(matrix):
+    """eigen3 as it was written on numpy arrays throughout: the oracle of the scalar version."""
+    A = np.asarray(matrix, dtype=np.float64)
+    anorm = float(np.sqrt(np.sum(A * A)))
+    values, vectors = np.linalg.eig(A)
+    order = sorted(range(3), key=lambda i: (-values[i].real, -abs(values[i].imag), -values[i].imag))
+    clusters = []
+    for i in order:
+        if clusters and abs(values[i] - values[clusters[-1][0]]) <= 2e-7 * anorm:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    pairs = []
+    for cluster in clusters:
+        lam = sum(values[i] for i in cluster) / len(cluster)
+        kept = []
+        for i in cluster:
+            v = _oriented_numpy(vectors[:, i])
+            block = np.column_stack(kept + [v])
+            generalized = bool(kept) and np.linalg.svd(block, compute_uv=False)[-1] <= 1e-6
+            if not generalized:
+                kept.append(v)
+            res = A @ v - lam * v
+            pairs.append(Eigenpair(
+                value=complex(lam),
+                vector=tuple(complex(x) for x in v),
+                residual=float(np.sqrt(np.abs(res @ np.conj(res)))),
+                generalized=bool(generalized),
+            ))
+    return pairs
+
+
+def _grid_jacobians():
+    for eps, kappa, gamma in BENCHMARK_GRID:
+        for point in find_critical_points(MODIFIED, kappa, gamma, eps):
+            yield jacobian(MODIFIED, point, kappa, gamma, eps)[0]
+        yield jacobian(NORMALIZED, principal(NORMALIZED, kappa, None, eps), kappa, None, eps)[0]
+
+
+def _seeded_matrices():
+    rng = np.random.default_rng(2026)
+    return [rng.standard_normal((3, 3)) for _ in range(300)]
+
+
+def test_eigen3_matches_its_numpy_oracle():
+    # a real spectrum gives the oracle's bits in every field but the residual;
+    # a complex one may move a vector by rounding only (numpy's complex array
+    # arithmetic can round differently from Python's, with fused
+    # multiply-adds on some hosts)
+    special = [
+        np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # a conjugate pair
+        np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),  # a Jordan block
+        np.zeros((3, 3)),
+        np.eye(3),
+    ]
+    matrices = _seeded_matrices() + special + list(_grid_jacobians())
+    assert len(matrices) == 300 + 4 + 3 * len(BENCHMARK_GRID)
+    complex_spectra = 0
+    for m in matrices:
+        got, want = eigen3(m), _eigen3_numpy(m)
+        anorm = float(np.linalg.norm(m))
+        assert [(p.value, p.generalized) for p in got] == [(p.value, p.generalized) for p in want]
+        if all(p.value.imag == 0 for p in want):
+            assert [p.vector for p in got] == [p.vector for p in want]
+        else:
+            complex_spectra += 1
+            for p, q in zip(got, want):
+                assert max(abs(x - y) for x, y in zip(p.vector, q.vector)) <= 4 * 2.0 ** -52
+        for p, q in zip(got, want):
+            assert abs(p.residual - q.residual) <= 1e-15 * anorm
+    assert complex_spectra > 50
+
+
+def _window_mu_by_inner_products(point):
+    psi_27 = PSI_PLUS if point.eps == +1 else PSI_MINUS
+    image = dstar_on_4forms(psi_27, point.params)
+    return inner_product(image, psi_27, point.params) / (
+        point.kappa * inner_product(psi_27, psi_27, point.params))
+
+
+def test_window_mu_equals_the_inner_product_ratio_on_the_benchmark_grid():
+    points = [p for eps, kappa, gamma in BENCHMARK_GRID
+              for p in find_critical_points(MODIFIED, kappa, gamma, eps)]
+    points += [principal(NORMALIZED, kappa, None, eps)
+               for eps, kappa in {(eps, kappa) for eps, kappa, _ in BENCHMARK_GRID}]
+    assert len(points) == 2 * len(BENCHMARK_GRID) + 18
+    for point in points:
+        mu = window_mu(point)
+        assert type(mu) is Fraction
+        assert mu == _window_mu_by_inner_products(point)
+
+
+def test_the_modified_flow_has_an_equilibrium_that_is_not_nearly_parallel():
+    a, b, q = Fraction(3, 5), Fraction(3, 5), Fraction(9, 25)
+    kappa, gamma = Fraction(4), Fraction(8, 3)
+    assert monomial_rates(MODIFIED, a, b, q, kappa, gamma, +1) == (0, 0, 0)
+    num, den = tau0_terms(a, b, q, +1)
+    tau0 = num / den
+    assert tau0 == Fraction(60, 7)
+    assert tau0 not in (kappa, (gamma - 1) * kappa)
