@@ -67,12 +67,7 @@ import numpy as np
 
 from .g2_ansatz import (_laplacian_rates, ansatz_4form, build, laplacian_psi, tau0, tau0_terms,
                         tau3_norm_sq_terms)
-from .invariant_forms import (  # noqa: F401  exterior_derivative: patched by the derive-once test
-    GeometryParams,
-    _as_scalar,
-    _exactly,
-    exterior_derivative,
-)
+from .invariant_forms import GeometryParams, _as_scalar, _exactly
 
 NORMALIZED = "normalized_coflow"
 MODIFIED = "modified_coflow"

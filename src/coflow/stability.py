@@ -6,9 +6,12 @@ with tau0 equal to (gamma - 1) kappa.  They are not the only equilibria of
 the modified flow: at eps = +1, kappa = 4 and gamma = 8/3 its rates vanish
 exactly at (a, b, q) = (3/5, 3/5, 9/25), where tau0 = 60/7.  At the nearly
 parallel points the module takes the complex-step linearization in the
-scaled perturbation coordinates (A, B, C) and its eigenpairs (eigenvalues
-and eigenvectors from LAPACK via `numpy.linalg.eig`), counts the
-instability index, and maps unstable directions back to invariant 4-forms.
+scaled perturbation coordinates (A, B, C), pairs it with the family's one
+exact eigenbasis (`_EIGENBASIS`: the same three vectors at every nearly
+parallel point of both flavors, for every kappa and gamma), counts the
+instability index, and maps the unstable direction's exact vector to an
+invariant 4-form.  `eigen3` is the general 3x3 eigen-solver (LAPACK via
+`numpy.linalg.eig`); classify does not call it.
 
 find_critical_points is where kappa and gamma become exact rationals: an
 int or Fraction is taken as itself and a float as the exact value of the
@@ -16,7 +19,8 @@ binary float.  The CriticalPoint carries those values, and jacobian,
 window_mu and classify's window verdict and report read them from the
 point, so every decision is made at the one rational the point was built
 at.  jacobian owns the check that refuses a flavor, eps, kappa or gamma
-other than the point's own; classify gets it by calling jacobian first.
+other than the point's own, and a point that is not the closed-form point
+its label names; classify gets both by calling jacobian first.
 The window rule itself lives in `sphere_spectrum._window_floor`.
 
 At a point (a, b, c) with q = c^2 the coordinates are
@@ -68,6 +72,16 @@ PSI_MINUS = form([("vol", 2), ("e23^w1", -1), ("e13^w2", 1), ("e12^w3", -1)])
 
 LABEL_PRINCIPAL = "tau0_eq_kappa"
 LABEL_RESCALED = "tau0_eq_gamma_minus_1_kappa"
+
+# The linearization's eigenvectors in (A, B, C) coordinates at every nearly
+# parallel point, the same for both flavors, both labels and every kappa and
+# gamma: the scaling mode (1, 1, 1), the Psi direction and a third vector,
+# each scaled so that its largest component is +1.  The tests prove
+# J v = lambda v for each at symbolic kappa and gamma.
+_EIGENBASIS = {
+    +1: ((1, 1, 1), (Fraction(-1, 2), 1, 0), (1, 1, Fraction(-3, 4))),
+    -1: ((1, 1, 1), (0, 1, Fraction(-1, 4)), (1, Fraction(-2, 5), Fraction(-2, 5))),
+}
 
 
 @dataclass(frozen=True)
@@ -286,12 +300,15 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     Computed at the point's own constants: flavor, eps and kappa (read as
     find_critical_points reads it), and gamma for the modified flavor, must
     be the point's own, or ValueError names the one that differs; the
-    normalized flavor ignores gamma.  Since (A, B, C) is
-    q (delta a / a, delta b / b, delta c / c), the (a, b, c) matrix J
+    normalized flavor ignores gamma.  The point must be the closed-form
+    nearly parallel point its label names, checked exactly: its kappa_eff is
+    kappa (tau0 = kappa) or (gamma - 1) kappa (the modified flavor's rescaled
+    point), its params are the closed form at that kappa_eff and its state
+    is those params rounded to floats; ValueError otherwise.  Since (A, B, C)
+    is q (delta a / a, delta b / b, delta c / c), the (a, b, c) matrix J
     becomes J_ij y_j / y_i at the point y, so the analytic matrices apply
     literally.  When the twin exists the two must agree to 1e-12 in
-    relative sup norm.  The point must be critical to a relative
-    displacement of 1e-10: |f(y)| <= 1e-10 ||J|| |y| with J in (a, b, c).
+    relative sup norm.
     """
     checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
               ("kappa", kappa, _exact(kappa) == point.kappa)]
@@ -301,15 +318,25 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
         if not same:
             raise ValueError(f"{name} {value} differs from the point's {name} {getattr(point, name)}")
     flavor, eps = point.flavor, point.eps
+    if point.label == LABEL_PRINCIPAL:
+        keff = point.kappa
+    elif point.label == LABEL_RESCALED and flavor == MODIFIED:
+        keff = (point.gamma - 1) * point.kappa
+    else:
+        raise ValueError(f"the {flavor} flow has no {point.label!r} point")
+    if point.kappa_eff != keff:
+        raise ValueError(f"kappa_eff {point.kappa_eff} is not the {point.label} point's {keff}")
+    if point.params != _exact_point_params(eps, keff):
+        raise ValueError(f"params {point.params} are not the closed-form {point.label} point")
+    if point.state != point.params.state():
+        raise ValueError(f"state {point.state} is not the point's params rounded to floats")
+
     kap, gam = float(point.kappa), None if point.gamma is None else float(point.gamma)
     y = point.state
-    fy = guarded_rhs(flavor, y, kap, gam, eps)
-    jac = None if fy is None else _rhs_jacobian(flavor, y, kap, gam, eps)
+    jac = _rhs_jacobian(flavor, y, kap, gam, eps)
     jnorm = math.inf if jac is None else math.hypot(*jac.flat)
     if not math.isfinite(jnorm * jnorm):  # eigen3 and classify square it
         raise ValueError("the linearization does not evaluate in floating point at the point")
-    if math.hypot(*fy) > 1e-10 * jnorm * math.hypot(*y):
-        raise ValueError("jacobian requires a critical point (residual above 1e-10 ||J|| |y|)")
 
     ys = np.array(y)
     num = jac * ys / ys[:, None]
@@ -336,11 +363,36 @@ def _oriented(v: list) -> list:
     return [x * unit for x in v]
 
 
+def _clusters(values: list, anorm: float) -> list[tuple[complex, list[int]]]:
+    """(mean, member indices) of each cluster of values, in decreasing order.
+
+    Values sort by decreasing real part, then decreasing |imag|, then
+    decreasing imag, so a conjugate pair lists +imag first; sorting is
+    stable, so equal keys keep their input order.  A value within 2e-7 anorm
+    of its cluster's first value joins it, and the cluster reports its mean.
+    """
+    order = sorted(range(len(values)), key=lambda i: (-values[i].real, -abs(values[i].imag),
+                                                      -values[i].imag))
+    clusters: list[list[int]] = []
+    for i in order:
+        if clusters and abs(values[i] - values[clusters[-1][0]]) <= 2e-7 * anorm:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    out = []
+    for cluster in clusters:
+        lam = 0  # a loop, not sum(), which adds Python floats with compensation since 3.12
+        for i in cluster:
+            lam += values[i]
+        out.append((lam / len(cluster), cluster))
+    return out
+
+
 def eigen3(matrix) -> list[Eigenpair]:
     """Eigenpairs of a 3x3 real matrix; values and vectors from LAPACK via `numpy.linalg.eig`.
 
-    Values within 2e-7 ||A|| of each other form one cluster, and every
-    member reports the cluster's mean value, with its residual
+    Values within 2e-7 ||A|| of each other form one cluster (`_clusters`),
+    and every member reports the cluster's mean value, with its residual
     |A v - lambda v| against that mean.  A member whose eig vector is
     numerically dependent on the cluster's earlier vectors (the smallest
     singular value of their unit-column block is at most 1e-6) is flagged
@@ -364,23 +416,10 @@ def eigen3(matrix) -> list[Eigenpair]:
     values, vectors = np.linalg.eig(A)
     rows = A.tolist()
     anorm = math.hypot(*rows[0], *rows[1], *rows[2])
-    values = values.tolist()
     columns = vectors.T.tolist()
-    order = sorted(range(3), key=lambda i: (-values[i].real, -abs(values[i].imag), -values[i].imag))
-
-    clusters: list[list[int]] = []
-    for i in order:
-        if clusters and abs(values[i] - values[clusters[-1][0]]) <= 2e-7 * anorm:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
 
     pairs: list[Eigenpair] = []
-    for cluster in clusters:
-        lam = 0  # a loop, not sum(), which adds Python floats with compensation since 3.12
-        for i in cluster:
-            lam += values[i]
-        lam /= len(cluster)
+    for lam, cluster in _clusters(values.tolist(), anorm):
         kept: list[list] = []
         for i in cluster:
             v = _oriented(columns[i])
@@ -396,12 +435,6 @@ def eigen3(matrix) -> list[Eigenpair]:
                 generalized=bool(generalized),
             ))
     return pairs
-
-
-def _snap(x: float) -> Fraction | float:
-    """x as the rational with denominator <= 2^20 nearest to it, if within 1e-12."""
-    r = Fraction(x).limit_denominator(1 << 20)
-    return r if abs(r - x) <= 1e-12 else x
 
 
 def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
@@ -469,30 +502,43 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     """Full spectral report: linearization, eigenpairs, index, window verdict.
 
     J is the complex-step linearization at every point; the analytic twin,
-    where it exists (modified flavor at tau0 = kappa), only checks it.
+    where it exists (modified flavor at tau0 = kappa), only checks it.  The
+    eigenvectors are the point's exact table vectors (`_EIGENBASIS`), which
+    `jacobian`'s closed-form check makes apply; each value is the Rayleigh
+    quotient u.Ju of the unit vector u, and values cluster as in `eigen3`
+    (`_clusters`, 2e-7 ||J||), with the table's order inside a cluster.
     Index counts strictly positive real parts; eigenvalues within
     1e-9 ||J|| of the imaginary axis are flagged marginal and not counted.
-    The window verdict is decided exactly, at the point's own kappa and
-    gamma, and the report carries the point's flavor, eps, kappa and gamma
-    (None for the normalized flavor); `jacobian` refuses other constants.
+    unstable_form is the exact variation along the first pair's table
+    vector.  The window verdict is decided exactly, at the point's own kappa
+    and gamma, and the report carries the point's flavor, eps, kappa and
+    gamma (None for the normalized flavor); `jacobian` refuses other
+    constants and other points.
     """
     J, _ = jacobian(flavor, point, kappa, gamma, eps)
-    pairs = eigen3(J)
     rows = J.tolist()
     anorm = math.hypot(*rows[0], *rows[1], *rows[2])
+    basis = _EIGENBASIS[point.eps]
+    units, images, values = [], [], []
+    for vec in basis:
+        v = [float(x) for x in vec]
+        norm = math.hypot(*v)
+        u = [x / norm for x in v]
+        ju = [r[0] * u[0] + r[1] * u[1] + r[2] * u[2] for r in rows]
+        units.append(u)
+        images.append(ju)
+        values.append(u[0] * ju[0] + u[1] * ju[1] + u[2] * ju[2])
+
+    pairs, order = [], []
+    for lam, cluster in _clusters(values, anorm):
+        for i in sorted(cluster):
+            res = [y - lam * x for y, x in zip(images[i], units[i])]
+            pairs.append(Eigenpair(value=complex(lam), vector=tuple(complex(x) for x in units[i]),
+                                   residual=math.hypot(*res)))
+            order.append(i)
     marginal = tuple(abs(p.value.real) < 1e-9 * anorm for p in pairs)
     index = sum(1 for p, m in zip(pairs, marginal) if p.value.real > 0 and not m)
-
-    unstable_form = None
-    if index > 0:
-        top = pairs[0]
-        direction = [complex(x).real for x in top.vector]
-        # normalize by the largest component and snap noise-level deviations
-        # from small rationals (zero included), so rational ratios between
-        # components survive the float round trip
-        amax = max(abs(x) for x in direction)
-        direction = [_snap(x / amax) for x in direction]
-        unstable_form = variation_to_form(point, direction)
+    unstable_form = variation_to_form(point, basis[order[0]]) if index > 0 else None
 
     mu = window_mu(point)
     window = window_verdict(mu, point.gamma, flavor)

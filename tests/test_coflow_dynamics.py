@@ -97,10 +97,9 @@ def test_symbolic_crosscheck_derives_dphi_once(monkeypatch):
     p = random_params(random.Random(6), -1)
     phi = build(p).phi
     calls = []
-    for module in (g2_ansatz, coflow_dynamics):
-        derive = module.exterior_derivative
-        monkeypatch.setattr(module, "exterior_derivative",
-                            lambda alpha, derive=derive: calls.append(alpha == phi) or derive(alpha))
+    derive = g2_ansatz.exterior_derivative
+    monkeypatch.setattr(g2_ansatz, "exterior_derivative",
+                        lambda alpha: calls.append(alpha == phi) or derive(alpha))
     for flavor in (NORMALIZED, MODIFIED):
         calls.clear()
         assert symbolic_rhs_crosscheck(p, Fraction(4), Fraction(3), flavor)
@@ -290,6 +289,29 @@ def test_reduced_xy_rhs_equals_the_hand_written_form_for_all_x_and_y(eps):
     derived = reduced_xy_rhs(X, Y, eps)
     for got, expected in zip(derived, _hand_written_reduced_xy_rhs(X, Y, eps)):
         assert sympy.cancel(got - expected) == 0
+
+
+def test_the_normalized_flows_only_equilibria_are_nearly_parallel():
+    # every positive fixed point of the reduced flow is a common root of the
+    # numerators; their resultant in Y leaves X in {1/5, 1/2, 1} (the cubic's
+    # coefficients are positive), and the gcd at each X gives Y
+    X, Y = sympy.symbols("X Y", positive=True)
+    eliminant = (-4096 * X ** 4 * (X - 1) * (X + 1) * (2 * X - 1) ** 3 * (5 * X - 1)
+                 * (6 * X ** 3 + X ** 2 + 1))
+    for eps, attractor in ((+1, (sympy.Rational(1, 5), sympy.Rational(1, 5))),
+                           (-1, (sympy.Integer(1), sympy.Integer(1)))):
+        nums = []
+        for rate in reduced_xy_rhs(X, Y, eps):
+            num, den = sympy.fraction(sympy.cancel(rate))
+            assert den.is_positive
+            nums.append(num)
+        num_x, num_y = nums
+        assert sympy.expand(sympy.resultant(num_x, num_y, Y) - eliminant) == 0
+        fixed = set()
+        for x0 in (sympy.Rational(1, 5), sympy.Rational(1, 2), sympy.Integer(1)):
+            common = sympy.gcd(num_x.subs(X, x0), num_y.subs(X, x0))
+            fixed |= {(x0, y0) for y0 in sympy.roots(common, Y) if y0 > 0}
+        assert fixed == {attractor}
 
 
 def test_scaling_ode_fixed_points_and_slopes():

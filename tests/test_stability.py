@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 import sympy
 
-from coflow.coflow_dynamics import MODIFIED, NORMALIZED, monomial_rates, state_rates
-from coflow.g2_ansatz import ansatz_4form, build, tau0_terms, torsion
-from coflow.invariant_forms import GeometryParams, dstar_on_4forms, inner_product
+from coflow.coflow_dynamics import MODIFIED, NORMALIZED, monomial_rates, state_rates, tau0_state
+from coflow.g2_ansatz import ansatz_4form, build, laplacian_psi, tau0 as ansatz_tau0, tau0_terms, torsion
+from coflow.invariant_forms import GeometryParams, InvariantForm, dstar_on_4forms, inner_product
 from coflow.stability import (
+    _EIGENBASIS,
+    CriticalPoint,
     Eigenpair,
     LABEL_PRINCIPAL,
     LABEL_RESCALED,
@@ -858,3 +860,111 @@ def test_the_modified_flow_has_an_equilibrium_that_is_not_nearly_parallel():
     tau0 = num / den
     assert tau0 == Fraction(60, 7)
     assert tau0 not in (kappa, (gamma - 1) * kappa)
+
+
+def test_the_witness_zeroes_the_algebras_rate_form():
+    # the rate form built by the exterior algebra, independently of the
+    # hand-coded monomial rates
+    params = GeometryParams(Fraction(3, 5), Fraction(3, 5), Fraction(9, 25), +1)
+    kappa, gamma = Fraction(4), Fraction(8, 3)
+    ans = build(params)
+    t0 = ansatz_tau0(ans)
+    assert t0 == Fraction(60, 7)
+    rate = (laplacian_psi(ans) + (Fraction(1, 2) * (5 * gamma * kappa - 7 * t0)) * ans.dphi
+            + (Fraction(5, 2) * (1 - gamma) * kappa ** 2) * ans.psi)
+    assert rate == InvariantForm.zero()
+    assert ans.dphi != t0 * ans.psi  # not nearly parallel
+
+
+@pytest.mark.parametrize("label, kappa_eff", [(LABEL_PRINCIPAL, Fraction(4)),
+                                              (LABEL_RESCALED, Fraction(20, 3))])
+def test_jacobian_and_classify_refuse_the_witness_under_either_label(label, kappa_eff):
+    # once an AssertionError from the twin check (principal) and an index-2
+    # report (rescaled); the eigenbasis holds only at the closed-form points
+    params = GeometryParams(Fraction(3, 5), Fraction(3, 5), Fraction(9, 25), +1)
+    state = params.state()
+    point = CriticalPoint(flavor=MODIFIED, eps=+1, kappa=Fraction(4), gamma=Fraction(8, 3),
+                          label=label, kappa_eff=kappa_eff, params=params, state=state,
+                          tau0=tau0_state(*state, +1))
+    with pytest.raises(ValueError, match="are not the closed-form"):
+        jacobian(MODIFIED, point, 4, Fraction(8, 3), +1)
+    with pytest.raises(ValueError, match="are not the closed-form"):
+        classify(MODIFIED, point, 4, Fraction(8, 3), +1)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(kappa_eff=Fraction(8)), "kappa_eff 8 is not the tau0_eq_kappa point's 4"),
+    (dict(label="tau0_eq_something"), "has no 'tau0_eq_something' point"),
+    (dict(state=(1.0, 1.0, 1.0 + 2 ** -52)), r"state .* is not the point's params rounded"),
+])
+def test_jacobian_refuses_a_point_that_is_not_its_labels_closed_form(change, message):
+    point = dataclasses.replace(principal(MODIFIED, 4, 3, -1), **change)
+    with pytest.raises(ValueError, match=message):
+        jacobian(MODIFIED, point, 4, 3, -1)
+    normalized = dataclasses.replace(principal(NORMALIZED, 4, None, -1), label=LABEL_RESCALED)
+    with pytest.raises(ValueError, match="normalized_coflow flow has no"):
+        jacobian(NORMALIZED, normalized, 4, None, -1)
+
+
+# the spectrum along (1, 1, 1), the Psi direction and the third table
+# vector, k = kappa and g = gamma: the oracle of the table, never in src/
+_K, _G = sympy.symbols("kappa gamma", positive=True)
+TABLE_SPECTRA = [
+    (NORMALIZED, +1, LABEL_PRINCIPAL, (-_K ** 2 / 2, -4 * _K ** 2 / 9, -25 * _K ** 2 / 36)),
+    (NORMALIZED, -1, LABEL_PRINCIPAL, (-_K ** 2 / 2, -_K ** 2 / 4, -4 * _K ** 2)),
+    (MODIFIED, +1, LABEL_PRINCIPAL, (-5 * _K ** 2 * (_G - 2) / 8, 5 * _K ** 2 * (3 * _G - 5) / 9,
+                                     -5 * _K ** 2 * (15 * _G - 16) / 36)),
+    (MODIFIED, -1, LABEL_PRINCIPAL, (-5 * _K ** 2 * (_G - 2) / 8, _K ** 2 * (5 * _G - 8) / 4,
+                                     -_K ** 2 * (5 * _G - 3))),
+    (MODIFIED, +1, LABEL_RESCALED, (5 * _K ** 2 * (_G - 1) * (_G - 2) / 8,
+                                    -5 * _K ** 2 * (_G - 1) * (2 * _G - 5) / 9,
+                                    5 * _K ** 2 * (_G - 1) * (_G - 16) / 36)),
+    (MODIFIED, -1, LABEL_RESCALED, (5 * _K ** 2 * (_G - 1) * (_G - 2) / 8,
+                                    -_K ** 2 * (_G - 1) * (3 * _G - 8) / 4,
+                                    -_K ** 2 * (_G - 1) * (2 * _G + 3))),
+]
+
+
+@pytest.mark.parametrize("flavor, eps, label, spectrum", TABLE_SPECTRA)
+def test_the_eigenbasis_table_holds_for_every_kappa_and_gamma(flavor, eps, label, spectrum):
+    # J in (A, B, C) = (q/a da, q/b db, dq/2) from the repo's own rates in
+    # (a, b, q), at the closed-form point for symbolic kappa and gamma
+    a, b, q = sympy.symbols("a b q", positive=True)
+    gamma = _G if flavor == MODIFIED else None
+    c = sympy.sqrt(q)
+    da, db, dc = state_rates(a, b, c, monomial_rates(flavor, a, b, q, _K, gamma, eps))
+    J = sympy.Matrix([da, db, 2 * c * dc]).jacobian([a, b, q])
+    kappa_eff = _K if label == LABEL_PRINCIPAL else (_G - 1) * _K
+    pa = (sympy.Rational(12, 5) if eps == +1 else 4) / kappa_eff
+    pq = (5 if eps == +1 else 1) * pa * pa
+    scales = sympy.diag(pq / pa, pq / pa, sympy.Rational(1, 2))
+    J = scales * J.subs({a: pa, b: pa, q: pq}) * scales.inv()
+    basis = _EIGENBASIS[eps]
+    assert [max(v) for v in basis] == [1, 1, 1]
+    for v, lam in zip(basis, spectrum):
+        v = sympy.Matrix([sympy.Rational(x) for x in v])
+        assert all(sympy.cancel(x) == 0 for x in J * v - lam * v)
+
+
+@pytest.mark.parametrize("kappa", GRID_KAPPAS)
+@pytest.mark.parametrize("eps, gamma", [(+1, Fraction(58, 25)), (-1, Fraction(26, 11))])
+def test_a_repeated_top_value_reports_the_tables_first_direction(eps, gamma, kappa):
+    # the scaling mode's value equals the Psi direction's here; the cluster
+    # keeps the table's order, so the unstable form is the (1, 1, 1) one
+    point = rescaled(kappa, gamma, eps)
+    report = classify(MODIFIED, point, kappa, gamma, eps)
+    top, second, third = report.eigenpairs
+    assert top.value == second.value and top.value.real > 0 > third.value.real
+    assert report.index == 2
+    assert report.unstable_form == variation_to_form(point, (1, 1, 1))
+
+
+def test_the_reported_vectors_are_the_table_vectors_at_the_double_value():
+    # eps = +1, gamma = 4 rescaled: -5 kappa^2 twice, along the Psi direction
+    # and the third vector, in the table's order
+    units = [np.array([float(x) for x in v]) / math.hypot(*map(float, v))
+             for v in _EIGENBASIS[+1]]
+    for kappa in GRID_KAPPAS:
+        report = classify(MODIFIED, rescaled(kappa, 4.0, +1), kappa, 4.0, +1)
+        for p, u in zip(report.eigenpairs, units):
+            assert np.max(np.abs(np.array(p.vector) - u)) <= 1e-15
