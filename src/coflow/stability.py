@@ -15,13 +15,13 @@ invariant 4-form.  `eigen3` is the general 3x3 eigen-solver (LAPACK via
 
 find_critical_points is where kappa and gamma become exact rationals: an
 int or Fraction is taken as itself and a float as the exact value of the
-binary float.  The CriticalPoint carries those values, and jacobian,
-window_mu and classify's window verdict and report read them from the
-point, so every decision is made at the one rational the point was built
-at.  jacobian owns the check that refuses a flavor, eps, kappa or gamma
-other than the point's own, and a point that is not the closed-form point
-its label names; classify gets both by calling jacobian first.
-The window rule itself lives in `sphere_spectrum._window_floor`.
+binary float.  The CriticalPoint carries those values and its exact
+kappa_eff, so every decision is made at the one rational the point was
+built at: its tau0 is kappa_eff, and window_mu is the family's mu0 of
+`_PSI_MU0` times kappa_eff / kappa.  jacobian refuses a flavor, eps, kappa
+or gamma other than the point's own, and it and window_mu share the check
+that refuses a point that is not the closed-form point its label names;
+classify runs it once.  The window rule lives in `sphere_spectrum._window_floor`.
 
 At a point (a, b, c) with q = c^2 the coordinates are
 (A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
@@ -52,7 +52,6 @@ from .coflow_dynamics import (
     guarded_rhs,
     monomial_rates,
     state_rates,
-    tau0_state,
 )
 from .g2_ansatz import ansatz_4form, build
 from .invariant_forms import (
@@ -69,6 +68,8 @@ from .sphere_spectrum import _window_floor
 
 PSI_PLUS = form([("e23^w1", 1), ("e13^w2", -1), ("e12^w3", -2)])
 PSI_MINUS = form([("vol", 2), ("e23^w1", -1), ("e13^w2", 1), ("e12^w3", -1)])
+# each eps family's Psi and mu0, d(star(Psi)) = mu0 tau0 Psi; verify_psi_identities proves it
+_PSI_MU0 = {+1: (PSI_PLUS, Fraction(-5, 3)), -1: (PSI_MINUS, Fraction(-3, 2))}
 
 LABEL_PRINCIPAL = "tau0_eq_kappa"
 LABEL_RESCALED = "tau0_eq_gamma_minus_1_kappa"
@@ -89,8 +90,8 @@ class CriticalPoint:
     """A nearly parallel equilibrium at the exact kappa and gamma it was found for.
 
     kappa and gamma are the rationals `find_critical_points` read its inputs
-    as (gamma is None for the normalized flavor); everything that later
-    needs the point's constants exactly reads them from here.
+    as (gamma is None for the normalized flavor) and tau0 is kappa_eff rounded;
+    everything that later needs the point's constants exactly reads them here.
     """
 
     flavor: str
@@ -172,9 +173,10 @@ def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:
     """d(da/dt, db/dt, dc/dt)/d(a, b, c) at y by complex-step differentiation.
 
     Column j is Im f(y + i h e_j) / h with h = 1e-20 |y_j| (Squire and
-    Trapp, SIAM Review 40, 1998): no difference of nearby values is taken,
-    so it is correct to rounding at every magnitude of y.  None when the
-    rates raise an ArithmeticError or an entry is not finite.
+    Trapp, SIAM Review 40, 1998), no difference of nearby values, but at tiny
+    states the imaginary parts go subnormal: at kappa = 1e75 normalized eps = -1
+    values are off by 2e-6 relative, at 1e76 eps = +1 gives -0.43885 kappa^2
+    for -4/9 kappa^2.  None when the rates raise ArithmeticError or an entry is not finite.
     """
     jac = np.empty((3, 3))
     for j in range(3):
@@ -239,7 +241,7 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     carries those values, and each closed-form point is an equilibrium by
     proof, not by a float residual: its monomial rates, evaluated exactly
     at them, are all zero.  The returned state is that exact point rounded
-    to floats.
+    to floats, and tau0 is kappa_eff rounded, not the rounded state's torsion.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -260,11 +262,10 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
         rates = monomial_rates(flavor, params.a, params.b, params.q, kap, gam, eps)
         if rates != (0, 0, 0):
             raise RuntimeError(f"the closed-form {label} point is not an equilibrium: rates {rates}")
-        state = params.state()
         points.append(CriticalPoint(
             flavor=flavor, eps=eps, kappa=kap, gamma=gam,
             label=label, kappa_eff=keff, params=params,
-            state=state, tau0=tau0_state(*state, eps),
+            state=params.state(), tau0=float(keff),
         ))
     return points
 
@@ -294,21 +295,39 @@ def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
     ])
 
 
+def _closed_form_kappa_eff(point: CriticalPoint) -> Fraction:
+    """kappa_eff of the closed-form nearly parallel point the point's label names.
+
+    Checked exactly: kappa_eff must be kappa (tau0 = kappa) or (gamma - 1)
+    kappa (the modified flavor's rescaled point), the params the closed form
+    at it and the state those params rounded to floats; ValueError otherwise.
+    """
+    if point.label == LABEL_PRINCIPAL:
+        keff = point.kappa
+    elif point.label == LABEL_RESCALED and point.flavor == MODIFIED:
+        keff = (point.gamma - 1) * point.kappa
+    else:
+        raise ValueError(f"the {point.flavor} flow has no {point.label!r} point")
+    if point.kappa_eff != keff:
+        raise ValueError(f"kappa_eff {point.kappa_eff} is not the {point.label} point's {keff}")
+    if point.params != _exact_point_params(point.eps, keff):
+        raise ValueError(f"params {point.params} are not the closed-form {point.label} point")
+    if point.state != point.params.state():
+        raise ValueError(f"state {point.state} is not the point's params rounded to floats")
+    return keff
+
+
 def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     """(complex-step matrix, analytic twin or None) in (A, B, C) coordinates.
 
     Computed at the point's own constants: flavor, eps and kappa (read as
     find_critical_points reads it), and gamma for the modified flavor, must
     be the point's own, or ValueError names the one that differs; the
-    normalized flavor ignores gamma.  The point must be the closed-form
-    nearly parallel point its label names, checked exactly: its kappa_eff is
-    kappa (tau0 = kappa) or (gamma - 1) kappa (the modified flavor's rescaled
-    point), its params are the closed form at that kappa_eff and its state
-    is those params rounded to floats; ValueError otherwise.  Since (A, B, C)
-    is q (delta a / a, delta b / b, delta c / c), the (a, b, c) matrix J
-    becomes J_ij y_j / y_i at the point y, so the analytic matrices apply
-    literally.  When the twin exists the two must agree to 1e-12 in
-    relative sup norm.
+    normalized flavor ignores gamma.  The point must pass
+    `_closed_form_kappa_eff`'s exact check.  Since (A, B, C) is
+    q (delta a / a, delta b / b, delta c / c), the (a, b, c) matrix J becomes
+    J_ij y_j / y_i at the point y, so the analytic matrices apply literally.
+    When the twin exists the two must agree to 1e-12 in relative sup norm.
     """
     checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
               ("kappa", kappa, _exact(kappa) == point.kappa)]
@@ -317,25 +336,14 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     for name, value, same in checks:
         if not same:
             raise ValueError(f"{name} {value} differs from the point's {name} {getattr(point, name)}")
+    _closed_form_kappa_eff(point)
     flavor, eps = point.flavor, point.eps
-    if point.label == LABEL_PRINCIPAL:
-        keff = point.kappa
-    elif point.label == LABEL_RESCALED and flavor == MODIFIED:
-        keff = (point.gamma - 1) * point.kappa
-    else:
-        raise ValueError(f"the {flavor} flow has no {point.label!r} point")
-    if point.kappa_eff != keff:
-        raise ValueError(f"kappa_eff {point.kappa_eff} is not the {point.label} point's {keff}")
-    if point.params != _exact_point_params(eps, keff):
-        raise ValueError(f"params {point.params} are not the closed-form {point.label} point")
-    if point.state != point.params.state():
-        raise ValueError(f"state {point.state} is not the point's params rounded to floats")
 
     kap, gam = float(point.kappa), None if point.gamma is None else float(point.gamma)
     y = point.state
     jac = _rhs_jacobian(flavor, y, kap, gam, eps)
     jnorm = math.inf if jac is None else math.hypot(*jac.flat)
-    if not math.isfinite(jnorm * jnorm):  # eigen3 and classify square it
+    if not math.isfinite(jnorm * jnorm):  # a range cut: from kappa ~ 1e77 up J is wrong
         raise ValueError("the linearization does not evaluate in floating point at the point")
 
     ys = np.array(y)
@@ -458,20 +466,13 @@ def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
 
 
 def window_mu(point: CriticalPoint) -> Fraction:
-    """Exact ratio mu with d(star(Psi)) = kappa mu Psi at the point.
+    """Exact ratio mu with d(star(Psi)) = kappa mu Psi at the point: mu0 kappa_eff / kappa.
 
     mu is measured against the flow constant kappa, not against the point's
     effective torsion, so rescaled points report a gamma-dependent ratio.
+    A point that fails jacobian's closed-form check raises its ValueError.
     """
-    psi_27 = PSI_PLUS if point.eps == +1 else PSI_MINUS
-    image = dstar_on_4forms(psi_27, point.params)
-    kap = point.kappa
-    # mu from one coefficient; the comparison below checks all of them
-    m, c = next(iter(psi_27.coeffs.items()))
-    mu = image.coefficient(m) / (kap * c)
-    if image != (kap * mu) * psi_27:
-        raise AssertionError("d(star(Psi)) is not proportional to Psi at this point")
-    return mu
+    return _PSI_MU0[point.eps][1] * _closed_form_kappa_eff(point) / point.kappa
 
 
 def window_verdict(mu, gamma, flavor: str) -> WindowVerdict:
@@ -540,7 +541,7 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     index = sum(1 for p, m in zip(pairs, marginal) if p.value.real > 0 and not m)
     unstable_form = variation_to_form(point, basis[order[0]]) if index > 0 else None
 
-    mu = window_mu(point)
+    mu = _PSI_MU0[point.eps][1] * point.kappa_eff / point.kappa  # window_mu, checked by jacobian
     window = window_verdict(mu, point.gamma, flavor)
 
     return SpectralReport(
@@ -582,18 +583,16 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
         raise ValueError("kappa must be positive")
     params = _exact_point_params(eps, kap)
     ans = build(params)
-    psi_27 = PSI_PLUS if eps == +1 else PSI_MINUS
+    psi_27, mu0 = _PSI_MU0[eps]
     star_psi = hodge_star(psi_27, params)
 
     if eps == +1:
         primitive = form([("e3^w3", 2), ("e1^w1", -1), ("e2^w2", -1)])
         reproduced = Fraction(1, 4) * exterior_derivative(primitive)
-        mu_expect = Fraction(-5, 3)
         star_closed = (Fraction(5, 12) * kap) * form([("e1^w1", 1), ("e2^w2", 1), ("e3^w3", -2)])
     else:
         primitive = form([("e123", 2), ("e1^w1", -1), ("e2^w2", -1), ("e3^w3", -1)])
         reproduced = Fraction(1, 6) * exterior_derivative(primitive)
-        mu_expect = Fraction(-3, 2)
         star_closed = (Fraction(1, 4) * kap) * form([("e1^w1", 1), ("e2^w2", 1), ("e3^w3", 1), ("e123", -2)])
 
     # (detail label, left side, right side) in the report's field order; the
@@ -603,7 +602,7 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
         ("wedge certificate residue", wedge(star_psi, ans.phi) + wedge(star_psi, ans.psi),
          InvariantForm.zero()),
         ("primitive mismatch", reproduced, psi_27),
-        ("dstar eigenvalue mismatch", dstar_on_4forms(psi_27, params), (mu_expect * kap) * psi_27),
+        ("dstar eigenvalue mismatch", dstar_on_4forms(psi_27, params), (mu0 * kap) * psi_27),
         ("star closed form mismatch", star_psi, star_closed),
     )
     flags, details = [], []

@@ -543,3 +543,15 @@ def test_stability_rejects_unreadable_ratios(capsys, argv, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, tau0", [
+    (["--flavor", "modified", "--eps", "1", "--kappa", "1e-77", "--gamma", "3"], 1e-77),
+    (["--flavor", "coflow", "--eps", "1", "--kappa", "1000"], 1000.0),
+])
+def test_stability_prints_tau0_as_the_points_kappa_eff(argv, tau0, capsys):
+    # once tau0 of the float state: 0.0 (the closed form overflowed) and 999.9999999999998
+    code, out = run(["stability"] + argv, capsys)
+    assert code == 0
+    assert json.loads(out)["tau0"] == tau0
+    assert f'  "tau0": {tau0!r},' in out.splitlines()

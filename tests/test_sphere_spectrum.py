@@ -167,3 +167,30 @@ def test_whole_window_totals():
     # the window add nothing
     assert index_lower_bound(0, 60, Fraction(21, 10))[0] == 7047
     assert index_lower_bound(0, 60, 3)[0] == 980733
+
+
+def _spin8_dimension(highest_weight) -> int:
+    """Weyl dimension formula for Spin(8) in the orthogonal basis, rho = (3, 2, 1, 0).
+
+    dim V(lam) = prod over i < j of (l_i^2 - l_j^2) / (rho_i^2 - rho_j^2),
+    l = lam + rho: one factor per positive root e_i - e_j and e_i + e_j.
+    """
+    rho = (3, 2, 1, 0)
+    l = [x + r for x, r in zip(highest_weight, rho)]
+    dim = Fraction(1)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            dim *= Fraction(l[i] ** 2 - l[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
+    assert dim.denominator == 1
+    return int(dim)
+
+
+def test_multiplicities_are_spin8_representation_dimensions():
+    # every side is a polynomial of degree 6 in l (six roots involve the
+    # first coordinate), so agreement at seven levels proves it for all l
+    for l in range(9):
+        for sign in (+1, -1):
+            assert multiplicity_d(l) == _spin8_dimension((l + 1, 1, 1, sign))
+        assert multiplicity_d0(l) == _spin8_dimension((l + 2, 0, 0, 0))
+        assert multiplicity_d1(l) == _spin8_dimension((l + 1, 1, 0, 0))
+    assert _spin8_dimension((1, 0, 0, 0)) == 8 and _spin8_dimension((1, 1, 0, 0)) == 28

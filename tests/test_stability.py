@@ -537,7 +537,7 @@ def test_principal_unstable_vector_and_exact_form_on_the_grid(eps, kappa, gamma)
 # grows like kappa while the point shrinks like 1/kappa, and eigenvalues
 # cluster relative to ||J||, so the three stay distinct
 @pytest.mark.parametrize("kappa", (1e-60, 1e-30, 1e-6, 1e-4, 1e-3, 1e-2, 0.1,
-                                   200.0, 1e3, 1e4, 1e5, 1e6, 1e30, 1e70))
+                                   200.0, 1e3, 1e4, 1e5, 1e6, 1e30, 1e70, 1e75, 1e76))
 @pytest.mark.parametrize("eps", (+1, -1))
 def test_index_is_scale_free(eps, kappa):
     for gamma in (3.0, 16.0):
@@ -968,3 +968,94 @@ def test_the_reported_vectors_are_the_table_vectors_at_the_double_value():
         report = classify(MODIFIED, rescaled(kappa, 4.0, +1), kappa, 4.0, +1)
         for p, u in zip(report.eigenpairs, units):
             assert np.max(np.abs(np.array(p.vector) - u)) <= 1e-15
+
+
+# the 648 critical points of both flavors, both eps, these kappas and gammas
+POINT_SET_KAPPAS = (0.1, 0.5, 1, 2, 3, 4, 6, 8, 16, 32, 1000, Fraction(7, 3))
+POINT_SET_GAMMAS = (2.1, 2.2, 2.5, 8 / 3, Fraction(8, 3), 3, 4, 5, 6, 16, 20,
+                    Fraction(58, 25), Fraction(26, 11))
+
+
+def _point_set():
+    points = []
+    for eps in (+1, -1):
+        for kappa in POINT_SET_KAPPAS:
+            points += find_critical_points(NORMALIZED, kappa, None, eps)
+            for gamma in POINT_SET_GAMMAS:
+                points += find_critical_points(MODIFIED, kappa, gamma, eps)
+    assert len(points) == 648
+    return points
+
+
+def _window_mu_by_dstar(point):
+    """window_mu as d(star(Psi)) at the point's params, read from one coefficient: the oracle."""
+    psi_27 = PSI_PLUS if point.eps == +1 else PSI_MINUS
+    image = dstar_on_4forms(psi_27, point.params)
+    m, c = next(iter(psi_27.coeffs.items()))
+    mu = image.coefficient(m) / (point.kappa * c)
+    assert image == (point.kappa * mu) * psi_27
+    return mu
+
+
+def test_window_mu_equals_the_dstar_ratio_on_the_point_set():
+    for point in _point_set():
+        mu = window_mu(point)
+        assert type(mu) is Fraction
+        assert mu == _window_mu_by_dstar(point)
+
+
+def test_a_points_tau0_is_its_kappa_eff_rounded_once():
+    # once tau0 of the float state: 999.9999999999998 at kappa = 1000, and
+    # 0.0 at kappa = 1e-77, where the float closed form overflows
+    for point in _point_set():
+        assert point.tau0 == float(point.kappa_eff)
+    assert principal(MODIFIED, 1e-77, 3, +1).tau0 == 1e-77
+    assert principal(NORMALIZED, 1000, None, +1).tau0 == 1000.0
+
+
+@pytest.mark.parametrize("abq", [(Fraction(3, 5), Fraction(3, 5), Fraction(9, 25)), (1, 1, 5)])
+def test_window_mu_refuses_a_point_that_is_not_its_labels_closed_form(abq):
+    # d(star(Psi)) is proportional to Psi at both, so the d(star(.)) route
+    # once returned -5/3 at the witness and -1 at (1, 1, 5)
+    params = GeometryParams(*abq, eps=+1)
+    point = dataclasses.replace(principal(MODIFIED, 4, 3, +1), params=params, state=params.state())
+    with pytest.raises(ValueError, match="are not the closed-form tau0_eq_kappa point"):
+        window_mu(point)
+    with pytest.raises(ValueError, match="are not the closed-form tau0_eq_kappa point"):
+        jacobian(MODIFIED, point, 4, 3, +1)
+
+
+@pytest.mark.parametrize("change", [dict(kappa_eff=Fraction(8)), dict(label="tau0_eq_something"),
+                                    dict(state=(1.0, 1.0, 1.0 + 2 ** -52))])
+def test_window_mu_and_jacobian_share_the_closed_form_check(change):
+    point = dataclasses.replace(principal(MODIFIED, 4, 3, -1), **change)
+    with pytest.raises(ValueError) as from_window_mu:
+        window_mu(point)
+    with pytest.raises(ValueError) as from_jacobian:
+        jacobian(MODIFIED, point, 4, 3, -1)
+    assert str(from_window_mu.value) == str(from_jacobian.value)
+
+
+def test_the_modified_flows_symmetric_equilibria_at_kappa_4():
+    # a = b = s, q = s^2 / X at eps = +1 and kappa = 4: the lex Groebner basis
+    # of the rates' numerators ends in s^2 (5X - 1) times a quadratic in X;
+    # 5X = 1 is the nearly parallel family
+    s, X, g = sympy.symbols("s X gamma", positive=True)
+    rates = monomial_rates(MODIFIED, s, s, s ** 2 / X, 4, g, +1)
+    numerators = [sympy.numer(sympy.together(r)) for r in rates]
+    basis = sympy.groebner(numerators, s, X, order="lex", domain=sympy.QQ.frac_field(g))
+    quadratic = (15 * g ** 2 - 36 * g + 36) * X ** 2 - 24 * (g - 1) * X - 4 * (g - 1)
+    ratio = sympy.cancel(basis.exprs[-1] / (s ** 2 * (5 * X - 1) * quadratic))
+    assert ratio != 0 and not ratio.free_symbols & {s, X}
+
+    # gamma = 8/3: the root X = 1 is the witness (3/5, 3/5, 9/25)
+    assert sympy.expand(quadratic.subs(g, sympy.Rational(8, 3))
+                        - sympy.Rational(20, 3) * (X - 1) * (7 * X + 1)) == 0
+    third = Fraction(3, 5)
+    assert monomial_rates(MODIFIED, third, third, third ** 2, 4, Fraction(8, 3), +1) == (0, 0, 0)
+
+    # gamma = 16: a double root at X = 1/5, the rescaled point's, where its
+    # spectrum has its kernel (test_plus_rescaled_kernel_at_gamma_16_and_its_exact_form)
+    assert sympy.expand(quadratic.subs(g, 16) - 60 * (5 * X - 1) * (11 * X + 1)) == 0
+    for point in find_critical_points(MODIFIED, 4, 16, +1):
+        assert point.params.a ** 2 / point.params.q == Fraction(1, 5)
