@@ -160,36 +160,27 @@ def laplacian_psi(ans: G2Ansatz) -> InvariantForm:
     return exterior_derivative(hodge_star(ans.dphi, ans.params))
 
 
-def _det3(m: list[list[Fraction]]) -> Fraction:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 def type_project_4form(rho: InvariantForm, ans: G2Ansatz) -> tuple[InvariantForm, InvariantForm, InvariantForm]:
     """Orthogonal splitting of a 4-form into its 1, 7 and 27 type components.
 
-    The scalar part is the projection onto psi; the 7-part is the Gram
-    projection onto span{e_i ^ phi}, which exhausts the invariant 7-type
-    subspace.  The 27-part is certified independently by its wedge
-    conditions, so no correctness burden rests on the span assumption; a
-    certificate failure is surfaced as a warning instead of being trusted
-    silently.
+    The scalar part is the projection onto psi; the 7-part is the projection
+    onto span{e_i ^ phi}, which exhausts the invariant 7-type subspace.  The
+    three generators have pairwise disjoint monomial supports at every
+    point, {e12^w2, e13^w3}, {e12^w1, e23^w3} and {e13^w1, e23^w2}, so they
+    are mutually orthogonal and the 7-part is the sum of their three
+    one-dimensional projections, with no Gram solve.  The 27-part is
+    certified independently by its wedge conditions, so no correctness
+    burden rests on the span assumption; a certificate failure is surfaced
+    as a warning instead of being trusted silently.
     """
     if not rho.is_zero() and rho.degree() != 4:
         raise ValueError("type projection expects a degree-4 form")
     p = ans.params
     pi1 = (inner_product(rho, ans.psi, p) / 7) * ans.psi
-    basis = [wedge(e, ans.phi) for e in (E1, E2, E3)]
-    gram = [[inner_product(bi, bj, p) for bj in basis] for bi in basis]
-    rhs = [inner_product(rho, bi, p) for bi in basis]
-    det = _det3(gram)
     pi7 = InvariantForm.zero()
-    for col in range(3):
-        numer = [row[:] for row in gram]
-        for i in range(3):
-            numer[i][col] = rhs[i]
-        pi7 = pi7 + (_det3(numer) / det) * basis[col]
+    for e in (E1, E2, E3):
+        b = wedge(e, ans.phi)
+        pi7 = pi7 + (inner_product(rho, b, p) / inner_product(b, b, p)) * b
     pi27 = rho - pi1 - pi7
     star27 = hodge_star(pi27, p)
     if not (wedge(star27, ans.phi).is_zero() and wedge(star27, ans.psi).is_zero()):

@@ -83,6 +83,11 @@ _EIGENBASIS = {
     +1: ((1, 1, 1), (Fraction(-1, 2), 1, 0), (1, 1, Fraction(-3, 4))),
     -1: ((1, 1, 1), (0, 1, Fraction(-1, 4)), (1, Fraction(-2, 5), Fraction(-2, 5))),
 }
+# the same vectors as floats of unit norm, the ones classify reports
+_UNIT_EIGENBASIS = {
+    eps: tuple(tuple(float(x) / math.hypot(*map(float, vec)) for x in vec) for vec in basis)
+    for eps, basis in _EIGENBASIS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -249,15 +254,16 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
         raise ValueError("kappa must be positive")
     kap = _exact(kappa)
     gam = None
-    labels = [(kap, LABEL_PRINCIPAL)]
+    labels = [LABEL_PRINCIPAL]
     if flavor == MODIFIED:
         if gamma is None or not gamma > 2:
             raise ValueError("modified flavor requires gamma > 2")
         gam = _exact(gamma)
-        labels.append(((gam - 1) * kap, LABEL_RESCALED))
+        labels.append(LABEL_RESCALED)
 
     points: list[CriticalPoint] = []
-    for keff, label in labels:
+    for label in labels:
+        keff = _label_kappa_eff(flavor, label, kap, gam)
         params = _exact_point_params(eps, keff)
         rates = monomial_rates(flavor, params.a, params.b, params.q, kap, gam, eps)
         if rates != (0, 0, 0):
@@ -295,19 +301,23 @@ def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
     ])
 
 
+def _label_kappa_eff(flavor: str, label: str, kappa: Fraction, gamma: Fraction | None) -> Fraction:
+    """kappa_eff of the nearly parallel point a label names; ValueError if the flavor has none."""
+    if label == LABEL_PRINCIPAL:
+        return kappa
+    if label == LABEL_RESCALED and flavor == MODIFIED:
+        return (gamma - 1) * kappa
+    raise ValueError(f"the {flavor} flow has no {label!r} point")
+
+
 def _closed_form_kappa_eff(point: CriticalPoint) -> Fraction:
     """kappa_eff of the closed-form nearly parallel point the point's label names.
 
-    Checked exactly: kappa_eff must be kappa (tau0 = kappa) or (gamma - 1)
-    kappa (the modified flavor's rescaled point), the params the closed form
-    at it and the state those params rounded to floats; ValueError otherwise.
+    Checked exactly: kappa_eff must be the label's (`_label_kappa_eff`),
+    the params the closed form at it and the state those params rounded to
+    floats; ValueError otherwise.
     """
-    if point.label == LABEL_PRINCIPAL:
-        keff = point.kappa
-    elif point.label == LABEL_RESCALED and point.flavor == MODIFIED:
-        keff = (point.gamma - 1) * point.kappa
-    else:
-        raise ValueError(f"the {point.flavor} flow has no {point.label!r} point")
+    keff = _label_kappa_eff(point.flavor, point.label, point.kappa, point.gamma)
     if point.kappa_eff != keff:
         raise ValueError(f"kappa_eff {point.kappa_eff} is not the {point.label} point's {keff}")
     if point.params != _exact_point_params(point.eps, keff):
@@ -519,16 +529,9 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     J, _ = jacobian(flavor, point, kappa, gamma, eps)
     rows = J.tolist()
     anorm = math.hypot(*rows[0], *rows[1], *rows[2])
-    basis = _EIGENBASIS[point.eps]
-    units, images, values = [], [], []
-    for vec in basis:
-        v = [float(x) for x in vec]
-        norm = math.hypot(*v)
-        u = [x / norm for x in v]
-        ju = [r[0] * u[0] + r[1] * u[1] + r[2] * u[2] for r in rows]
-        units.append(u)
-        images.append(ju)
-        values.append(u[0] * ju[0] + u[1] * ju[1] + u[2] * ju[2])
+    basis, units = _EIGENBASIS[point.eps], _UNIT_EIGENBASIS[point.eps]
+    images = [[r[0] * u[0] + r[1] * u[1] + r[2] * u[2] for r in rows] for u in units]
+    values = [u[0] * ju[0] + u[1] * ju[1] + u[2] * ju[2] for u, ju in zip(units, images)]
 
     pairs, order = [], []
     for lam, cluster in _clusters(values, anorm):

@@ -39,7 +39,15 @@ from coflow.invariant_forms import (
     total_integral,
     wedge,
 )
-from coflow.g2_ansatz import ansatz_4form, build, laplacian_closed_form, tau0 as ansatz_tau0, torsion
+from coflow.g2_ansatz import (
+    ansatz_4form,
+    build,
+    laplacian_closed_form,
+    tau0 as ansatz_tau0,
+    tau0_terms,
+    tau3_norm_sq_terms,
+    torsion,
+)
 from coflow.stability import LABEL_PRINCIPAL, LABEL_RESCALED, find_critical_points, state_direction
 
 
@@ -330,6 +338,53 @@ def test_scaling_ode_fixed_points_and_slopes():
     slope_at_rescaled = sympy.diff(f_mod, mu).subs(mu, 1 / (gam - 1))
     expected = sympy.Rational(5, 8) * kap ** 2 * (1 - gam) * (2 - gam)
     assert sympy.simplify(slope_at_rescaled - expected) == 0
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_scaling_ode_is_the_flow_along_the_ray_through_the_principal_point(flavor, eps):
+    # on (a, b, c) = mu y*, y* the tau0 = kappa point, each of (da/dt)/a*,
+    # (db/dt)/b* and (dc/dt)/c* is scaling_ode_rhs(mu), for symbolic kappa and gamma
+    mu, kappa, gamma = sympy.symbols("mu kappa gamma", positive=True)
+    gamma = gamma if flavor == MODIFIED else None
+    a_star = (sympy.Rational(12, 5) if eps == +1 else 4) / kappa
+    star = (a_star, a_star, (sympy.sqrt(5) if eps == +1 else 1) * a_star)
+    a, b, c = (mu * v for v in star)
+    rates = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
+    expected = scaling_ode_rhs(mu, kappa, gamma, flavor)
+    assert all(sympy.simplify(rate / v - expected) == 0 for rate, v in zip(rates, star))
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_the_volume_rate_identity_holds_for_all_a_b_and_q(eps):
+    # hitchin_rate's formula
+    #     (1/4)(|tau3|^2 - (35/2)(tau0 - kappa)(tau0 - (gamma - 1) kappa)) V
+    # is V (2 a'/a + b'/b + 4 c'/c) along the modified flow, V = a^2 b c^4
+    a, b, q, kappa, gamma = sympy.symbols("a b q kappa gamma", positive=True)
+    c = sympy.sqrt(q)
+    n0, d0 = tau0_terms(a, b, q, eps)
+    n3, d3 = tau3_norm_sq_terms(a, b, q, eps)
+    t0, volume = n0 / d0, a * a * b * q * q
+    bracket = n3 / d3 - sympy.Rational(35, 2) * (t0 - kappa) * (t0 - (gamma - 1) * kappa)
+    formula = bracket * volume / 4
+    da, db, dc = state_rates(a, b, c, monomial_rates(MODIFIED, a, b, q, kappa, gamma, eps))
+    assert sympy.cancel(formula - volume * (2 * da / a + db / b + 4 * dc / c)) == 0
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_b_zero_is_invariant_and_carries_the_boundary_quadratic(eps):
+    # u2 = 0 at b = 0, so the modified flow keeps b = 0; there eps drops out,
+    # and at q = 2 a^2 with x = kappa a both u1 and u3 carry
+    # 5 (gamma - 1) x^2 - 20 gamma x + 72, whose positive roots are the
+    # boundary equilibria that unstable runs collapse onto
+    a, q, kappa, gamma = sympy.symbols("a q kappa gamma", positive=True)
+    u1, u2, u3 = monomial_rates(MODIFIED, a, 0, q, kappa, gamma, eps)
+    assert u2 == 0
+    x = kappa * a
+    quadratic = 5 * (gamma - 1) * x ** 2 - 20 * gamma * x + 72
+    on_slice = {q: 2 * a * a}
+    assert sympy.expand(u1.subs(on_slice) + 2 * x ** 2 / kappa ** 2 * quadratic) == 0
+    assert sympy.expand(u3.subs(on_slice) + x ** 2 / kappa ** 2 * quadratic) == 0
 
 
 @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))

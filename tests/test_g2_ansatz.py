@@ -175,6 +175,50 @@ def test_type_projection_rejects_wrong_degree():
         type_project_4form(ans.phi, ans)
 
 
+def test_the_seven_type_generators_have_disjoint_supports():
+    # type_project_4form's three one-dimensional projections rest on this:
+    # e1^phi, e2^phi and e3^phi are pairwise orthogonal because no monomial
+    # carries two of them, at every point of either orientation
+    supports = [{"e12^w2", "e13^w3"}, {"e12^w1", "e23^w3"}, {"e13^w1", "e23^w2"}]
+    for p in random_points(6, seed=2001):
+        ans = build(p)
+        generators = [wedge(e, ans.phi) for e in (E1, E2, E3)]
+        assert [{m.key for m in b.coeffs} for b in generators] == supports
+        for i, b in enumerate(generators):
+            assert inner_product(b, b, p) > 0
+            assert all(inner_product(b, other, p) == 0 for other in generators[i + 1:])
+
+
+def _seven_part_by_gram_solve(rho, ans):
+    """The 7-part as the Gram projection onto span{e_i ^ phi}, by Cramer's rule: the oracle."""
+    def det3(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    p = ans.params
+    basis = [wedge(e, ans.phi) for e in (E1, E2, E3)]
+    gram = [[inner_product(bi, bj, p) for bj in basis] for bi in basis]
+    rhs = [inner_product(rho, bi, p) for bi in basis]
+    pi7 = InvariantForm.zero()
+    for col in range(3):
+        numer = [[rhs[i] if j == col else gram[i][j] for j in range(3)] for i in range(3)]
+        pi7 = pi7 + (det3(numer) / det3(gram)) * basis[col]
+    return pi7
+
+
+def test_the_seven_part_is_the_gram_projection():
+    rng = random.Random(2002)
+    keys = ("vol", "e23^w1", "e13^w2", "e12^w3", "e12^w1", "e13^w3", "e23^w2", "e12^w2",
+            "e13^w1", "e23^w3")
+    for p in random_points(100, seed=2003):
+        ans = build(p)
+        rho = form([(k, Fraction(rng.randint(-50, 50), rng.randint(1, 30))) for k in keys])
+        pi1, pi7, pi27 = type_project_4form(rho, ans)
+        assert pi7 == _seven_part_by_gram_solve(rho, ans)
+        assert pi1 + pi7 + pi27 == rho
+
+
 def test_curl_spectrum_at_the_round_minus_point():
     ans = build(NG2_MINUS)
     assert tau0(ans) == 4

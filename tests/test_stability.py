@@ -925,8 +925,7 @@ TABLE_SPECTRA = [
 ]
 
 
-@pytest.mark.parametrize("flavor, eps, label, spectrum", TABLE_SPECTRA)
-def test_the_eigenbasis_table_holds_for_every_kappa_and_gamma(flavor, eps, label, spectrum):
+def _exact_abc_jacobian(flavor, eps, label):
     # J in (A, B, C) = (q/a da, q/b db, dq/2) from the repo's own rates in
     # (a, b, q), at the closed-form point for symbolic kappa and gamma
     a, b, q = sympy.symbols("a b q", positive=True)
@@ -938,7 +937,12 @@ def test_the_eigenbasis_table_holds_for_every_kappa_and_gamma(flavor, eps, label
     pa = (sympy.Rational(12, 5) if eps == +1 else 4) / kappa_eff
     pq = (5 if eps == +1 else 1) * pa * pa
     scales = sympy.diag(pq / pa, pq / pa, sympy.Rational(1, 2))
-    J = scales * J.subs({a: pa, b: pa, q: pq}) * scales.inv()
+    return scales * J.subs({a: pa, b: pa, q: pq}) * scales.inv()
+
+
+@pytest.mark.parametrize("flavor, eps, label, spectrum", TABLE_SPECTRA)
+def test_the_eigenbasis_table_holds_for_every_kappa_and_gamma(flavor, eps, label, spectrum):
+    J = _exact_abc_jacobian(flavor, eps, label)
     basis = _EIGENBASIS[eps]
     assert [max(v) for v in basis] == [1, 1, 1]
     for v, lam in zip(basis, spectrum):
@@ -1059,3 +1063,59 @@ def test_the_modified_flows_symmetric_equilibria_at_kappa_4():
     assert sympy.expand(quadratic.subs(g, 16) - 60 * (5 * X - 1) * (11 * X + 1)) == 0
     for point in find_critical_points(MODIFIED, 4, 16, +1):
         assert point.params.a ** 2 / point.params.q == Fraction(1, 5)
+
+
+def _table_spectrum(point):
+    """The point's three table values at its exact kappa and gamma."""
+    spectrum = next(values for flavor, eps, label, values in TABLE_SPECTRA
+                    if (flavor, eps, label) == (point.flavor, point.eps, point.label))
+    at = {_K: sympy.Rational(point.kappa)}
+    if point.gamma is not None:
+        at[_G] = sympy.Rational(point.gamma)
+    return [value.subs(at) for value in spectrum]
+
+
+@pytest.mark.parametrize("float_eight_thirds", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: at the float gamma just below 8/3 the eps = -1 rescaled point has "
+        "exact index 2, but the 1e-9 ||J|| marginal rule reports index 1 and a kernel"))),
+])
+def test_classify_reports_the_index_and_kernels_of_the_exact_spectrum(float_eight_thirds):
+    points = [p for p in _point_set() if float_eight_thirds == (
+        p.gamma == Fraction(8 / 3) and p.eps == -1 and p.label == LABEL_RESCALED)]
+    assert len(points) == (12 if float_eight_thirds else 636)
+    for point in points:
+        report = classify(point.flavor, point, point.kappa, point.gamma, point.eps)
+        values = sorted(_table_spectrum(point), reverse=True)
+        assert report.index == sum(1 for value in values if value > 0)
+        assert report.marginal == tuple(value == 0 for value in values)
+
+
+@pytest.mark.parametrize("eps", [+1, -1])
+def test_analytic_jacobian_is_the_exact_jacobian_of_the_rates(eps):
+    J = _exact_abc_jacobian(MODIFIED, eps, LABEL_PRINCIPAL)
+    assert all(sympy.cancel(x) == 0 for x in sympy.Matrix(analytic_jacobian(eps, _K, _G)) - J)
+
+
+@pytest.mark.parametrize("eps, gamma, multiplicity", [
+    (+1, Fraction(5, 2), 2), (+1, 16, 2), (-1, Fraction(8, 3), 2), (+1, 3, 1), (-1, 3, 1)])
+def test_the_rescaled_points_kernels_are_double_roots_of_the_eliminant(eps, gamma, multiplicity):
+    # (a, b, q) = (s, s Y / X, s^2 / X) at kappa = 4: the last element of the
+    # lex Groebner basis of the rates' numerators is in s and X alone, and the
+    # rescaled point's X = a^2 / q is a double root of it exactly where that
+    # point's spectrum has a kernel, so a branch of other equilibria crosses it there
+    s, X, Y = sympy.symbols("s X Y", positive=True)
+    rates = monomial_rates(MODIFIED, s, s * Y / X, s ** 2 / X, 4, sympy.Rational(gamma), eps)
+    numerators = [sympy.numer(sympy.together(r)) for r in rates]
+    eliminant = sympy.groebner(numerators, s, Y, X, order="lex").exprs[-1]
+    assert eliminant.free_symbols == {s, X}
+    point = rescaled(4, gamma, eps)
+    x0 = sympy.Rational(point.params.a ** 2 / point.params.q)
+    assert x0 == (sympy.Rational(1, 5) if eps == +1 else 1)
+    order = 0
+    while sympy.expand(eliminant.subs(X, x0)) == 0:
+        eliminant = sympy.diff(eliminant, X)
+        order += 1
+    assert order == multiplicity
+    assert (0 in _table_spectrum(point)) == (multiplicity == 2)
