@@ -56,9 +56,13 @@ print("\nLaplacian(psi) =", lap)
 assert lap == laplacian_closed_form(p)
 
 # 4-forms split into three orthogonal types; the splitting is certified
-# by exact wedge tests and reassembles the input
+# by exact wedge tests and reassembles the input.  The sample has a part
+# along each of e1 ^ phi, e2 ^ phi and e3 ^ phi, so a split that loses one
+# of the three 7-type projections fails its certificate here.
 rho = (form([("vol", 3), ("e23^w1", Fraction(-1, 2)), ("e12^w3", 1)])
-       + Fraction(1, 3) * wedge(form([("e1", 1)]), ans.phi))
+       + Fraction(1, 3) * wedge(form([("e1", 1)]), ans.phi)
+       - 2 * wedge(form([("e2", 1)]), ans.phi)
+       + Fraction(5, 4) * wedge(form([("e3", 1)]), ans.phi))
 p1, p7, p27 = type_project_4form(rho, ans)
 assert p1 + p7 + p27 == rho
 print("\ntype split of a sample 4-form:")

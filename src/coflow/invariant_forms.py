@@ -25,32 +25,36 @@ and <vol, vol> = 1/q^4 horizontally, with q the squared horizontal scale
 even where c itself is irrational.  The orientation carries the sign eps:
 the Riemannian volume form is vol_eps = eps * a^2 b q^2 * e123 ^ vol.
 
-The structure tables do not depend on (a, b, q, eps), so each is derived
-once, on first use, from the relations above and kept: d of each basis
-monomial (the Leibniz rule over the generator differentials), the product
-of each pair of monomials, each monomial's Hodge complement with the sign
-of its wedge onto the top monomial, and its metric law.  They are keyed by
-monomials only, at most 40 x 40 entries, and hand out the 40 basis
-monomials made at import; Monomial.from_key looks a key up among them.
-Only the coefficient arithmetic of a call depends on the geometry.
+The structure tables do not depend on (a, b, q, eps).  d of each basis
+monomial (the Leibniz rule over the generator differentials) and the
+product of each pair of monomials are derived once, on first use, from the
+relations above and kept.  Each monomial's metric law -- its Hodge
+complement, the sign of its wedge onto the top monomial, its horizontal
+weight k and its Laurent exponents -- is one tuple in _LAW, made at import
+for the 40 basis monomials.  The tables are keyed by monomials only, at
+most 40 x 40 entries, and hand out the 40 basis monomials made at import;
+Monomial.from_key looks a key up among them.  Only the coefficient
+arithmetic of a call depends on the geometry.
 
 algebra_checks splits the same way.  d circ d = 0, the horizontal products
 and the star pairings of distinct monomials are facts about the tables, so
 they run once per process, on the first call.  The 40 stars, their
 involution, the pairing of each monomial with its own star, the star of
 the unit and the support of each star (its complement alone) run at every
-parameter point.
+parameter point, on one-term forms made once at import.
 
-Each metric coefficient is a Laurent monomial in (a, b, q) read off the
-monomial's metric law, so a star coefficient, a weight or the volume
-coefficient is one Fraction built from integer numerators and denominators,
-which costs a single gcd.  The product table holds its structure
-constants as ints and each d(m) has whole-number coefficients, so wedge,
-exterior_derivative and inner_product keep each output coefficient's sum
-as one integer numerator and denominator and reduce it once, dropping the
-sums that cancel to 0.  The kernels and the form arithmetic hand the maps
-they have just built to InvariantForm._of, which takes them over without
-the copy, type and zero scan of the public constructor.
+Each metric coefficient is a Laurent monomial in (a, b, q), so a star
+coefficient, a weight or the volume coefficient costs one _LAW lookup and
+one Fraction, built from the integer numerators and denominators that
+as_integer_ratio() reads off the scales once per call; that costs a single
+gcd.  The product table holds its structure constants as ints and each
+d(m) has whole-number coefficients, so wedge, exterior_derivative and
+inner_product keep each output coefficient's sum as one integer numerator
+and denominator and reduce it once, dropping the sums that cancel to 0;
+a scalar times a form is one Fraction per coefficient the same way.  The
+kernels and the form arithmetic hand the maps they have just built to
+InvariantForm._of, which takes them over without the copy, type and zero
+scan of the public constructor.
 
 The hand-coded closed forms of the other modules (the co-flow rates, the
 Laplacian's and dphi's coefficients, the tau0 and |tau3|^2 quotients) are
@@ -311,6 +315,9 @@ class InvariantForm:
 
     def degree(self) -> int | None:
         """Degree of a homogeneous form; None for the zero form; error if mixed."""
+        if len(self.coeffs) == 1:
+            for m in self.coeffs:
+                return m.degree
         degs = self.degrees()
         if not degs:
             return None
@@ -342,8 +349,14 @@ class InvariantForm:
         return InvariantForm._of({m: -c for m, c in self.coeffs.items()})
 
     def __rmul__(self, scalar: ScalarLike) -> "InvariantForm":
-        s = _as_scalar(scalar)
-        return InvariantForm._of({m: s * c for m, c in self.coeffs.items()} if s else {})
+        """scalar * form, each coefficient one Fraction of the integer products."""
+        sn, sd = _as_scalar(scalar).as_integer_ratio()
+        out: dict[Monomial, Fraction] = {}
+        if sn:
+            for m, c in self.coeffs.items():
+                cn, cd = c.as_integer_ratio()
+                out[m] = Fraction(sn * cn, sd * cd)
+        return InvariantForm._of(out)
 
     def __mul__(self, scalar: ScalarLike) -> "InvariantForm":
         return self.__rmul__(scalar)
@@ -525,56 +538,10 @@ def exterior_derivative(alpha: InvariantForm) -> InvariantForm:
 # <h, h> = k / q^e for the horizontal part h, as (k, e)
 _HORIZ_WEIGHT = {"1": (1, 0), "w1": (2, 2), "w2": (2, 2), "w3": (2, 2), "vol": (1, 4)}
 
-
-@functools.cache
-def _metric_law(m: Monomial) -> tuple[int, int, int, int]:
-    """(k, e, na, nb) with <m, m> = k / (a^(2 na) b^(2 nb) q^e).
-
-    k / q^e is the weight of the horizontal part from _HORIZ_WEIGHT; na
-    counts e1 and e2 in m and nb counts e3.
-    """
-    k, e = _HORIZ_WEIGHT[m.horiz]
-    nb = int(3 in m.verts)
-    return k, e, len(m.verts) - nb, nb
-
-
-def _laurent(num: int, den: int, p: GeometryParams, ia: int, ib: int, iq: int) -> tuple[int, int]:
-    """(num, den) times a^ia b^ib q^iq, as an integer numerator and denominator."""
-    for x, i in ((p.a, ia), (p.b, ib), (p.q, iq)):
-        if i > 0:
-            num *= x.numerator ** i
-            den *= x.denominator ** i
-        elif i < 0:
-            num *= x.denominator ** -i
-            den *= x.numerator ** -i
-    return num, den
-
-
-def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
-    """Squared norm <m, m>: the basis is orthogonal and the metric multiplicative.
-
-    |e1|^2 = |e2|^2 = 1/a^2, |e3|^2 = 1/b^2, and the horizontal part
-    contributes k / q^e from _HORIZ_WEIGHT.
-    """
-    k, e, na, nb = _metric_law(m)
-    return Fraction(*_laurent(k, 1, p, -2 * na, -2 * nb, -e))
-
-
-def _top_coeff(p: GeometryParams) -> Fraction:
-    """eps a^2 b q^2, the coefficient of e123 ^ vol in the volume form."""
-    return Fraction(*_laurent(p.eps, 1, p, 2, 1, 2))
-
-
-def volume_form(p: GeometryParams) -> InvariantForm:
-    """Riemannian volume form: eps * a^2 b q^2 * e123 ^ vol."""
-    return InvariantForm.monomial(TOP, _top_coeff(p))
-
-
 # complementary horizontal parts under the star pairing h ^ h' -> vol
 _HORIZ_PARTNER = {"1": "vol", "vol": "1", "w1": "w1", "w2": "w2", "w3": "w3"}
 
 
-@functools.cache
 def _star_partner(m: Monomial) -> tuple[Monomial, int]:
     """Complementary monomial of m and the coefficient of m ^ complement on TOP."""
     comp = _BY_PARTS[(tuple(i for i in (1, 2, 3) if i not in m.verts),
@@ -584,22 +551,88 @@ def _star_partner(m: Monomial) -> tuple[Monomial, int]:
     return comp, pairing[0]
 
 
+def _metric_law(m: Monomial) -> tuple[Monomial, int, int, int, int, int]:
+    """(complement, pairing, k, ja, jb, jq) with <m, m> = k / (a^ja b^jb q^jq).
+
+    The complement and the pairing sign come from _star_partner; k / q^jq
+    is the weight of the horizontal part from _HORIZ_WEIGHT, ja counts e1
+    and e2 in m twice and jb counts e3 twice.
+    """
+    k, jq = _HORIZ_WEIGHT[m.horiz]
+    jb = 2 * (3 in m.verts)
+    return (*_star_partner(m), k, 2 * len(m.verts) - jb, jb, jq)
+
+
+# the metric law of each basis monomial, the one table the metric kernels read
+_LAW = {m: _metric_law(m) for m in _BASIS}
+
+
+def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
+    """Squared norm <m, m>: the basis is orthogonal and the metric multiplicative.
+
+    |e1|^2 = |e2|^2 = 1/a^2, |e3|^2 = 1/b^2, and the horizontal part
+    contributes k / q^jq from _HORIZ_WEIGHT: with m's law that is
+    k / (a^ja b^jb q^jq), one Fraction.
+    """
+    _, _, k, ja, jb, jq = _LAW[m]
+    an, ad = p.a.as_integer_ratio()
+    bn, bd = p.b.as_integer_ratio()
+    qn, qd = p.q.as_integer_ratio()
+    return Fraction(k * ad ** ja * bd ** jb * qd ** jq, an ** ja * bn ** jb * qn ** jq)
+
+
+def _top_coeff(p: GeometryParams) -> Fraction:
+    """eps a^2 b q^2, the coefficient of e123 ^ vol in the volume form."""
+    an, ad = p.a.as_integer_ratio()
+    bn, bd = p.b.as_integer_ratio()
+    qn, qd = p.q.as_integer_ratio()
+    return Fraction(p.eps * an * an * bn * qn * qn, ad * ad * bd * qd * qd)
+
+
+def volume_form(p: GeometryParams) -> InvariantForm:
+    """Riemannian volume form: eps * a^2 b q^2 * e123 ^ vol."""
+    return InvariantForm._of({TOP: _top_coeff(p)})
+
+
 def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     """Hodge star, defined by gamma ^ star(beta) = <gamma, beta> vol_eps.
 
     Star of a basis monomial m is a multiple of its complement, by
     <m, m> eps a^2 b q^2 over the sign of m ^ complement on the top
-    monomial: with m's metric law (k, e, na, nb) that is the Laurent
-    monomial k eps a^(2-2na) b^(1-2nb) q^(2-e) / pairing, and each output
-    coefficient is one Fraction of it times the input coefficient.
+    monomial.  With m's law (complement, pairing, k, ja, jb, jq) that is
+    k eps a^(2-ja) b^(1-jb) q^(2-jq) / pairing, and each output coefficient
+    is one Fraction of it times the input coefficient.
     """
     alpha.degree()  # homogeneity check
+    an, ad = p.a.as_integer_ratio()
+    bn, bd = p.b.as_integer_ratio()
+    qn, qd = p.q.as_integer_ratio()
+    eps = p.eps
     out: dict[Monomial, Fraction] = {}
     for m, c in alpha.coeffs.items():
-        comp, pairing = _star_partner(m)
-        k, e, na, nb = _metric_law(m)
-        num, den = _laurent(p.eps * k * c.numerator, pairing * c.denominator,
-                            p, 2 - 2 * na, 1 - 2 * nb, 2 - e)
+        comp, pairing, k, ja, jb, jq = _LAW[m]
+        num, den = c.as_integer_ratio()
+        num *= eps * k
+        den *= pairing
+        # times a^(2-ja) b^(1-jb) q^(2-jq); each exponent may have either sign
+        if ja < 2:
+            num *= an ** (2 - ja)
+            den *= ad ** (2 - ja)
+        elif ja > 2:
+            num *= ad ** (ja - 2)
+            den *= an ** (ja - 2)
+        if jb < 1:
+            num *= bn ** (1 - jb)
+            den *= bd ** (1 - jb)
+        else:
+            num *= bd ** (jb - 1)
+            den *= bn ** (jb - 1)
+        if jq < 2:
+            num *= qn ** (2 - jq)
+            den *= qd ** (2 - jq)
+        elif jq > 2:
+            num *= qd ** (jq - 2)
+            den *= qn ** (jq - 2)
         out[comp] = Fraction(num, den)
     return InvariantForm._of(out)
 
@@ -613,13 +646,19 @@ def inner_product(alpha: InvariantForm, beta: InvariantForm, p: GeometryParams) 
     da, db = alpha.degree(), beta.degree()
     if da is not None and db is not None and da != db:
         raise ValueError(f"degree mismatch: {da} vs {db}")
+    an, ad = p.a.as_integer_ratio()
+    bn, bd = p.b.as_integer_ratio()
+    qn, qd = p.q.as_integer_ratio()
+    other = beta.coeffs
     num, den = 0, 1
     for m, c in alpha.coeffs.items():
-        cb = beta.coeffs.get(m)
+        cb = other.get(m)
         if cb is not None:
-            k, e, na, nb = _metric_law(m)
-            tn, td = _laurent(k * c.numerator * cb.numerator, c.denominator * cb.denominator,
-                              p, -2 * na, -2 * nb, -e)
+            _, _, k, ja, jb, jq = _LAW[m]
+            cn, cd = c.as_integer_ratio()
+            cbn, cbd = cb.as_integer_ratio()
+            tn = k * cn * cbn * ad ** ja * bd ** jb * qd ** jq
+            td = cd * cbd * an ** ja * bn ** jb * qn ** jq
             num, den = num * td + tn * den, den * td
     return Fraction(num, den)
 
@@ -662,10 +701,16 @@ def _structure_checks() -> tuple[bool, bool, bool]:
         and wedge(W1, W2).is_zero() and wedge(W2, W3).is_zero()
         and wedge(W3, W1).is_zero() and wedge(W1, VOL).is_zero()
     )
-    off_diagonal_ok = all(wedge_monomials(m1, _star_partner(m2)[0]) is None
+    off_diagonal_ok = all(wedge_monomials(m1, _LAW[m2][0]) is None
                           for m1 in basis for m2 in basis
                           if m1 != m2 and m1.degree == m2.degree)
     return dd_ok, horiz_ok, off_diagonal_ok
+
+
+# the 40 basis monomials as forms of coefficient 1, the unit first, each with
+# the support its star must have (its complement alone)
+_BASIS_FORMS = tuple(InvariantForm._of({m: Fraction(1)}) for m in _BASIS)
+_STAR_SUPPORTS = tuple(frozenset((_LAW[m][0],)) for m in _BASIS)
 
 
 def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
@@ -680,22 +725,27 @@ def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
     star of the unit, and a support check: each star of a monomial is a
     single multiple of its complement, which is what carries the
     off-diagonal pairings over to the stars computed at this point.
+
+    The 40 one-term forms and their star supports hold no geometry and are
+    made once, at import; the unit's is the first of the 40 stars.  vol_eps
+    has the one term e123 ^ vol, so a diagonal pairing compares the wedge's
+    coefficient map with {TOP: <m, m> eps a^2 b q^2}, and the star of the
+    unit is compared with {TOP: eps a^2 b q^2}.  hodge_star, wedge and
+    inner_product are looked up in this module at every call.
     """
     dd_ok, horiz_ok, off_diagonal_ok = _structure_checks()
-    basis = all_monomials()
-    vol_eps = volume_form(p)
+    top = _top_coeff(p)
 
-    forms = {m: InvariantForm.monomial(m) for m in basis}
-    stars = {m: hodge_star(forms[m], p) for m in basis}
+    stars = [hodge_star(f, p) for f in _BASIS_FORMS]
 
-    invol_ok = all(hodge_star(stars[m], p) == forms[m] for m in basis)
+    invol_ok = all(hodge_star(s, p) == f for f, s in zip(_BASIS_FORMS, stars))
 
-    support_ok = all(stars[m].coeffs.keys() == {_star_partner(m)[0]} for m in basis)
-    diagonal_ok = all(wedge(forms[m], stars[m]) == inner_product(forms[m], forms[m], p) * vol_eps
-                      for m in basis)
+    support_ok = all(s.coeffs.keys() == support for s, support in zip(stars, _STAR_SUPPORTS))
+    diagonal_ok = all(wedge(f, s).coeffs == {TOP: inner_product(f, f, p) * top}
+                      for f, s in zip(_BASIS_FORMS, stars))
     pairing_ok = off_diagonal_ok and support_ok and diagonal_ok
 
-    unit_ok = hodge_star(form([("1", 1)]), p) == vol_eps
+    unit_ok = stars[0].coeffs == {TOP: top}
 
     return [
         ("nilpotent-differential", dd_ok),

@@ -378,6 +378,46 @@ def test_star_pairing_catches_a_star_on_the_wrong_monomial(monkeypatch, fault):
         assert algebra_checks(p) == _reference_algebra_checks(p)
 
 
+# Faults in a star's coefficient rather than its support.  algebra_checks
+# stars one-term forms made at import and compares each diagonal pairing as
+# the single TOP coefficient of the wedge; both must still see these.
+
+def _doubled_e1(alpha, star):
+    return 2 * star if alpha == E1 else star
+
+
+def _flipped_extremes(alpha, star):
+    # the star of the unit (and of the top monomial, so the involution still
+    # holds) takes the opposite orientation; the unit's own diagonal pairing
+    # 1 ^ star(1) = <1, 1> vol_eps is the unit-star identity, so star-pairing
+    # reads False with it
+    return -star if alpha.degree() in (0, 7) else star
+
+
+@pytest.mark.parametrize("fault, failing", [
+    (_doubled_e1, {"star-involution", "star-pairing"}),
+    (_flipped_extremes, {"star-pairing", "unit-star"}),
+])
+def test_algebra_checks_catch_a_wrong_star_coefficient(monkeypatch, fault, failing):
+    true_star = invariant_forms.hodge_star
+
+    def faulty_star(alpha, p):
+        return fault(alpha, true_star(alpha, p))
+
+    monkeypatch.setattr(invariant_forms, "hodge_star", faulty_star)
+    monkeypatch.setattr(sys.modules[__name__], "hodge_star", faulty_star)
+    for p in (P_PLUS, P_MINUS, P_ODD):
+        results = algebra_checks(p)
+        assert {cid for cid, ok in results if not ok} == failing
+        assert results == _reference_algebra_checks(p)
+
+
+def test_algebra_checks_match_the_reference_on_fraction_float_points():
+    # _weight_points holds Fraction(float) scales with ~2^50 denominators
+    for p in _weight_points():
+        assert algebra_checks(p) == _reference_algebra_checks(p)
+
+
 def _weight_points():
     # small heights, and Fraction(float) scales with ~2^50 denominators
     rng = random.Random(4040)
@@ -534,6 +574,27 @@ def test_copied_and_unpickled_monomials_find_their_dict_entries():
         for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert twin == m and hash(twin) == hash(m) and twin.degree == m.degree
             assert table[twin] == i
+
+
+def test_kernels_on_copied_and_rebuilt_monomials_equal_those_on_the_basis():
+    # the metric law is a table keyed by monomial, so an equal monomial that
+    # is not one of the 40 basis objects must read the same entry
+    c = Fraction(-7, 3)
+    basis_units = [InvariantForm.monomial(m2) for m2 in BASIS]
+    for m in BASIS:
+        base = InvariantForm.monomial(m, c)
+        for twin in (Monomial(m.verts, m.horiz), copy.copy(m), pickle.loads(pickle.dumps(m))):
+            assert twin is not m
+            f = InvariantForm({twin: c})
+            assert next(iter(f.coeffs)) is twin
+            assert exterior_derivative(f) == exterior_derivative(base)
+            for g in basis_units:
+                assert wedge(f, g) == wedge(base, g) and wedge(g, f) == wedge(g, base)
+            for p in (P_PLUS, P_MINUS, P_ODD):
+                assert monomial_weight(twin, p) == monomial_weight(m, p)
+                assert hodge_star(f, p) == hodge_star(base, p)
+                assert inner_product(f, f, p) == inner_product(base, base, p)
+                assert inner_product(f, base, p) == inner_product(base, f, p) == inner_product(base, base, p)
 
 
 def test_monomial_hash_does_not_depend_on_the_hash_seed():
