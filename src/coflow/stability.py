@@ -6,12 +6,12 @@ with tau0 equal to (gamma - 1) kappa.  They are not the only equilibria of
 the modified flow: at eps = +1, kappa = 4 and gamma = 8/3 its rates vanish
 exactly at (a, b, q) = (3/5, 3/5, 9/25), where tau0 = 60/7.  At the nearly
 parallel points the module takes the complex-step linearization in the
-scaled perturbation coordinates (A, B, C), pairs it with the family's one
-exact eigenbasis (`_EIGENBASIS`: the same three vectors at every nearly
-parallel point of both flavors, for every kappa and gamma), counts the
-instability index, and maps the unstable direction's exact vector to an
-invariant 4-form.  `eigen3` is the general 3x3 eigen-solver (LAPACK via
-`numpy.linalg.eig`); classify does not call it.
+scaled perturbation coordinates (A, B, C) and reads the spectrum from
+exact tables: the family's one eigenbasis (`_EIGENBASIS`, the same three
+vectors at every nearly parallel point) and each point's eigenvalues,
+kappa^2 times a polynomial in gamma (`_SPECTRA`).  It counts the
+instability index exactly and maps the unstable direction's exact vector
+to an invariant 4-form.
 
 find_critical_points is where kappa and gamma become exact rationals: an
 int or Fraction is taken as itself and a float as the exact value of the
@@ -49,7 +49,6 @@ from .coflow_dynamics import (
     FLAVORS,
     MODIFIED,
     NORMALIZED,
-    guarded_rhs,
     monomial_rates,
     state_rates,
 )
@@ -78,7 +77,7 @@ LABEL_RESCALED = "tau0_eq_gamma_minus_1_kappa"
 # parallel point, the same for both flavors, both labels and every kappa and
 # gamma: the scaling mode (1, 1, 1), the Psi direction and a third vector,
 # each scaled so that its largest component is +1.  The tests prove
-# J v = lambda v for each at symbolic kappa and gamma.
+# J v = lambda v for each, lambda from `_SPECTRA`, at symbolic kappa and gamma.
 _EIGENBASIS = {
     +1: ((1, 1, 1), (Fraction(-1, 2), 1, 0), (1, 1, Fraction(-3, 4))),
     -1: ((1, 1, 1), (0, 1, Fraction(-1, 4)), (1, Fraction(-2, 5), Fraction(-2, 5))),
@@ -88,6 +87,29 @@ _UNIT_EIGENBASIS = {
     eps: tuple(tuple(float(x) / math.hypot(*map(float, vec)) for x in vec) for vec in basis)
     for eps, basis in _EIGENBASIS.items()
 }
+# each vector's eigenvalue, kappa^2 (c0 + c1 gamma + c2 gamma^2) / 72, per (flavor, eps, label)
+_SPECTRA = {
+    (NORMALIZED, +1, LABEL_PRINCIPAL): ((-36, 0, 0), (-32, 0, 0), (-50, 0, 0)),
+    (NORMALIZED, -1, LABEL_PRINCIPAL): ((-36, 0, 0), (-18, 0, 0), (-288, 0, 0)),
+    (MODIFIED, +1, LABEL_PRINCIPAL): ((90, -45, 0), (-200, 120, 0), (160, -150, 0)),
+    (MODIFIED, -1, LABEL_PRINCIPAL): ((90, -45, 0), (-144, 90, 0), (216, -360, 0)),
+    (MODIFIED, +1, LABEL_RESCALED): ((90, -135, 45), (-200, 280, -80), (160, -170, 10)),
+    (MODIFIED, -1, LABEL_RESCALED): ((90, -135, 45), (-144, 198, -54), (216, -72, -144)),
+}
+
+
+def _projectors(basis) -> tuple[tuple, int]:
+    """Each entry's (P_0, P_1, P_2) of V's projectors v_k w_k^T, as integers over one denominator."""
+    u, v, w = ([Fraction(x) for x in vec] for vec in basis)
+    adjugate = [(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+                for a, b in ((v, w), (w, u), (u, v))]
+    det = u[0] * adjugate[0][0] + u[1] * adjugate[0][1] + u[2] * adjugate[0][2]  # V^-1 = adj(V) / det
+    exact = [[[x * y / det for y in row] for x in vec] for vec, row in zip((u, v, w), adjugate)]
+    den = math.lcm(*(x.denominator for p in exact for r in p for x in r))
+    return tuple(tuple(tuple(int(p[i][j] * den) for p in exact) for j in range(3)) for i in range(3)), den
+
+
+_PROJECTORS = {eps: _projectors(basis) for eps, basis in _EIGENBASIS.items()}
 
 
 @dataclass(frozen=True)
@@ -150,11 +172,6 @@ class SpectralReport:
     window: WindowVerdict
 
     def to_json_dict(self) -> dict:
-        def vec_json(v):
-            if all(abs(complex(x).imag) < 1e-12 for x in v):
-                return [complex(x).real for x in v]
-            return [[complex(x).real, complex(x).imag] for x in v]
-
         return {
             "flavor": self.flavor,
             "epsilon": self.epsilon,
@@ -167,7 +184,7 @@ class SpectralReport:
                 {"re": complex(p.value).real, "im": complex(p.value).imag, "residual": p.residual}
                 for p in self.eigenpairs
             ],
-            "eigenvectors": [vec_json(p.vector) for p in self.eigenpairs],
+            "eigenvectors": [[complex(x).real for x in p.vector] for p in self.eigenpairs],
             "index": self.index,
             "unstable_form": None if self.unstable_form is None else self.unstable_form.to_json_dict(),
             "window": {"mu": self.window.mu, "verdict": self.window.verdict},
@@ -179,9 +196,8 @@ def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:
 
     Column j is Im f(y + i h e_j) / h with h = 1e-20 |y_j| (Squire and
     Trapp, SIAM Review 40, 1998), no difference of nearby values, but at tiny
-    states the imaginary parts go subnormal: at kappa = 1e75 normalized eps = -1
-    values are off by 2e-6 relative, at 1e76 eps = +1 gives -0.43885 kappa^2
-    for -4/9 kappa^2.  None when the rates raise ArithmeticError or an entry is not finite.
+    states, from kappa ~ 1e75 up, the imaginary parts go subnormal and lose
+    bits.  None when the rates raise ArithmeticError or an entry is not finite.
     """
     jac = np.empty((3, 3))
     for j in range(3):
@@ -193,34 +209,6 @@ def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:
         except ArithmeticError:
             return None
     return jac if np.isfinite(jac).all() else None
-
-
-def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: int = 40):
-    """Newton iteration on the floating right-hand side; None on divergence."""
-    y = np.array([float(v) for v in y0], dtype=np.float64)
-    for _ in range(max_iter):
-        fy = guarded_rhs(flavor, y.tolist(), kappa, gamma, eps)
-        if fy is None:
-            return None
-        fy = np.array(fy)
-        if float(np.sqrt(np.sum(fy * fy))) < tol:
-            return y
-        jac = _rhs_jacobian(flavor, y.tolist(), kappa, gamma, eps)
-        if jac is None:
-            return None
-        try:
-            delta = np.linalg.solve(jac, fy)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        y = y - delta
-        if min(y) <= 0:
-            return None
-    fy = guarded_rhs(flavor, y.tolist(), kappa, gamma, eps)
-    if fy is not None and float(np.sqrt(np.sum(np.array(fy) ** 2))) < tol:
-        return y
-    return None
 
 
 def _exact(x) -> Fraction:
@@ -286,19 +274,15 @@ def state_direction(point: CriticalPoint, direction) -> np.ndarray:
 
 
 def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
-    """Closed-form linearization of the modified flow at its tau0 = kappa point."""
-    g = gamma
-    if eps == +1:
-        return (5 * kappa ** 2 / 72) * np.array([
-            [2 * (2 - 3 * g), 22 - 15 * g, 4 * (3 * g - 2)],
-            [2 * (22 - 15 * g), 9 * (g - 2), 4 * (3 * g - 2)],
-            [2 * (3 * g - 2), 3 * g - 2, 6 * (4 - 3 * g)],
-        ])
-    return (kappa ** 2 / 8) * np.array([
-        [10 * (2 - 3 * g), 5 * g - 2, 4 * (5 * g - 2)],
-        [2 * (5 * g - 2), 5 * (g - 2), 4 * (6 - 5 * g)],
-        [2 * (5 * g - 2), 6 - 5 * g, 2 * (4 - 5 * g)],
-    ])
+    """The modified flow's linearization at its tau0 = kappa point, V diag(lambda) V^-1.
+
+    V has the eigenbasis as columns and lambda is the point's `_SPECTRA` row;
+    kappa and gamma may be floats or sympy symbols.
+    """
+    lam = [kappa ** 2 * (c0 + c1 * gamma + c2 * gamma ** 2) / 72
+           for c0, c1, c2 in _SPECTRA[MODIFIED, eps, LABEL_PRINCIPAL]]
+    rows, den = _PROJECTORS[eps]
+    return np.array([[(lam[0] * x + lam[1] * y + lam[2] * z) / den for x, y, z in row] for row in rows])
 
 
 def _label_kappa_eff(flavor: str, label: str, kappa: Fraction, gamma: Fraction | None) -> Fraction:
@@ -368,93 +352,6 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     return num, ana
 
 
-def _oriented(v: list) -> list:
-    """v turned so that its largest-magnitude component is real and positive.
-
-    Among components within 1e-9 of the largest magnitude the first one
-    decides, so near-ties do not flip with roundoff.
-    """
-    mags = [abs(x) for x in v]
-    top = max(mags)
-    k = next(i for i, m in enumerate(mags) if m >= (1 - 1e-9) * top)
-    unit = v[k].conjugate() / mags[k]
-    return [x * unit for x in v]
-
-
-def _clusters(values: list, anorm: float) -> list[tuple[complex, list[int]]]:
-    """(mean, member indices) of each cluster of values, in decreasing order.
-
-    Values sort by decreasing real part, then decreasing |imag|, then
-    decreasing imag, so a conjugate pair lists +imag first; sorting is
-    stable, so equal keys keep their input order.  A value within 2e-7 anorm
-    of its cluster's first value joins it, and the cluster reports its mean.
-    """
-    order = sorted(range(len(values)), key=lambda i: (-values[i].real, -abs(values[i].imag),
-                                                      -values[i].imag))
-    clusters: list[list[int]] = []
-    for i in order:
-        if clusters and abs(values[i] - values[clusters[-1][0]]) <= 2e-7 * anorm:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    out = []
-    for cluster in clusters:
-        lam = 0  # a loop, not sum(), which adds Python floats with compensation since 3.12
-        for i in cluster:
-            lam += values[i]
-        out.append((lam / len(cluster), cluster))
-    return out
-
-
-def eigen3(matrix) -> list[Eigenpair]:
-    """Eigenpairs of a 3x3 real matrix; values and vectors from LAPACK via `numpy.linalg.eig`.
-
-    Values within 2e-7 ||A|| of each other form one cluster (`_clusters`),
-    and every member reports the cluster's mean value, with its residual
-    |A v - lambda v| against that mean.  A member whose eig vector is
-    numerically dependent on the cluster's earlier vectors (the smallest
-    singular value of their unit-column block is at most 1e-6) is flagged
-    generalized=True: the eigenspace is smaller than the cluster, as for a
-    Jordan block.  Convention: vectors have unit norm with their
-    largest-magnitude component real and positive; pairs are sorted by
-    decreasing real part, then decreasing |imag|, so a conjugate pair lists
-    +imag first.
-
-    Only the eig call, and for a cluster of two or more values the singular
-    values of its block, run in LAPACK.  Sorting, clustering, orientation
-    and residuals work on Python scalars: for three 3-vectors numpy's array
-    wrapping costs several times the arithmetic.  The tests keep a numpy
-    array version as the oracle: on a real spectrum the two agree bit for
-    bit, and on a complex one numpy may round the vectors and residuals
-    differently (with fused multiply-adds on some hosts).
-    """
-    A = np.asarray(matrix, dtype=np.float64)
-    if A.shape != (3, 3):
-        raise ValueError("eigen3 expects a 3x3 matrix")
-    values, vectors = np.linalg.eig(A)
-    rows = A.tolist()
-    anorm = math.hypot(*rows[0], *rows[1], *rows[2])
-    columns = vectors.T.tolist()
-
-    pairs: list[Eigenpair] = []
-    for lam, cluster in _clusters(values.tolist(), anorm):
-        kept: list[list] = []
-        for i in cluster:
-            v = _oriented(columns[i])
-            generalized = bool(kept) and np.linalg.svd(np.column_stack(kept + [v]),
-                                                       compute_uv=False)[-1] <= 1e-6
-            if not generalized:
-                kept.append(v)
-            res = [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] - lam * x for r, x in zip(rows, v)]
-            pairs.append(Eigenpair(
-                value=complex(lam),
-                vector=tuple(complex(x) for x in v),
-                residual=math.hypot(*(abs(x) for x in res)),
-                generalized=bool(generalized),
-            ))
-    return pairs
-
-
 def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
     """Directional derivative of the dual 4-form along an (A, B, C) perturbation.
 
@@ -512,37 +409,37 @@ def window_verdict(mu, gamma, flavor: str) -> WindowVerdict:
 def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> SpectralReport:
     """Full spectral report: linearization, eigenpairs, index, window verdict.
 
-    J is the complex-step linearization at every point; the analytic twin,
-    where it exists (modified flavor at tau0 = kappa), only checks it.  The
-    eigenvectors are the point's exact table vectors (`_EIGENBASIS`), which
-    `jacobian`'s closed-form check makes apply; each value is the Rayleigh
-    quotient u.Ju of the unit vector u, and values cluster as in `eigen3`
-    (`_clusters`, 2e-7 ||J||), with the table's order inside a cluster.
-    Index counts strictly positive real parts; eigenvalues within
-    1e-9 ||J|| of the imaginary axis are flagged marginal and not counted.
-    unstable_form is the exact variation along the first pair's table
-    vector.  The window verdict is decided exactly, at the point's own kappa
-    and gamma, and the report carries the point's flavor, eps, kappa and
-    gamma (None for the normalized flavor); `jacobian` refuses other
-    constants and other points.
+    The eigenpairs are the point's exact table vectors (`_EIGENBASIS`) and
+    values (`_SPECTRA`), which `jacobian`'s closed-form check makes apply.
+    At kappa = kn/kd and gamma = gn/gd (0/1 for the normalized flavor) the
+    values share the denominator 72 kd^2 gd^2 > 0, so every decision is on
+    integer numerators: index counts the positive values, marginal flags
+    the zeros, and pairs sort by decreasing value, ties in table order.
+    Each value is rounded once to a float, with its residual |J u - lambda u|
+    against the complex-step J.  unstable_form is the exact variation along
+    the first pair's table vector.  The window verdict is decided exactly,
+    at the point's own kappa and gamma, and the report carries the point's
+    flavor, eps, kappa and gamma (None for the normalized flavor);
+    `jacobian` refuses other constants and other points.
     """
     J, _ = jacobian(flavor, point, kappa, gamma, eps)
     rows = J.tolist()
-    anorm = math.hypot(*rows[0], *rows[1], *rows[2])
-    basis, units = _EIGENBASIS[point.eps], _UNIT_EIGENBASIS[point.eps]
-    images = [[r[0] * u[0] + r[1] * u[1] + r[2] * u[2] for r in rows] for u in units]
-    values = [u[0] * ju[0] + u[1] * ju[1] + u[2] * ju[2] for u, ju in zip(units, images)]
+    kn, kd = point.kappa.as_integer_ratio()
+    gn, gd = (0, 1) if point.gamma is None else point.gamma.as_integer_ratio()
+    nums = [kn * kn * (c0 * gd * gd + c1 * gn * gd + c2 * gn * gn)
+            for c0, c1, c2 in _SPECTRA[point.flavor, point.eps, point.label]]
+    den = 72 * kd * kd * gd * gd
+    order = sorted(range(3), key=lambda i: -nums[i])
 
-    pairs, order = [], []
-    for lam, cluster in _clusters(values, anorm):
-        for i in sorted(cluster):
-            res = [y - lam * x for y, x in zip(images[i], units[i])]
-            pairs.append(Eigenpair(value=complex(lam), vector=tuple(complex(x) for x in units[i]),
-                                   residual=math.hypot(*res)))
-            order.append(i)
-    marginal = tuple(abs(p.value.real) < 1e-9 * anorm for p in pairs)
-    index = sum(1 for p, m in zip(pairs, marginal) if p.value.real > 0 and not m)
-    unstable_form = variation_to_form(point, basis[order[0]]) if index > 0 else None
+    pairs = []
+    for i in order:
+        lam, u = nums[i] / den, _UNIT_EIGENBASIS[point.eps][i]
+        res = [r[0] * u[0] + r[1] * u[1] + r[2] * u[2] - lam * x for r, x in zip(rows, u)]
+        pairs.append(Eigenpair(value=complex(lam), vector=tuple(complex(x) for x in u),
+                               residual=math.hypot(*res)))
+    index = sum(1 for n in nums if n > 0)
+    marginal = tuple(nums[i] == 0 for i in order)
+    unstable_form = variation_to_form(point, _EIGENBASIS[point.eps][order[0]]) if index > 0 else None
 
     mu = _PSI_MU0[point.eps][1] * point.kappa_eff / point.kappa  # window_mu, checked by jacobian
     window = window_verdict(mu, point.gamma, flavor)

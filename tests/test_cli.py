@@ -282,6 +282,23 @@ def test_stability_rescaled_kernel_at_gamma_16(capsys):
         "vol": "4/125", "e23^w1": "-4/625", "e13^w2": "4/625", "e12^w3": "-4/625"}
 
 
+def test_stability_decides_the_eight_thirds_kernel_exactly(capsys):
+    # the eps = -1 rescaled point's Psi value -(g-1)(3g-8)k^2/4 is positive just
+    # below g = 8/3 (index 2) and exactly 0 at it (index 1 plus a kernel)
+    code, out = run(["stability", "--eps", "-1", "--kappa", "4", "--gamma", "2.6666666666666665",
+                     "--point", "rescaled"], capsys)
+    assert code == 0
+    assert json.loads(out)["index"] == 2
+
+    code, out = run(["stability", "--eps", "-1", "--kappa", "4", "--gamma", "8/3",
+                     "--point", "rescaled"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["index"] == 1
+    assert [e["re"] for e in report["eigenvalues"]][1:] == [0.0, -2000 / 9]
+    assert '"re": 0.0,' in out
+
+
 def test_stability_at_a_large_kappa(capsys):
     code, out = run(["stability", "--eps", "-1", "--kappa", "1000", "--gamma", "3"], capsys)
     assert code == 0

@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 import sympy
 
-from coflow.coflow_dynamics import MODIFIED, NORMALIZED, monomial_rates, state_rates, tau0_state
+from coflow.coflow_dynamics import (
+    MODIFIED,
+    NORMALIZED,
+    guarded_rhs,
+    monomial_rates,
+    state_rates,
+    tau0_state,
+)
 from coflow.g2_ansatz import ansatz_4form, build, laplacian_psi, tau0 as ansatz_tau0, tau0_terms, torsion
 from coflow.invariant_forms import GeometryParams, InvariantForm, dstar_on_4forms, inner_product
 from coflow.stability import (
     _EIGENBASIS,
+    _SPECTRA,
     CriticalPoint,
     Eigenpair,
     LABEL_PRINCIPAL,
@@ -24,10 +32,8 @@ from coflow.stability import (
     _rhs_jacobian,
     analytic_jacobian,
     classify,
-    eigen3,
     find_critical_points,
     jacobian,
-    newton_refine,
     state_direction,
     variation_to_form,
     verify_psi_identities,
@@ -113,6 +119,124 @@ def test_jacobian_rejects_non_critical_points():
     shifted = dataclasses.replace(pt, state=(1.2, 1.0, 1.0))
     with pytest.raises(ValueError):
         jacobian(MODIFIED, shifted, 4.0, 3.0, -1)
+
+
+# The general float 3x3 eigen-solver and the float Newton iteration, kept
+# as test helpers: no library path calls them since classify decides each
+# spectrum from the exact table, and the tests below still check them.
+def _oriented(v: list) -> list:
+    """v turned so that its largest-magnitude component is real and positive.
+
+    Among components within 1e-9 of the largest magnitude the first one
+    decides, so near-ties do not flip with roundoff.
+    """
+    mags = [abs(x) for x in v]
+    top = max(mags)
+    k = next(i for i, m in enumerate(mags) if m >= (1 - 1e-9) * top)
+    unit = v[k].conjugate() / mags[k]
+    return [x * unit for x in v]
+
+
+def _clusters(values: list, anorm: float) -> list[tuple[complex, list[int]]]:
+    """(mean, member indices) of each cluster of values, in decreasing order.
+
+    Values sort by decreasing real part, then decreasing |imag|, then
+    decreasing imag, so a conjugate pair lists +imag first; sorting is
+    stable, so equal keys keep their input order.  A value within 2e-7 anorm
+    of its cluster's first value joins it, and the cluster reports its mean.
+    """
+    order = sorted(range(len(values)), key=lambda i: (-values[i].real, -abs(values[i].imag),
+                                                      -values[i].imag))
+    clusters: list[list[int]] = []
+    for i in order:
+        if clusters and abs(values[i] - values[clusters[-1][0]]) <= 2e-7 * anorm:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    out = []
+    for cluster in clusters:
+        lam = 0  # a loop, not sum(), which adds Python floats with compensation since 3.12
+        for i in cluster:
+            lam += values[i]
+        out.append((lam / len(cluster), cluster))
+    return out
+
+
+def eigen3(matrix) -> list[Eigenpair]:
+    """Eigenpairs of a 3x3 real matrix; values and vectors from LAPACK via `numpy.linalg.eig`.
+
+    Values within 2e-7 ||A|| of each other form one cluster (`_clusters`),
+    and every member reports the cluster's mean value, with its residual
+    |A v - lambda v| against that mean.  A member whose eig vector is
+    numerically dependent on the cluster's earlier vectors (the smallest
+    singular value of their unit-column block is at most 1e-6) is flagged
+    generalized=True: the eigenspace is smaller than the cluster, as for a
+    Jordan block.  Convention: vectors have unit norm with their
+    largest-magnitude component real and positive; pairs are sorted by
+    decreasing real part, then decreasing |imag|, so a conjugate pair lists
+    +imag first.
+
+    Only the eig call, and for a cluster of two or more values the singular
+    values of its block, run in LAPACK.  Sorting, clustering, orientation
+    and residuals work on Python scalars: for three 3-vectors numpy's array
+    wrapping costs several times the arithmetic.  The tests keep a numpy
+    array version as the oracle: on a real spectrum the two agree bit for
+    bit, and on a complex one numpy may round the vectors and residuals
+    differently (with fused multiply-adds on some hosts).
+    """
+    A = np.asarray(matrix, dtype=np.float64)
+    if A.shape != (3, 3):
+        raise ValueError("eigen3 expects a 3x3 matrix")
+    values, vectors = np.linalg.eig(A)
+    rows = A.tolist()
+    anorm = math.hypot(*rows[0], *rows[1], *rows[2])
+    columns = vectors.T.tolist()
+
+    pairs: list[Eigenpair] = []
+    for lam, cluster in _clusters(values.tolist(), anorm):
+        kept: list[list] = []
+        for i in cluster:
+            v = _oriented(columns[i])
+            generalized = bool(kept) and np.linalg.svd(np.column_stack(kept + [v]),
+                                                       compute_uv=False)[-1] <= 1e-6
+            if not generalized:
+                kept.append(v)
+            res = [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] - lam * x for r, x in zip(rows, v)]
+            pairs.append(Eigenpair(
+                value=complex(lam),
+                vector=tuple(complex(x) for x in v),
+                residual=math.hypot(*(abs(x) for x in res)),
+                generalized=bool(generalized),
+            ))
+    return pairs
+
+
+def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: int = 40):
+    """Newton iteration on the floating right-hand side; None on divergence."""
+    y = np.array([float(v) for v in y0], dtype=np.float64)
+    for _ in range(max_iter):
+        fy = guarded_rhs(flavor, y.tolist(), kappa, gamma, eps)
+        if fy is None:
+            return None
+        fy = np.array(fy)
+        if float(np.sqrt(np.sum(fy * fy))) < tol:
+            return y
+        jac = _rhs_jacobian(flavor, y.tolist(), kappa, gamma, eps)
+        if jac is None:
+            return None
+        try:
+            delta = np.linalg.solve(jac, fy)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(delta)):
+            return None
+        y = y - delta
+        if min(y) <= 0:
+            return None
+    fy = guarded_rhs(flavor, y.tolist(), kappa, gamma, eps)
+    if fy is not None and float(np.sqrt(np.sum(np.array(fy) ** 2))) < tol:
+        return y
+    return None
 
 
 def test_eigen3_identity_and_simple_matrices():
@@ -1075,12 +1199,7 @@ def _table_spectrum(point):
     return [value.subs(at) for value in spectrum]
 
 
-@pytest.mark.parametrize("float_eight_thirds", [
-    False,
-    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: at the float gamma just below 8/3 the eps = -1 rescaled point has "
-        "exact index 2, but the 1e-9 ||J|| marginal rule reports index 1 and a kernel"))),
-])
+@pytest.mark.parametrize("float_eight_thirds", [False, True])
 def test_classify_reports_the_index_and_kernels_of_the_exact_spectrum(float_eight_thirds):
     points = [p for p in _point_set() if float_eight_thirds == (
         p.gamma == Fraction(8 / 3) and p.eps == -1 and p.label == LABEL_RESCALED)]
@@ -1119,3 +1238,78 @@ def test_the_rescaled_points_kernels_are_double_roots_of_the_eliminant(eps, gamm
         order += 1
     assert order == multiplicity
     assert (0 in _table_spectrum(point)) == (multiplicity == 2)
+
+
+@pytest.mark.parametrize("flavor, eps, label, spectrum", TABLE_SPECTRA)
+def test_the_packages_spectra_are_the_proved_table(flavor, eps, label, spectrum):
+    # classify's table is TABLE_SPECTRA, which the eigenbasis test proves
+    # against the exact Jacobian of the rates
+    assert len(_SPECTRA) == len(TABLE_SPECTRA)
+    row = _SPECTRA[flavor, eps, label]
+    assert len(row) == len(spectrum) == 3
+    for (c0, c1, c2), value in zip(row, spectrum):
+        assert sympy.expand(_K ** 2 * (c0 + c1 * _G + c2 * _G ** 2) / 72 - value) == 0
+
+
+# (breakpoints, index) for each nearly parallel point over gamma > 2: the
+# index on (2, b1), at b1, on (b1, b2), ..., on (bn, oo); each breakpoint
+# has exactly one kernel
+INDEX_AGAINST_GAMMA = {
+    (NORMALIZED, +1, LABEL_PRINCIPAL): ((), (0,)),
+    (NORMALIZED, -1, LABEL_PRINCIPAL): ((), (0,)),
+    (MODIFIED, +1, LABEL_PRINCIPAL): ((), (1,)),
+    (MODIFIED, -1, LABEL_PRINCIPAL): ((), (1,)),
+    (MODIFIED, +1, LABEL_RESCALED): ((Fraction(5, 2), Fraction(16)), (2, 1, 1, 1, 2)),
+    (MODIFIED, -1, LABEL_RESCALED): ((Fraction(8, 3),), (2, 1, 1)),
+}
+
+
+def _index_and_kernels(flavor, eps, label, gamma):
+    breakpoints, indices = INDEX_AGAINST_GAMMA[flavor, eps, label]
+    k = 2 * sum(1 for b in breakpoints if b < gamma) + (gamma in breakpoints)
+    return indices[k], k % 2
+
+
+@pytest.mark.parametrize("flavor, eps, label", list(INDEX_AGAINST_GAMMA))
+def test_the_index_against_gamma_holds_on_every_interval(flavor, eps, label):
+    # each value is kappa^2 > 0 times a polynomial in gamma whose roots above
+    # 2 are exactly the breakpoints, so it keeps one sign on each open
+    # interval between them, the sign it has at one rational inside
+    polys = [c0 + c1 * _G + c2 * _G ** 2 for c0, c1, c2 in _SPECTRA[flavor, eps, label]]
+    roots = {r for p in polys for r in sympy.real_roots(sympy.Poly(p, _G)) if r > 2}
+    breakpoints, indices = INDEX_AGAINST_GAMMA[flavor, eps, label]
+    assert roots == {sympy.Rational(b) for b in breakpoints}
+    samples = []
+    for lo, hi in zip((2, *breakpoints), (*breakpoints, None)):
+        samples += [lo + 1] if hi is None else [(lo + hi) / 2, hi]
+    assert len(samples) == len(indices)
+    for k, (gamma, index) in enumerate(zip(samples, indices)):
+        values = [p.subs(_G, sympy.Rational(gamma)) for p in polys]
+        assert sum(1 for v in values if v > 0) == index
+        assert sum(1 for v in values if v == 0) == k % 2
+        assert _index_and_kernels(flavor, eps, label, gamma) == (index, k % 2)
+
+
+@pytest.mark.parametrize("gamma", [Fraction(21, 10), Fraction(12, 5), Fraction(5, 2), Fraction(13, 5),
+                                   Fraction(8, 3), 3, 10, 16, 20])
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_classify_reports_the_index_against_gamma(eps, gamma):
+    for point in find_critical_points(MODIFIED, 4, gamma, eps):
+        report = classify(MODIFIED, point, 4, gamma, eps)
+        index, kernels = _index_and_kernels(MODIFIED, eps, point.label, gamma)
+        assert (report.index, sum(report.marginal)) == (index, kernels)
+
+
+@pytest.mark.parametrize("kappa", (Fraction(1, 10 ** 6), 0.1, 1, Fraction(7, 3), 4, 1000, 1e30, 1e75))
+def test_each_reported_value_is_kappa_squared_times_its_value_at_kappa_one(kappa):
+    for eps in (+1, -1):
+        points = find_critical_points(NORMALIZED, kappa, None, eps)
+        for gamma in (Fraction(21, 10), 8 / 3, Fraction(8, 3), 3, 16):
+            points += find_critical_points(MODIFIED, kappa, gamma, eps)
+        for point in points:
+            at_one = [Fraction(int(v.p), int(v.q))
+                      for v in _table_spectrum(dataclasses.replace(point, kappa=Fraction(1)))]
+            report = classify(point.flavor, point, kappa, point.gamma, point.eps)
+            want = [float(point.kappa ** 2 * lam) for lam in sorted(at_one, reverse=True)]
+            assert [p.value for p in report.eigenpairs] == [complex(x) for x in want]
+            assert all(p.value.imag == 0 and not p.generalized for p in report.eigenpairs)
