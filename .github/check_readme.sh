@@ -1,7 +1,8 @@
 #!/bin/sh
 # Runs the README's "## Command line" block through the console script and
 # its "## Library quickstart" Python blocks, both extracted from README.md so
-# CI cannot drift from it.  Run from the repository root, with the package
+# CI cannot drift from it, and checks the two sphere-index totals the README
+# quotes.  Run from the repository root, with the package
 # installed:  sh .github/check_readme.sh
 set -eu
 
@@ -12,6 +13,9 @@ grep -q '^coflow ' "$cmds"
 (
   cd "$(mktemp -d)"
   sh -ex "$cmds" > /dev/null
+  # the sphere totals the README quotes, 7047 for levels 3 to 6 and 980733 for the whole window
+  coflow sphere-index --l-min 3 --l-max 6 --gamma 3 | tail -n 1 | grep -qx 7047
+  coflow sphere-index --l-min 1 --l-max 15 --gamma 3 | tail -n 1 | grep -qx 980733
 )
 
 # the README's "## Library quickstart" Python blocks, extracted the same way

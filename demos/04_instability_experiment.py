@@ -34,8 +34,8 @@ for eps in (+1, -1):
     print(f"eps = {eps:+d}, point (a, b, c) = "
           f"({point.state[0]:.4f}, {point.state[1]:.4f}, {point.state[2]:.4f})")
     for pair in report.eigenpairs:
-        vec = ", ".join(f"{complex(x).real:+.4f}" for x in pair.vector)
-        print(f"  eigenvalue {pair.value.real:+9.3f}   eigenvector ({vec})")
+        vec = ", ".join(f"{x:+.4f}" for x in pair.vector)
+        print(f"  eigenvalue {pair.value:+9.3f}   eigenvector ({vec})")
     print(f"  index = {report.index}")
     print(f"  unstable deformation 4-form: {report.unstable_form}")
     mu = window_mu(point)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 KAPPA = 4  # unit-curvature normalization; fixed throughout this module
 
@@ -72,20 +71,8 @@ def multiplicity_d1(l: int) -> int:
 
 
 def dim_lower(l: int) -> int:
-    """Lower bound max(0, d - d0 - d1) for the exact 27-type multiplicity."""
-    return max(0, multiplicity_d(l) - multiplicity_d0(l) - multiplicity_d1(l))
-
-
-def displayed_closed_form(l: int) -> Fraction:
-    """A closed-form expression for the lower bound that does NOT match d - d0 - d1.
-
-    Kept for comparison only; no report prints it, and `table_rows` has no
-    column for it.  At l = 3 it gives 3840 where the direct difference
-    gives 160, while the direct difference reproduces the quoted total of
-    7047.  Returned as an exact rational since it need not be an integer.
-    """
-    _check_level(l)
-    return Fraction((l * l + 5 * l - 16) * factorial(l + 7), 120 * (l + 4) * (l + 6))
+    """Lower bound max(0, d - d0 - d1) for the exact 27-type multiplicity at level l."""
+    return MultiplicityRecord.at(l).lower_bound
 
 
 def sphere_eigenvalue(l: int) -> int:
@@ -132,7 +119,7 @@ class MultiplicityRecord:
 
     @staticmethod
     def at(l: int) -> "MultiplicityRecord":
-        """The record of level l; its lower bound is dim_lower(l), from the three dimensions."""
+        """The record of level l; lower_bound is max(0, d - d0 - d1), the one copy dim_lower reads."""
         d, d0, d1 = multiplicity_d(l), multiplicity_d0(l), multiplicity_d1(l)
         return MultiplicityRecord(l=l, eigenvalue=sphere_eigenvalue(l), d=d, d0=d0, d1=d1,
                                   lower_bound=max(0, d - d0 - d1))

@@ -67,8 +67,13 @@ from .sphere_spectrum import _window_floor
 
 PSI_PLUS = form([("e23^w1", 1), ("e13^w2", -1), ("e12^w3", -2)])
 PSI_MINUS = form([("vol", 2), ("e23^w1", -1), ("e13^w2", 1), ("e12^w3", -1)])
-# each eps family's Psi and mu0, d(star(Psi)) = mu0 tau0 Psi; verify_psi_identities proves it
-_PSI_MU0 = {+1: (PSI_PLUS, Fraction(-5, 3)), -1: (PSI_MINUS, Fraction(-3, 2))}
+# each eps family's (Psi, mu0, r, P): d(star(Psi)) = mu0 tau0 Psi, Psi = r dP and
+# star(Psi) = mu0 r tau0 P; verify_psi_identities proves all three at the tau0 = kappa point
+_PSI_MU0 = {
+    +1: (PSI_PLUS, Fraction(-5, 3), Fraction(1, 4), form([("e3^w3", 2), ("e1^w1", -1), ("e2^w2", -1)])),
+    -1: (PSI_MINUS, Fraction(-3, 2), Fraction(1, 6),
+         form([("e123", 2), ("e1^w1", -1), ("e2^w2", -1), ("e3^w3", -1)])),
+}
 
 LABEL_PRINCIPAL = "tau0_eq_kappa"
 LABEL_RESCALED = "tau0_eq_gamma_minus_1_kappa"
@@ -134,8 +139,8 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class Eigenpair:
-    value: complex
-    vector: tuple[complex, complex, complex]
+    value: float
+    vector: tuple[float, float, float]
     residual: float
     generalized: bool = False
 
@@ -181,10 +186,9 @@ class SpectralReport:
             "tau0": self.tau0,
             "jacobian": [list(row) for row in self.jacobian],
             "eigenvalues": [
-                {"re": complex(p.value).real, "im": complex(p.value).imag, "residual": p.residual}
-                for p in self.eigenpairs
+                {"re": p.value, "im": 0.0, "residual": p.residual} for p in self.eigenpairs
             ],
-            "eigenvectors": [[complex(x).real for x in p.vector] for p in self.eigenpairs],
+            "eigenvectors": [list(p.vector) for p in self.eigenpairs],
             "index": self.index,
             "unstable_form": None if self.unstable_form is None else self.unstable_form.to_json_dict(),
             "window": {"mu": self.window.mu, "verdict": self.window.verdict},
@@ -202,7 +206,7 @@ def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:
     jac = np.empty((3, 3))
     for j in range(3):
         h = 1e-20 * abs(y[j])
-        a, b, c = (complex(v, h if i == j else 0.0) for i, v in enumerate(y))
+        a, b, c = (v + (h * 1j if i == j else 0j) for i, v in enumerate(y))
         try:
             rates = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
             jac[:, j] = [r.imag / h for r in rates]
@@ -266,7 +270,7 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
 
 def state_direction(point: CriticalPoint, direction) -> np.ndarray:
     """Unit (a, b, c)-space displacement along (a A, b B, c C) for an (A, B, C) direction."""
-    v = np.array(point.state) * np.array([complex(x).real for x in direction], dtype=np.float64)
+    v = np.array(point.state) * np.array([float(x) for x in direction])
     norm = float(np.sqrt((v * v).sum()))
     if norm == 0.0:
         raise ValueError("zero direction")
@@ -435,8 +439,7 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     for i in order:
         lam, u = nums[i] / den, _UNIT_EIGENBASIS[point.eps][i]
         res = [r[0] * u[0] + r[1] * u[1] + r[2] * u[2] - lam * x for r, x in zip(rows, u)]
-        pairs.append(Eigenpair(value=complex(lam), vector=tuple(complex(x) for x in u),
-                               residual=math.hypot(*res)))
+        pairs.append(Eigenpair(value=lam, vector=u, residual=math.hypot(*res)))
     index = sum(1 for n in nums if n > 0)
     marginal = tuple(nums[i] == 0 for i in order)
     unstable_form = variation_to_form(point, _EIGENBASIS[point.eps][order[0]]) if index > 0 else None
@@ -471,11 +474,13 @@ class PsiIdentityReport:
 def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
     """Exact checks on the destabilizing 4-form at the tau0 = kappa point.
 
-    (i) 27-type wedge certificates; (ii) the printed primitive reproduces
-    the form under d (a structure-equation identity, parameter-free);
-    (iii) d(star(Psi)) returns the form scaled by -(5/3) kappa for the plus
-    family and -(3/2) kappa for the minus family; (iv) star(Psi) matches its
-    closed form.  Every comparison is exact; kappa is read as
+    (i) 27-type wedge certificates; (ii) the family's printed primitive P
+    reproduces the form as Psi = r dP, r = 1/4 for the plus family and 1/6
+    for the minus family (a structure-equation identity, parameter-free);
+    (iii) d(star(Psi)) returns the form scaled by mu0 kappa, -(5/3) kappa
+    for the plus family and -(3/2) kappa for the minus family; (iv)
+    star(Psi) = mu0 r kappa P, read off the same P (our derivation from the
+    algebra, not the paper's).  Every comparison is exact; kappa is read as
     find_critical_points reads it, a float as its exact binary value.
     """
     kap = _exact(kappa)
@@ -483,17 +488,8 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
         raise ValueError("kappa must be positive")
     params = _exact_point_params(eps, kap)
     ans = build(params)
-    psi_27, mu0 = _PSI_MU0[eps]
+    psi_27, mu0, r, primitive = _PSI_MU0[eps]
     star_psi = hodge_star(psi_27, params)
-
-    if eps == +1:
-        primitive = form([("e3^w3", 2), ("e1^w1", -1), ("e2^w2", -1)])
-        reproduced = Fraction(1, 4) * exterior_derivative(primitive)
-        star_closed = (Fraction(5, 12) * kap) * form([("e1^w1", 1), ("e2^w2", 1), ("e3^w3", -2)])
-    else:
-        primitive = form([("e123", 2), ("e1^w1", -1), ("e2^w2", -1), ("e3^w3", -1)])
-        reproduced = Fraction(1, 6) * exterior_derivative(primitive)
-        star_closed = (Fraction(1, 4) * kap) * form([("e1^w1", 1), ("e2^w2", 1), ("e3^w3", 1), ("e123", -2)])
 
     # (detail label, left side, right side) in the report's field order; the
     # two wedge certificates have degrees 6 and 7, so their sum is zero
@@ -501,9 +497,9 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
     rows = (
         ("wedge certificate residue", wedge(star_psi, ans.phi) + wedge(star_psi, ans.psi),
          InvariantForm.zero()),
-        ("primitive mismatch", reproduced, psi_27),
+        ("primitive mismatch", r * exterior_derivative(primitive), psi_27),
         ("dstar eigenvalue mismatch", dstar_on_4forms(psi_27, params), (mu0 * kap) * psi_27),
-        ("star closed form mismatch", star_psi, star_closed),
+        ("star closed form mismatch", star_psi, (mu0 * r * kap) * primitive),
     )
     flags, details = [], []
     for label, lhs, rhs in rows:

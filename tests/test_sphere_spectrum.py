@@ -9,7 +9,6 @@ from coflow.sphere_spectrum import (
     _in_window,
     _window_floor,
     dim_lower,
-    displayed_closed_form,
     in_window,
     index_lower_bound,
     level_mu,
@@ -89,10 +88,30 @@ def test_eigenvalue_and_ratio():
     assert level_mu(6) == Fraction(-5, 2)
 
 
+def _displayed_closed_form(l):
+    """The displayed closed form (l^2 + 5l - 16)(l + 7)! / (120 (l + 4)(l + 6)), exactly."""
+    return Fraction((l * l + 5 * l - 16) * factorial(l + 7), 120 * (l + 4) * (l + 6))
+
+
+def _difference(l):
+    """d - d0 - d1 at level l, without the clamp at 0."""
+    return multiplicity_d(l) - multiplicity_d0(l) - multiplicity_d1(l)
+
+
 def test_displayed_closed_form_disagrees_with_the_difference():
     # the pretty closed form overshoots: 3840 against the direct 160
-    assert displayed_closed_form(3) == 3840
-    assert displayed_closed_form(3) != dim_lower(3)
+    assert _displayed_closed_form(3) == 3840
+    assert _displayed_closed_form(3) != dim_lower(3)
+    # by exactly (l + 1)!, at every level, the clamped ones l <= 2 too
+    for l in range(201):
+        assert _displayed_closed_form(l) == factorial(l + 1) * _difference(l)
+
+
+def test_the_bound_factors_and_is_clamped_exactly_where_its_quadratic_is_negative():
+    for l in range(301):
+        quadratic = l * l + 5 * l - 16
+        assert 120 * _difference(l) == (l + 2) * (l + 3) * (l + 5) * (l + 7) * quadratic
+        assert (dim_lower(l) == 0) == (quadratic < 0) == (l <= 2)
 
 
 def test_bound_grows_monotonically_past_the_clamp():

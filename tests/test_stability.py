@@ -496,6 +496,24 @@ def test_psi_identities_at_a_float_kappa(eps, kap):
     assert report.all_pass, report.details
 
 
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("kap", (4, Fraction(7, 3), Fraction(0.1), Fraction(1, 10 ** 6)))
+def test_the_psi_family_is_r_dp_and_its_star_is_mu0_r_kappa_p(eps, kap):
+    from coflow import stability
+    from coflow.invariant_forms import exterior_derivative, form
+
+    psi, mu0, r, primitive = stability._PSI_MU0[eps]
+    assert psi == (PSI_PLUS if eps == +1 else PSI_MINUS)
+    assert r * exterior_derivative(primitive) == psi
+    # star(Psi) written out term by term, independent of P
+    literal = {
+        +1: (Fraction(5, 12) * kap) * form([("e1^w1", 1), ("e2^w2", 1), ("e3^w3", -2)]),
+        -1: (Fraction(1, 4) * kap) * form([("e1^w1", 1), ("e2^w2", 1), ("e3^w3", 1), ("e123", -2)]),
+    }[eps]
+    assert (mu0 * r * kap) * primitive == literal
+    assert verify_psi_identities(eps, kap).all_pass
+
+
 def test_spectral_report_json_schema():
     kap = 4.0
     rep = classify(MODIFIED, principal(MODIFIED, kap, 3.0, +1), kap, 3.0, +1)
@@ -821,6 +839,17 @@ def test_the_report_carries_the_points_constants():
         report = classify(MODIFIED, point, k, g, -1)
         assert (report.flavor, report.epsilon, report.kappa, report.gamma) == (MODIFIED, -1, 0.1, 2.1)
         assert type(report.kappa) is float and type(report.gamma) is float
+
+
+def test_every_reported_eigenpair_is_real_and_its_json_im_is_zero():
+    for point in _point_set():
+        report = classify(point.flavor, point, point.kappa, point.gamma, point.eps)
+        for p in report.eigenpairs:
+            assert type(p.value) is float
+            assert type(p.vector) is tuple and all(type(x) is float for x in p.vector)
+        eigenvalues = report.to_json_dict()["eigenvalues"]
+        assert [(e["im"], type(e["im"])) for e in eigenvalues] == [(0.0, float)] * 3
+        assert [e["re"] for e in eigenvalues] == [p.value for p in report.eigenpairs]
 
 
 PSI_FLAGS = ("wedge_certificates", "exact_primitive", "dstar_eigenvalue", "star_formula")
