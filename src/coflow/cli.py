@@ -6,9 +6,9 @@ Subcommands:
   stability     spectral report at a critical point
   sphere-index  multiplicity table and the windowed index bound
 
-Exit codes: 0 success, 1 verification failure, 2 input or usage error.  A
-reader that closes standard output early (`coflow ... | head -1`) changes
-neither the exit code nor the files the command writes.
+Exit codes: 0 success, 1 verification failure, 2 input or usage error, an
+unwritable --out too.  A reader that closes standard output early (`coflow
+... | head -1`) changes neither the exit code nor the files it writes.
 The environment variable COFLOW_SEED, when set, overrides --seed.
 """
 
@@ -319,7 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    code = args.handler(args)
+    try:
+        code = args.handler(args)
+    except OSError as exc:  # an --out path, or the flow sidecar beside it, that cannot be written
+        args.subparser.error(f"cannot write {exc.filename or args.out}: {exc.strerror or exc}")
     try:
         sys.stdout.flush()
     except BrokenPipeError:

@@ -45,13 +45,15 @@ parameter point, on one-term forms made once at import.
 
 Each metric coefficient is a Laurent monomial in (a, b, q), so a star
 coefficient, a weight or the volume coefficient costs one _LAW lookup and
-one Fraction, built from the integer numerators and denominators that
-as_integer_ratio() reads off the scales once per call; that costs a single
-gcd.  The product table holds its structure constants as ints and each
-d(m) has whole-number coefficients, so wedge, exterior_derivative and
-inner_product keep each output coefficient's sum as one integer numerator
-and denominator and reduce it once, dropping the sums that cancel to 0;
-a scalar times a form is one Fraction per coefficient the same way.  The
+one Fraction, built from the integer numerators and denominators that a
+GeometryParams reads off its scales once per geometry (_ratios); that
+costs a single gcd.  The star picks each factor a^(2-ja), b^(1-jb) and
+q^(2-jq) by lookup among the integer pairs of its few values.  The product
+table holds its structure constants as ints and each d(m) has
+whole-number coefficients, so wedge, exterior_derivative and inner_product
+keep each output coefficient's sum as one integer numerator and
+denominator and reduce it once, dropping the sums that cancel to 0; a
+scalar times a form is one Fraction per coefficient the same way.  The
 kernels and the form arithmetic hand the maps they have just built to
 InvariantForm._of, which takes them over without the copy, type and zero
 scan of the public constructor.
@@ -69,6 +71,7 @@ Fraction, and no _Ratio leaves _exactly.
 from __future__ import annotations
 
 import functools
+import numbers
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,6 +90,19 @@ def _as_scalar(x: ScalarLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact coefficient required, got {type(x).__name__}")
+
+
+def _exact(x) -> Fraction:
+    """The one exact reading of a given kappa, gamma or direction component.
+
+    An int, Fraction or numpy integer as itself, over Python ints; a float,
+    numpy float or Decimal as its exact as_integer_ratio(); anything else
+    as the Fraction of its float.
+    """
+    if isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    ratio = getattr(x, "as_integer_ratio", None)
+    return Fraction(*ratio()) if ratio is not None else Fraction(float(x))
 
 
 def _add_ratio(sums: dict[Monomial, tuple[int, int]], m: Monomial, n: int, d: int) -> None:
@@ -419,6 +435,11 @@ class GeometryParams:
         if self.eps not in (+1, -1):
             raise ValueError(f"eps must be +1 or -1, got {self.eps}")
 
+    @functools.cached_property
+    def _ratios(self) -> tuple[int, int, int, int, int, int]:
+        """(an, ad, bn, bd, qn, qd), the integer ratios of a, b and q, read on first use and kept."""
+        return (*self.a.as_integer_ratio(), *self.b.as_integer_ratio(), *self.q.as_integer_ratio())
+
     def state(self) -> tuple[float, float, float]:
         """Floating (a, b, c) with c = sqrt(q)."""
         return (float(self.a), float(self.b), float(self.q) ** 0.5)
@@ -575,17 +596,13 @@ def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
     k / (a^ja b^jb q^jq), one Fraction.
     """
     _, _, k, ja, jb, jq = _LAW[m]
-    an, ad = p.a.as_integer_ratio()
-    bn, bd = p.b.as_integer_ratio()
-    qn, qd = p.q.as_integer_ratio()
+    an, ad, bn, bd, qn, qd = p._ratios
     return Fraction(k * ad ** ja * bd ** jb * qd ** jq, an ** ja * bn ** jb * qn ** jq)
 
 
 def _top_coeff(p: GeometryParams) -> Fraction:
     """eps a^2 b q^2, the coefficient of e123 ^ vol in the volume form."""
-    an, ad = p.a.as_integer_ratio()
-    bn, bd = p.b.as_integer_ratio()
-    qn, qd = p.q.as_integer_ratio()
+    an, ad, bn, bd, qn, qd = p._ratios
     return Fraction(p.eps * an * an * bn * qn * qn, ad * ad * bd * qd * qd)
 
 
@@ -604,36 +621,19 @@ def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     is one Fraction of it times the input coefficient.
     """
     alpha.degree()  # homogeneity check
-    an, ad = p.a.as_integer_ratio()
-    bn, bd = p.b.as_integer_ratio()
-    qn, qd = p.q.as_integer_ratio()
+    an, ad, bn, bd, qn, qd = p._ratios
     eps = p.eps
+    # a^(2-ja), b^(1-jb) and q^(2-jq) as (numerator, denominator), at ja // 2, jb // 2 and jq // 2
+    an2, ad2, qn2, qd2 = an * an, ad * ad, qn * qn, qd * qd
+    fa = ((an2, ad2), (1, 1), (ad2, an2))
+    fb = ((bn, bd), (bd, bn))
+    fq = ((qn2, qd2), (1, 1), (qd2, qn2))
     out: dict[Monomial, Fraction] = {}
     for m, c in alpha.coeffs.items():
         comp, pairing, k, ja, jb, jq = _LAW[m]
         num, den = c.as_integer_ratio()
-        num *= eps * k
-        den *= pairing
-        # times a^(2-ja) b^(1-jb) q^(2-jq); each exponent may have either sign
-        if ja < 2:
-            num *= an ** (2 - ja)
-            den *= ad ** (2 - ja)
-        elif ja > 2:
-            num *= ad ** (ja - 2)
-            den *= an ** (ja - 2)
-        if jb < 1:
-            num *= bn ** (1 - jb)
-            den *= bd ** (1 - jb)
-        else:
-            num *= bd ** (jb - 1)
-            den *= bn ** (jb - 1)
-        if jq < 2:
-            num *= qn ** (2 - jq)
-            den *= qd ** (2 - jq)
-        elif jq > 2:
-            num *= qd ** (jq - 2)
-            den *= qn ** (jq - 2)
-        out[comp] = Fraction(num, den)
+        (na, da), (nb, db), (nq, dq) = fa[ja // 2], fb[jb // 2], fq[jq // 2]
+        out[comp] = Fraction(eps * k * num * na * nb * nq, pairing * den * da * db * dq)
     return InvariantForm._of(out)
 
 
@@ -646,9 +646,7 @@ def inner_product(alpha: InvariantForm, beta: InvariantForm, p: GeometryParams) 
     da, db = alpha.degree(), beta.degree()
     if da is not None and db is not None and da != db:
         raise ValueError(f"degree mismatch: {da} vs {db}")
-    an, ad = p.a.as_integer_ratio()
-    bn, bd = p.b.as_integer_ratio()
-    qn, qd = p.q.as_integer_ratio()
+    an, ad, bn, bd, qn, qd = p._ratios
     other = beta.coeffs
     num, den = 0, 1
     for m, c in alpha.coeffs.items():

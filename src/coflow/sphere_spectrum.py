@@ -25,7 +25,7 @@ bound of the modified flow.
 
 The window rule is written once here: `_window_floor` owns the floor and
 its gamma > 2 check, and `stability.window_verdict` reads the same floor.
-gamma is read exactly, a float as the exact value of the binary float.
+gamma is read exactly, by the one reader `invariant_forms._exact`.
 index_lower_bound checks the level range, and the command line leaves
 that check, like the gamma check, to this module.
 """
@@ -35,6 +35,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .invariant_forms import _exact
 
 KAPPA = 4  # unit-curvature normalization; fixed throughout this module
 
@@ -90,12 +92,12 @@ def _window_floor(gamma) -> Fraction:
     """Lower end -(5/2)(gamma - 1) of the destabilizing window, exactly; gamma > 2.
 
     The one copy of the window rule: `stability.window_verdict` reads its
-    floor from here too.  A float gamma stands for the exact value of the
-    binary float; None is refused like any gamma <= 2.
+    floor from here too.  gamma is read by `invariant_forms._exact`, as in
+    `find_critical_points`; None is refused like any gamma <= 2.
     """
     if gamma is None or not gamma > 2:
         raise ValueError("the window requires gamma > 2")
-    return Fraction(-5, 2) * (Fraction(gamma) - 1)
+    return Fraction(-5, 2) * (_exact(gamma) - 1)
 
 
 def _in_window(l: int, floor: Fraction) -> bool:

@@ -13,12 +13,12 @@ kappa^2 times a polynomial in gamma (`_SPECTRA`).  It counts the
 instability index exactly and maps the unstable direction's exact vector
 to an invariant 4-form.
 
-find_critical_points is where kappa and gamma become exact rationals: an
-int or Fraction is taken as itself and a float as the exact value of the
-binary float.  The CriticalPoint carries those values and its exact
-kappa_eff, so every decision is made at the one rational the point was
-built at: its tau0 is kappa_eff, and window_mu is the family's mu0 of
-`_PSI_MU0` times kappa_eff / kappa.  jacobian refuses a flavor, eps, kappa
+find_critical_points is where kappa and gamma become exact rationals, by
+the one reader `invariant_forms._exact` that `sphere_spectrum` uses too.
+The CriticalPoint carries those values and its exact kappa_eff, so every
+decision is made at the one rational the point was built at: its tau0 is
+kappa_eff, and window_mu is the family's mu0 of `_PSI_MU0` times
+kappa_eff / kappa.  jacobian refuses a flavor, eps, kappa
 or gamma other than the point's own, and it and window_mu share the check
 that refuses a point that is not the closed-form point its label names;
 classify runs it once.  The window rule lives in `sphere_spectrum._window_floor`.
@@ -56,7 +56,7 @@ from .g2_ansatz import ansatz_4form, build
 from .invariant_forms import (
     GeometryParams,
     InvariantForm,
-    _as_scalar,
+    _exact,
     dstar_on_4forms,
     form,
     hodge_star,
@@ -215,11 +215,6 @@ def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:
     return jac if np.isfinite(jac).all() else None
 
 
-def _exact(x) -> Fraction:
-    """An int or Fraction exactly, any other number as the Fraction of its float."""
-    return _as_scalar(x) if isinstance(x, (int, Fraction)) else Fraction(float(x))
-
-
 def _exact_point_params(eps: int, kappa_eff: Fraction) -> GeometryParams:
     if eps == +1:
         a = Fraction(12, 5) / kappa_eff
@@ -233,9 +228,10 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
 
     Normalized flavor has the single tau0 = kappa point per eps; the
     modified flavor adds the (gamma - 1)^-1-rescaled copy.  This is where
-    the library reads kappa and gamma as exact rationals: an int or Fraction
-    as itself, a float as the exact value of the binary float.  Each point
-    carries those values, and each closed-form point is an equilibrium by
+    the library reads kappa and gamma as exact rationals, by
+    `invariant_forms._exact`: a float as the exact value of the binary
+    float, a Decimal as the decimal it spells.  Each point carries those
+    values, and each closed-form point is an equilibrium by
     proof, not by a float residual: its monomial rates, evaluated exactly
     at them, are all zero.  The returned state is that exact point rounded
     to floats, and tau0 is kappa_eff rounded, not the rounded state's torsion.
@@ -369,11 +365,9 @@ def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
     A_, B_, C_ = comps
     p = point.params
     a, b, q = p.a, p.b, p.q
-    da, db, dq = a / q * A_, b / q * B_, 2 * C_
-    # variation of the monomials (q^2, a b q, a^2 q)
-    return ansatz_4form((2 * q * dq,
-                         b * q * da + a * q * db + a * b * dq,
-                         2 * a * q * da + a * a * dq), p.eps)
+    # (delta a, delta b, delta q) = (a A / q, b B / q, 2 C) varies the monomials
+    # (q^2, a b q, a^2 q) by (4 q C, a b (A + B + 2 C), 2 a^2 (A + C))
+    return ansatz_4form((4 * q * C_, a * b * (A_ + B_ + 2 * C_), 2 * a * a * (A_ + C_)), p.eps)
 
 
 def window_mu(point: CriticalPoint) -> Fraction:

@@ -517,6 +517,41 @@ def test_a_closed_stdout_ends_the_output_not_the_command(argv, written, tmp_path
         assert (tmp_path / name).stat().st_size > 0
 
 
+def _run_module(argv, cwd):
+    src = str(Path(coflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("COFLOW_SEED", None)
+    return subprocess.run([sys.executable, "-m", "coflow.cli", *argv], capture_output=True,
+                          cwd=cwd, env=env, timeout=120)
+
+
+_COMMANDS = {
+    "verify": ["verify", "--seed", "7", "--trials", "1"],
+    "flow": ["flow", "--a0", "1", "--b0", "1", "--c0", "1e300"],
+    "stability": ["stability"],
+    "sphere-index": ["sphere-index", "--l-min", "1", "--l-max", "20"],
+}
+
+
+@pytest.mark.parametrize("out", ["missing/out.txt", "."], ids=["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_an_unwritable_out_exits_2_with_no_traceback(command, out, tmp_path):
+    proc = _run_module(_COMMANDS[command] + ["--out", out], tmp_path)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert f"error: cannot write {out}: ".encode() in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_an_unwritable_flow_sidecar_exits_2_with_no_traceback(tmp_path):
+    (tmp_path / "t.json").mkdir()
+    proc = _run_module(_COMMANDS["flow"] + ["--out", "t.csv"], tmp_path)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert b"error: cannot write t.json: " in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_stability_reads_a_ratio_for_gamma(capsys):
     # gamma = 8/3 exactly: the kernel of the eps = -1 rescaled point, which
     # the float nearest 8/3 misses

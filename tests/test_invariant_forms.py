@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import pickle
@@ -535,6 +536,37 @@ def test_star_and_inner_product_equal_the_fraction_chains():
             value = inner_product(f, g, p)
             assert type(value) is Fraction
             assert value == _reference_inner_product(f, g, p)
+
+
+def test_params_keep_their_ratios_without_changing_equality_hash_or_repr():
+    # GeometryParams reads (an, ad, bn, bd, qn, qd) once and keeps it beside its
+    # fields; copies, unpickled and replaced params must still give the kernels
+    # of the Fraction chains, a replaced scale its own ratios
+    forms = _reference_forms()
+    for p in _weight_points():
+        fresh = GeometryParams(p.a, p.b, p.q, p.eps)
+        hodge_star(E1, p)
+        assert "_ratios" in vars(p) and "_ratios" not in vars(fresh)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert p._ratios == (*p.a.as_integer_ratio(), *p.b.as_integer_ratio(), *p.q.as_integer_ratio())
+        twins = [copy.copy(p), pickle.loads(pickle.dumps(p)), dataclasses.replace(p),
+                 dataclasses.replace(p, a=p.a * 3, eps=-p.eps)]
+        assert twins[:3] == [p] * 3
+        for twin in twins:
+            assert twin._ratios == (*twin.a.as_integer_ratio(), *twin.b.as_integer_ratio(),
+                                    *twin.q.as_integer_ratio())
+            for f in forms[::7]:
+                assert hodge_star(f, twin) == _reference_hodge_star(f, twin)
+                assert inner_product(f, f, twin) == _reference_inner_product(f, f, twin)
+
+
+def test_every_law_exponent_indexes_the_star_factor_tables():
+    # hodge_star looks a^(2-ja), b^(1-jb) and q^(2-jq) up in tables of 3, 2 and 3
+    # entries at ja // 2, jb // 2 and jq // 2
+    laws = invariant_forms._LAW
+    assert laws.keys() == set(BASIS)
+    for _, _, _, ja, jb, jq in laws.values():
+        assert ja in (0, 2, 4) and jb in (0, 2) and jq in (0, 2, 4)
 
 
 def test_star_and_inner_product_reject_mixed_degrees():

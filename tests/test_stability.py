@@ -3,6 +3,7 @@ import importlib.util
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from coflow.stability import (
     window_mu,
     window_verdict,
 )
+from coflow.sphere_spectrum import in_window, index_lower_bound
 
 SQ5 = math.sqrt(5)
 
@@ -1342,3 +1344,103 @@ def test_each_reported_value_is_kappa_squared_times_its_value_at_kappa_one(kappa
             want = [float(point.kappa ** 2 * lam) for lam in sorted(at_one, reverse=True)]
             assert [p.value for p in report.eigenpairs] == [complex(x) for x in want]
             assert all(p.value.imag == 0 and not p.generalized for p in report.eigenpairs)
+
+
+# kappa and gamma are read by one rule wherever they enter: an int, Fraction
+# or numpy integer as itself, anything with as_integer_ratio() (every float type, a
+# Decimal) as that exact ratio.  Each value below is spelled in every type
+# that can spell it, and 2.1 is read as 21/10 only where it is spelled so.
+
+def _spellings(text):
+    out = [float(text), np.float64(text), np.float32(text), np.longdouble(text),
+           Decimal(text), Fraction(text)]
+    if Fraction(text).denominator == 1:
+        out += [int(text), np.int64(text)]
+    return out
+
+
+def _exact_reading(x):
+    return Fraction(int(x)) if isinstance(x, (int, np.integer)) else Fraction(*x.as_integer_ratio())
+
+
+_SPELLED = [x for text in ("2.1", "2.5", "3") for x in _spellings(text)]
+_SPELLED_IDS = [f"{type(x).__name__}-{x}" for x in _SPELLED]
+
+
+@pytest.mark.parametrize("gamma", _SPELLED, ids=_SPELLED_IDS)
+def test_every_entry_point_decides_at_the_gamma_the_point_carries(gamma):
+    want = _exact_reading(gamma)
+    for eps in (+1, -1):
+        for point in find_critical_points(MODIFIED, 4, gamma, eps):
+            assert point.gamma == want
+            assert type(point.gamma.numerator) is int and type(point.gamma.denominator) is int
+            assert classify(MODIFIED, point, 4, gamma, eps).window == window_verdict(
+                window_mu(point), want, MODIFIED)
+    # a kernel exactly at the floor -(5/2)(gamma - 1) of the rational read
+    floor = Fraction(-5, 2) * (want - 1)
+    assert window_verdict(floor, gamma, MODIFIED).verdict == "kernel"
+    assert [in_window(l, gamma) for l in range(40)] == [in_window(l, want) for l in range(40)]
+    assert index_lower_bound(1, 30, gamma) == index_lower_bound(1, 30, want)
+    # level 7 is in the window exactly when gamma > 21/10: the float nearest 2.1
+    # lies above it and is in, the decimal 2.1 is the kernel and is out
+    if want < Fraction(22, 10):
+        assert in_window(7, gamma) == (want > Fraction(21, 10))
+
+
+@pytest.mark.parametrize("kappa", _SPELLED, ids=_SPELLED_IDS)
+def test_verify_psi_identities_reads_kappa_as_the_point_does(kappa, monkeypatch):
+    from coflow import stability
+
+    want = _exact_reading(kappa)
+    exact = stability._exact_point_params
+    seen = []
+
+    def recorded(eps, kappa_eff):
+        seen.append(kappa_eff)
+        return exact(eps, kappa_eff)
+
+    monkeypatch.setattr(stability, "_exact_point_params", recorded)
+    for eps in (+1, -1):
+        assert principal(NORMALIZED, kappa, None, eps).kappa == want
+        seen.clear()
+        assert verify_psi_identities(eps, kappa).all_pass
+        assert seen == [want]
+
+
+def _sympy_variation(params, direction):
+    # d/dt of the monomials (q^2, a b q, a^2 q) along (a A / q, b B / q, 2 C), at t = 0
+    a, b, q, t = sympy.symbols("a b q t")
+    A_, B_, C_ = (sympy.Rational(x.numerator, x.denominator) for x in map(Fraction, direction))
+    along = {a: a + t * a * A_ / q, b: b + t * b * B_ / q, q: q + 2 * t * C_}
+    at = {a: sympy.Rational(params.a.numerator, params.a.denominator),
+          b: sympy.Rational(params.b.numerator, params.b.denominator),
+          q: sympy.Rational(params.q.numerator, params.q.denominator)}
+    out = []
+    for mono in (q ** 2, a * b * q, a * a * q):
+        value = sympy.diff(mono.subs(along, simultaneous=True), t).subs(t, 0).subs(at)
+        out.append(Fraction(int(value.p), int(value.q)))
+    return ansatz_4form(out, params.eps)
+
+
+def test_variation_to_form_is_the_derivative_of_the_monomials():
+    rng = random.Random(2424)
+
+    def small():
+        return Fraction(rng.randint(1, 97), rng.randint(1, 97))
+
+    def direction():
+        while True:
+            v = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(3)]
+            if any(v):
+                return v
+
+    for eps in (+1, -1):
+        for point in find_critical_points(MODIFIED, 0.7, 3, eps):
+            sites = [point.params,
+                     GeometryParams(small(), small(), small(), eps),
+                     GeometryParams(*(Fraction(rng.uniform(0.05, 20.0)) for _ in range(3)), eps)]
+            for params in sites:
+                at = dataclasses.replace(point, params=params)
+                for _ in range(2):
+                    v = direction()
+                    assert variation_to_form(at, v) == _sympy_variation(params, v)
