@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -122,6 +123,28 @@ def _print(text: str) -> None:
         _drop_stdout()
 
 
+def _refuse_unwritable(sub: argparse.ArgumentParser, *paths: str | None) -> None:
+    """Exit 2 before any work when a target is a directory or its directory is missing.
+
+    Other write errors, such as a read-only directory, still surface from
+    the write itself, through main's OSError handler.
+    """
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            continue
+        sub.error(f"cannot write {path}: {os.strerror(code)}")
+
+
+def _sidecar(out: str) -> str:
+    """The JSON sidecar that flow writes beside its CSV."""
+    return os.path.splitext(out)[0] + ".json"
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
@@ -141,6 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seed = int(env_seed)
         except ValueError:
             sub.error(f"COFLOW_SEED must be an integer, got {env_seed!r}")
+    _refuse_unwritable(sub, args.out)
 
     rng = random.Random(seed)
     failures: dict[str, int] = {}
@@ -182,6 +206,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_flow(args: argparse.Namespace) -> int:
     sub = args.subparser
     flavor = _flavor(sub, args.flavor)
+    _refuse_unwritable(sub, args.out, _sidecar(args.out))
     with _usage_errors(sub):
         config = FlowConfig(
             flavor=flavor, kappa=args.kappa, gamma=args.gamma, eps=args.eps,
@@ -222,8 +247,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     with _usage_errors(sub):
         traj = integrate(config, initial)
     traj.write_csv(args.out)
-    sidecar = os.path.splitext(args.out)[0] + ".json"
-    traj.write_sidecar(sidecar)
+    traj.write_sidecar(_sidecar(args.out))
     _emit(traj.sidecar_dict(), None)
     return 0
 

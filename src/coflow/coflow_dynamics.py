@@ -623,10 +623,11 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     return traj
 
 
-def _rk4_step(f: Callable, y: tuple, h: float) -> tuple:
+def _rk4_step(f: Callable, y: tuple, h: float, slope: tuple) -> tuple:
+    """One classical fourth-order step of y' = f(y) from y, given slope = f(y)."""
     y1, y2, y3 = y
     half, sixth = h / 2, h / 6
-    p1, p2, p3 = f(y)
+    p1, p2, p3 = slope
     q1, q2, q3 = f((y1 + half * p1, y2 + half * p2, y3 + half * p3))
     r1, r2, r3 = f((y1 + half * q1, y2 + half * q2, y3 + half * q3))
     s1, s2, s3 = f((y1 + h * r1, y2 + h * r2, y3 + h * r3))
@@ -712,8 +713,9 @@ def hitchin_rate_check(trajectory: Trajectory, kappa, gamma,
     for i in range(1, len(records) - 1, stride):
         st = _flow_state(records[i])  # only the sampled states are built
         y = (st.a, st.b, st.c)
-        y_fwd = _rk4_step(f, y, probe_step)
-        y_bwd = _rk4_step(f, y, -probe_step)
+        slope = f(y)  # shared by the forward and the backward probe
+        y_fwd = _rk4_step(f, y, probe_step, slope)
+        y_bwd = _rk4_step(f, y, -probe_step, slope)
         fd = (hitchin_volume(y_fwd) - hitchin_volume(y_bwd)) / (2 * probe_step)
         rate = hitchin_rate(y, kappa, gamma, eps)
         # scale floor keeps the ratio meaningful on stationary trajectories

@@ -13,7 +13,10 @@ torsion reduces to a scalar part tau0 and a pure 27-type part tau3 with
 and the Hodge Laplacian of psi is d(star(dphi)).  An ansatz derives its
 dphi once, on first use, and tau0, torsion and laplacian_psi all read that
 one copy.  Everything here is exact rational arithmetic; there are no
-tolerances in this module.
+tolerances in this module.  Each of phi's four coefficients, and each
+coefficient of an ansatz_4form, is one Fraction, built from the integer
+ratios of (a, b, q) or from the given values; no chain of Fraction
+products is formed.
 
 The Laplacian's closed form has one hand-coded copy, `_laplacian_rates`,
 which gives its coefficients on the monomials (q^2, a b q, a^2 q) of psi.
@@ -42,9 +45,10 @@ from .invariant_forms import (
     UNIT,
     GeometryParams,
     InvariantForm,
+    Monomial,
+    _as_scalar,
     _exactly,
     exterior_derivative,
-    form,
     hodge_star,
     inner_product,
     total_integral,
@@ -72,14 +76,26 @@ class TorsionData:
     tau3_norm_sq: Fraction
 
 
+# the monomials of phi and of psi, looked up once
+_E123, _E1W1, _E2W2, _E3W3 = (Monomial.from_key(k) for k in ("e123", "e1^w1", "e2^w2", "e3^w3"))
+_VOL, _E23W1, _E13W2, _E12W3 = (Monomial.from_key(k) for k in ("vol", "e23^w1", "e13^w2", "e12^w3"))
+
+
 def _assemble(p: GeometryParams) -> G2Ansatz:
-    """phi and psi = star(phi), with no check of psi's co-closure."""
-    phi = form([
-        ("e123", p.eps * p.a * p.a * p.b),
-        ("e1^w1", -p.a * p.q),
-        ("e2^w2", -p.a * p.q),
-        ("e3^w3", -p.eps * p.b * p.q),
-    ])
+    """phi and psi = star(phi), with no check of psi's co-closure.
+
+    Each of phi's coefficients is one Fraction of the integer ratios of
+    (a, b, q); e1^w1 and e2^w2 share the one -a q.
+    """
+    an, ad, bn, bd, qn, qd = p._ratios
+    eps = p.eps
+    aq = Fraction(-an * qn, ad * qd)
+    phi = InvariantForm._of({
+        _E123: Fraction(eps * an * an * bn, ad * ad * bd),
+        _E1W1: aq,
+        _E2W2: aq,
+        _E3W3: Fraction(-eps * bn * qn, bd * qd),
+    })
     return G2Ansatz(params=p, phi=phi, psi=hodge_star(phi, p))
 
 
@@ -199,10 +215,18 @@ def ansatz_4form(u, eps) -> InvariantForm:
     """The invariant 4-form u1 vol - eps u2 (e23^w1 - e13^w2) - u3 e12^w3.
 
     psi is the image of its monomials (q^2, a b q, a^2 q), so the map also
-    carries their rates and variations to 4-forms.
+    carries their rates and variations to 4-forms.  Each u must be an int
+    or a Fraction and eps is +1 or -1; a zero u leaves its monomials out.
     """
-    u1, u2, u3 = u
-    return form([("vol", u1), ("e23^w1", -eps * u2), ("e13^w2", eps * u2), ("e12^w3", -u3)])
+    u1, u2, u3 = (_as_scalar(x) for x in u)
+    out: dict = {}
+    if u1:
+        out[_VOL] = u1
+    if u2:
+        out[_E23W1], out[_E13W2] = (-u2, u2) if eps == 1 else (u2, -u2)
+    if u3:
+        out[_E12W3] = -u3
+    return InvariantForm._of(out)
 
 
 def dphi_closed_form(p: GeometryParams) -> InvariantForm:
@@ -276,8 +300,9 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
 
     checks.append(("dual-coclosed", exterior_derivative(ans.psi).is_zero()))
     checks.append(("star-duality", hodge_star(ans.psi, p) == ans.phi))
+    phi_psi = wedge(ans.phi, ans.psi)
     checks.append(("normalization-constants",
-                   wedge(ans.phi, ans.psi) == 7 * volume_form(p)
+                   phi_psi == 7 * volume_form(p)
                    and inner_product(ans.phi, ans.phi, p) == 7
                    and inner_product(ans.psi, ans.psi, p) == 7))
     checks.append(("dphi-coefficients", ans.dphi == dphi_closed_form(p)))
@@ -292,6 +317,6 @@ def identity_suite(params: GeometryParams) -> list[tuple[str, bool]]:
     checks.append(("laplacian-coefficients", laplacian_psi(ans) == laplacian_closed_form(p)))
     checks.append(("dtau3-projection", _dtau3_lemma(ans, td)))
     checks.append(("volume-pairing",
-                   p.eps * total_integral(wedge(ans.phi, ans.psi), p)
+                   p.eps * total_integral(phi_psi, p)
                    == 7 * p.a * p.a * p.b * p.q * p.q))
     return checks

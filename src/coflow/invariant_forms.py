@@ -41,7 +41,9 @@ and the star pairings of distinct monomials are facts about the tables, so
 they run once per process, on the first call.  The 40 stars, their
 involution, the pairing of each monomial with its own star, the star of
 the unit and the support of each star (its complement alone) run at every
-parameter point, on one-term forms made once at import.
+parameter point, on one-term forms made once at import.  Each pairing of
+a monomial with its own star is one integer cross-multiplication of the
+wedge's TOP coefficient against <m, m> and eps a^2 b q^2.
 
 Each metric coefficient is a Laurent monomial in (a, b, q), so a star
 coefficient, a weight or the volume coefficient costs one _LAW lookup and
@@ -49,12 +51,13 @@ one Fraction, built from the integer numerators and denominators that a
 GeometryParams reads off its scales once per geometry (_ratios); that
 costs a single gcd.  The star picks each factor a^(2-ja), b^(1-jb) and
 q^(2-jq) by lookup among the integer pairs of its few values.  The product
-table holds its structure constants as ints and each d(m) has
-whole-number coefficients, so wedge, exterior_derivative and inner_product
+table holds its structure constants as ints and each d(m) is kept as
+(monomial, int) pairs, so wedge, exterior_derivative and inner_product
 keep each output coefficient's sum as one integer numerator and
-denominator and reduce it once, dropping the sums that cancel to 0; a
-scalar times a form is one Fraction per coefficient the same way.  The
-kernels and the form arithmetic hand the maps they have just built to
+denominator and reduce it once, dropping the sums that cancel to 0.  A
+sum or difference of two forms costs one Fraction per monomial the two
+share, and a scalar times a form one per coefficient.  The kernels and
+the form arithmetic hand the maps they have just built to
 InvariantForm._of, which takes them over without the copy, type and zero
 scan of the public constructor.
 
@@ -64,7 +67,7 @@ plain arithmetic expressions that serve every scalar type.  On exact data
 they are evaluated by _exactly, which hands each closed form its int or
 Fraction arguments as _Ratio values: an unreduced integer numerator and
 denominator whose every operation is integer arithmetic with no gcd, in
-the way _add_ratio keeps a sum.  Each result is reduced once, to one
+the way the kernels keep a sum.  Each result is reduced once, to one
 Fraction, and no _Ratio leaves _exactly.
 """
 
@@ -103,17 +106,6 @@ def _exact(x) -> Fraction:
         return Fraction(int(x.numerator), int(x.denominator))
     ratio = getattr(x, "as_integer_ratio", None)
     return Fraction(*ratio()) if ratio is not None else Fraction(float(x))
-
-
-def _add_ratio(sums: dict[Monomial, tuple[int, int]], m: Monomial, n: int, d: int) -> None:
-    """Add n/d to the unreduced (numerator, denominator) sum of m, in place."""
-    s = sums.get(m)
-    if s is None:
-        sums[m] = (n, d)
-    elif s[1] == d:
-        sums[m] = (s[0] + n, d)
-    else:
-        sums[m] = (s[0] * d + n * s[1], s[1] * d)
 
 
 def _reduced(sums: dict[Monomial, tuple[int, int]]) -> dict[Monomial, Fraction]:
@@ -292,6 +284,11 @@ UNIT = Monomial.from_key("1")
 TOP = Monomial.from_key("e123^vol")
 
 
+# bound once for InvariantForm._of, which every kernel result goes through
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
 @dataclass(frozen=True)
 class InvariantForm:
     """A formal rational combination of basis monomials.
@@ -311,8 +308,8 @@ class InvariantForm:
     @classmethod
     def _of(cls, coeffs: dict[Monomial, Fraction]) -> "InvariantForm":
         """A form that takes over coeffs, a new map of non-zero Fractions, unchecked."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "coeffs", coeffs)
+        f = _new_object(cls)
+        _set_field(f, "coeffs", coeffs)
         return f
 
     @staticmethod
@@ -344,22 +341,31 @@ class InvariantForm:
     def coefficient(self, m: Monomial) -> Fraction:
         return self.coeffs.get(m, Fraction(0))
 
-    def __add__(self, other: "InvariantForm") -> "InvariantForm":
+    def _plus(self, other: "InvariantForm", sign: int) -> "InvariantForm":
+        """self + sign * other; a coefficient in both is one Fraction of its integer sum."""
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             s = out.get(m)
             if s is None:
-                out[m] = c
+                out[m] = c if sign > 0 else -c
+                continue
+            sn, sd = s.as_integer_ratio()
+            cn, cd = c.as_integer_ratio()
+            if sd == cd:
+                n, d = sn + sign * cn, sd
             else:
-                s += c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+                n, d = sn * cd + sign * cn * sd, sd * cd
+            if n:
+                out[m] = Fraction(n, d)
+            else:
+                del out[m]
         return InvariantForm._of(out)
 
+    def __add__(self, other: "InvariantForm") -> "InvariantForm":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "InvariantForm":
         return InvariantForm._of({m: -c for m, c in self.coeffs.items()})
@@ -504,7 +510,14 @@ def wedge(alpha: InvariantForm, beta: InvariantForm) -> InvariantForm:
             prod = wedge_monomials(m1, m2)
             if prod is not None:
                 k, m = prod
-                _add_ratio(sums, m, k * n1 * n2, d1 * d2)
+                n, d = k * n1 * n2, d1 * d2
+                s = sums.get(m)
+                if s is None:
+                    sums[m] = (n, d)
+                elif s[1] == d:
+                    sums[m] = (s[0] + n, d)
+                else:
+                    sums[m] = (s[0] * d + n * s[1], s[1] * d)
     return InvariantForm._of(_reduced(sums))
 
 
@@ -541,18 +554,29 @@ def _d_monomial(m: Monomial) -> InvariantForm:
     return total
 
 
+@functools.cache
+def _d_terms(m: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """d(m) as (monomial, integer coefficient) pairs; its coefficients are whole numbers."""
+    return tuple((dm, dc.numerator) for dm, dc in _d_monomial(m).coeffs.items())
+
+
 def exterior_derivative(alpha: InvariantForm) -> InvariantForm:
     """Exterior derivative from the structure relations and the Leibniz rule.
 
-    The coefficients of each d(m) are integers (denominator 1), so each
-    output coefficient is summed as one integer numerator and denominator
-    and reduced once.
+    The coefficients of each d(m) are integers, so each output coefficient
+    is summed as one integer numerator and denominator and reduced once.
     """
     sums: dict[Monomial, tuple[int, int]] = {}
     for m, c in alpha.coeffs.items():
         n, d = c.as_integer_ratio()
-        for dm, dc in _d_monomial(m).coeffs.items():
-            _add_ratio(sums, dm, dc.numerator * n, d)
+        for dm, k in _d_terms(m):
+            s = sums.get(dm)
+            if s is None:
+                sums[dm] = (k * n, d)
+            elif s[1] == d:
+                sums[dm] = (s[0] + k * n, d)
+            else:
+                sums[dm] = (s[0] * d + k * n * s[1], s[1] * d)
     return InvariantForm._of(_reduced(sums))
 
 
@@ -709,6 +733,7 @@ def _structure_checks() -> tuple[bool, bool, bool]:
 # the support its star must have (its complement alone)
 _BASIS_FORMS = tuple(InvariantForm._of({m: Fraction(1)}) for m in _BASIS)
 _STAR_SUPPORTS = tuple(frozenset((_LAW[m][0],)) for m in _BASIS)
+_TOP_SUPPORT = frozenset((TOP,))
 
 
 def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
@@ -726,21 +751,32 @@ def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
 
     The 40 one-term forms and their star supports hold no geometry and are
     made once, at import; the unit's is the first of the 40 stars.  vol_eps
-    has the one term e123 ^ vol, so a diagonal pairing compares the wedge's
-    coefficient map with {TOP: <m, m> eps a^2 b q^2}, and the star of the
-    unit is compared with {TOP: eps a^2 b q^2}.  hodge_star, wedge and
-    inner_product are looked up in this module at every call.
+    has the one term e123 ^ vol, so a diagonal pairing holds when the
+    wedge's support is {TOP} and its coefficient there equals
+    <m, m> eps a^2 b q^2, compared by one integer cross-multiplication; the
+    star of the unit is compared with {TOP: eps a^2 b q^2}.  hodge_star,
+    wedge and inner_product are looked up in this module at every call.
     """
     dd_ok, horiz_ok, off_diagonal_ok = _structure_checks()
     top = _top_coeff(p)
+    tn, td = top.as_integer_ratio()
 
     stars = [hodge_star(f, p) for f in _BASIS_FORMS]
 
     invol_ok = all(hodge_star(s, p) == f for f, s in zip(_BASIS_FORMS, stars))
 
     support_ok = all(s.coeffs.keys() == support for s, support in zip(stars, _STAR_SUPPORTS))
-    diagonal_ok = all(wedge(f, s).coeffs == {TOP: inner_product(f, f, p) * top}
-                      for f, s in zip(_BASIS_FORMS, stars))
+
+    def diagonal(f: InvariantForm, s: InvariantForm) -> bool:
+        """m ^ star(m) = <m, m> vol_eps, by one cross-multiplication on TOP's coefficient."""
+        w = wedge(f, s).coeffs
+        if w.keys() != _TOP_SUPPORT:
+            return False
+        wn, wd = w[TOP].as_integer_ratio()
+        gn, gd = inner_product(f, f, p).as_integer_ratio()
+        return wn * gd * td == gn * tn * wd
+
+    diagonal_ok = all(diagonal(f, s) for f, s in zip(_BASIS_FORMS, stars))
     pairing_ok = off_diagonal_ok and support_ok and diagonal_ok
 
     unit_ok = stars[0].coeffs == {TOP: top}

@@ -552,6 +552,43 @@ def test_an_unwritable_flow_sidecar_exits_2_with_no_traceback(tmp_path):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("argv, sidecar_dir", [
+    (["verify", "--trials", "100000", "--out", "missing/v.json"], False),
+    (["verify", "--out", "."], False),
+    (["flow", "--a0", "1", "--b0", "1", "--c0", "1", "--out", "missing/t.csv"], False),
+    (["flow", "--a0", "1", "--b0", "1", "--c0", "1", "--out", "."], False),
+    (["flow", "--perturb", "unstable", "--flavor", "modified", "--out", "t.csv"], True),
+], ids=["verify-missing-directory", "verify-a-directory", "flow-missing-directory",
+        "flow-a-directory", "flow-sidecar-a-directory"])
+def test_an_unwritable_out_is_refused_before_any_work(argv, sidecar_dir, monkeypatch,
+                                                       tmp_path, capsys):
+    import coflow.cli as cli
+
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("algebra_checks", "identity_suite", "integrate"):
+        monkeypatch.setattr(cli, name, counted(name))
+    monkeypatch.chdir(tmp_path)
+    if sidecar_dir:
+        (tmp_path / "t.json").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    target = "t.json" if sidecar_dir else argv[-1]
+    assert f"error: cannot write {target}: " in captured.err
+    assert captured.out == ""
+
+
 def test_stability_reads_a_ratio_for_gamma(capsys):
     # gamma = 8/3 exactly: the kernel of the eps = -1 rescaled point, which
     # the float nearest 8/3 misses

@@ -371,3 +371,39 @@ def test_dtau3_lemma_compares_the_scalar_parts():
         assert _dtau3_lemma(ans, td)
         off = dataclasses.replace(td, tau3_norm_sq=td.tau3_norm_sq + Fraction(1, 10 ** 20))
         assert not _dtau3_lemma(ans, off)
+
+
+def _form_spelled_4form(u, eps):
+    # the form() spelling that ansatz_4form builds directly
+    u1, u2, u3 = u
+    return form([("vol", u1), ("e23^w1", -eps * u2), ("e13^w2", eps * u2), ("e12^w3", -u3)])
+
+
+def test_ansatz_4form_equals_its_form_spelling():
+    rng = random.Random(412)
+    values = [0, 1, -3, Fraction(0), Fraction(5, 7), Fraction(-2, 9), Fraction(0.1), Fraction(-1e-7)]
+    for eps in (+1, -1):
+        for _ in range(60):
+            u = tuple(rng.choice(values) for _ in range(3))
+            built = ansatz_4form(u, eps)
+            assert built == _form_spelled_4form(u, eps)
+            assert all(c and type(c) is Fraction for c in built.coeffs.values())
+        assert ansatz_4form((0, 0, 0), eps).is_zero()
+        assert set(ansatz_4form((0, 1, 0), eps).coeffs) == set(form([("e23^w1", 1), ("e13^w2", 1)]).coeffs)
+        for bad in ((0.5, 1, 1), (1, 0.0, 1), (1, 1, 1.0)):
+            with pytest.raises(TypeError):
+                ansatz_4form(bad, eps)
+
+
+def test_assembled_phi_equals_its_form_spelling():
+    from coflow.g2_ansatz import _assemble
+
+    for p in exact_and_float_points(413):
+        phi = _assemble(p).phi
+        assert phi == form([
+            ("e123", p.eps * p.a * p.a * p.b),
+            ("e1^w1", -p.a * p.q),
+            ("e2^w2", -p.a * p.q),
+            ("e3^w3", -p.eps * p.b * p.q),
+        ])
+        assert all(type(c) is Fraction for c in phi.coeffs.values())

@@ -290,6 +290,60 @@ def test_constructor_keeps_rejecting_floats_and_dropping_zeros():
     assert type(f.coeffs[BASIS[7]]) is Fraction
 
 
+def _reference_sum(x, y, sign):
+    # oracle: x + sign * y by Fraction arithmetic, one term of y at a time
+    out = dict(x.coeffs)
+    for m, c in y.coeffs.items():
+        c = sign * c
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s += c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _overlapping_forms(rng, degree):
+    mons = [m for m in BASIS if m.degree == degree]
+    shared_den = rng.randint(1, 30)
+
+    def coeff():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(rng.randint(-40, 40), shared_den)
+        if kind == 1:
+            return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+        if kind == 2:
+            return Fraction(rng.uniform(-1e3, 1e3))  # denominators near 2^50
+        return rng.randint(-5, 5)
+
+    def draw():
+        return {m: coeff() for m in rng.sample(mons, rng.randint(0, len(mons)))}
+
+    x, y = draw(), draw()
+    # y repeats some of x's terms up to sign, so the sum or the difference cancels there
+    for m in list(x)[: rng.randint(0, len(x))]:
+        y[m] = rng.choice((1, -1)) * x[m]
+    return InvariantForm(x), InvariantForm(y)
+
+
+def test_sum_and_difference_match_the_fraction_loop():
+    rng = random.Random(2510)
+    for degree in range(8):
+        for _ in range(40):
+            x, y = _overlapping_forms(rng, degree)
+            for got, sign in ((x + y, 1), (x - y, -1)):
+                assert got.coeffs == _reference_sum(x, y, sign)
+                assert all(c and type(c) is Fraction for c in got.coeffs.values())
+            assert (x - x).coeffs == {} and (x + (-x)).coeffs == {}
+            assert (x - InvariantForm.zero()).coeffs == x.coeffs
+            assert (InvariantForm.zero() - x).coeffs == (-x).coeffs
+
+
 # algebra_checks runs its parameter-free parts once (_structure_checks) and
 # the rest per point; the reference below is the former all-per-point loop,
 # kept verbatim, with all 292 same-degree pairings.
@@ -410,6 +464,52 @@ def test_algebra_checks_catch_a_wrong_star_coefficient(monkeypatch, fault, faili
     for p in (P_PLUS, P_MINUS, P_ODD):
         results = algebra_checks(p)
         assert {cid for cid, ok in results if not ok} == failing
+        assert results == _reference_algebra_checks(p)
+
+
+# Faults in the kernels that the diagonal pairings call.  algebra_checks
+# compares each pairing by one integer cross-multiplication; it must still
+# see a doubled weight, a relative error of 10^-12 on one TOP coefficient
+# and a term off TOP.
+
+def _doubled_e1_weight(true_inner):
+    def faulty_inner(alpha, beta, p):
+        value = true_inner(alpha, beta, p)
+        return 2 * value if alpha == E1 and beta == E1 else value
+    return faulty_inner
+
+
+def _nudged_top(true_wedge):
+    def faulty_wedge(alpha, beta):
+        out = true_wedge(alpha, beta)
+        if alpha == E1 and TOP in out.coeffs:
+            return InvariantForm({**out.coeffs, TOP: out.coeffs[TOP] * (1 + Fraction(1, 10 ** 12))})
+        return out
+    return faulty_wedge
+
+
+def _extra_term(true_wedge):
+    # the right TOP coefficient, beside a term that vol_eps does not have
+    def faulty_wedge(alpha, beta):
+        out = true_wedge(alpha, beta)
+        if alpha == E1 and TOP in out.coeffs:
+            return out + InvariantForm.monomial(UNIT, Fraction(1, 3))
+        return out
+    return faulty_wedge
+
+
+@pytest.mark.parametrize("name, fault", [("inner_product", _doubled_e1_weight),
+                                         ("wedge", _nudged_top),
+                                         ("wedge", _extra_term)])
+def test_diagonal_pairings_catch_a_faulty_kernel(monkeypatch, name, fault):
+    for p in (P_PLUS, P_MINUS, P_ODD):
+        algebra_checks(p)  # the once-per-process tables are built with the true kernels
+    faulty = fault(getattr(invariant_forms, name))
+    monkeypatch.setattr(invariant_forms, name, faulty)
+    monkeypatch.setattr(sys.modules[__name__], name, faulty)
+    for p in (P_PLUS, P_MINUS, P_ODD):
+        results = algebra_checks(p)
+        assert {cid for cid, ok in results if not ok} == {"star-pairing"}
         assert results == _reference_algebra_checks(p)
 
 
