@@ -2,7 +2,7 @@
 # Runs the README's "## Command line" block through the console script and
 # its "## Library quickstart" Python blocks, both extracted from README.md so
 # CI cannot drift from it, and checks the two sphere-index totals the README
-# quotes.  Run from the repository root, with the package
+# quotes and the index of its modified-flow stability command.  Run from the repository root, with the package
 # installed:  sh .github/check_readme.sh
 set -eu
 
@@ -16,6 +16,9 @@ grep -q '^coflow ' "$cmds"
   # the sphere totals the README quotes, 7047 for levels 3 to 6 and 980733 for the whole window
   coflow sphere-index --l-min 3 --l-max 6 --gamma 3 | tail -n 1 | grep -qx 7047
   coflow sphere-index --l-min 1 --l-max 15 --gamma 3 | tail -n 1 | grep -qx 980733
+  # one unstable direction at the README's principal point, decided by classify
+  grep -qx 'coflow stability --flavor modified --eps 1 --kappa 4 --gamma 3' "$cmds"
+  coflow stability --flavor modified --eps 1 --kappa 4 --gamma 3 | grep -qx '  "index": 1,'
 )
 
 # the README's "## Library quickstart" Python blocks, extracted the same way

@@ -33,12 +33,15 @@ that check, like the gamma check, to this module.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariant_forms import _exact
 
 KAPPA = 4  # unit-curvature normalization; fixed throughout this module
+# levels whose records are kept once built; gamma = 6 uses 45, gamma = 16 uses 145
+_RECORD_CACHE_LEVELS = 512
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -121,10 +124,20 @@ class MultiplicityRecord:
 
     @staticmethod
     def at(l: int) -> "MultiplicityRecord":
-        """The record of level l; lower_bound is max(0, d - d0 - d1), the one copy dim_lower reads."""
-        d, d0, d1 = multiplicity_d(l), multiplicity_d0(l), multiplicity_d1(l)
-        return MultiplicityRecord(l=l, eigenvalue=sphere_eigenvalue(l), d=d, d0=d0, d1=d1,
-                                  lower_bound=max(0, d - d0 - d1))
+        """The record of level l; lower_bound is max(0, d - d0 - d1), the one copy dim_lower reads.
+
+        A record is frozen and a pure function of its level, so each is
+        built once and kept; the level is checked before the lookup, so a
+        value equal to a kept level but not an int (3.0) is still refused.
+        """
+        return _record(_check_level(l))
+
+
+@functools.lru_cache(maxsize=_RECORD_CACHE_LEVELS, typed=True)
+def _record(l: int) -> MultiplicityRecord:
+    d, d0, d1 = multiplicity_d(l), multiplicity_d0(l), multiplicity_d1(l)
+    return MultiplicityRecord(l=l, eigenvalue=sphere_eigenvalue(l), d=d, d0=d0, d1=d1,
+                              lower_bound=max(0, d - d0 - d1))
 
 
 def index_lower_bound(l_min: int, l_max: int, gamma) -> tuple[int, list[MultiplicityRecord]]:

@@ -5,21 +5,23 @@ torsion tau0 equal to kappa, and for the modified flavor also the points
 with tau0 equal to (gamma - 1) kappa.  They are not the only equilibria of
 the modified flow: at eps = +1, kappa = 4 and gamma = 8/3 its rates vanish
 exactly at (a, b, q) = (3/5, 3/5, 9/25), where tau0 = 60/7.  At the nearly
-parallel points the module takes the complex-step linearization in the
-scaled perturbation coordinates (A, B, C) and reads the spectrum from
-exact tables: the family's one eigenbasis (`_EIGENBASIS`, the same three
-vectors at every nearly parallel point) and each point's eigenvalues,
-kappa^2 times a polynomial in gamma (`_SPECTRA`).  It counts the
-instability index exactly and maps the unstable direction's exact vector
-to an invariant 4-form.
+parallel points the module reads the linearization in the scaled
+perturbation coordinates (A, B, C) from exact tables: the family's one
+eigenbasis (`_EIGENBASIS`, the same three vectors at every nearly parallel
+point) and each point's eigenvalues, kappa^2 times a polynomial in gamma
+(`_SPECTRA`), so J = sum_k lambda_k P_k with the projectors of
+`_PROJECTORS`.  It counts the instability index exactly and maps the
+unstable direction's exact vector to an invariant 4-form.  The
+complex-step linearization of the float rates belongs to `jacobian` alone,
+which cross-checks the tables from outside.
 
 find_critical_points is where kappa and gamma become exact rationals, by
 the one reader `invariant_forms._exact` that `sphere_spectrum` uses too.
 The CriticalPoint carries those values and its exact kappa_eff, so every
 decision is made at the one rational the point was built at: its tau0 is
 kappa_eff, and window_mu is the family's mu0 of `_PSI_MU0` times
-kappa_eff / kappa.  jacobian refuses a flavor, eps, kappa
-or gamma other than the point's own, and it and window_mu share the check
+kappa_eff / kappa.  jacobian and classify refuse a flavor, eps, kappa
+or gamma other than the point's own, and they and window_mu share the check
 that refuses a point that is not the closed-form point its label names;
 classify runs it once.  The window rule lives in `sphere_spectrum._window_floor`.
 
@@ -57,6 +59,7 @@ from .invariant_forms import (
     GeometryParams,
     InvariantForm,
     _exact,
+    _exactly,
     dstar_on_4forms,
     form,
     hodge_star,
@@ -215,12 +218,15 @@ def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:
     return jac if np.isfinite(jac).all() else None
 
 
+# the closed-form nearly parallel point at tau0 = kappa_eff, per eps: (r, s) with
+# a = b = r / kappa_eff and q = s a^2
+_CLOSED_FORM = {+1: (Fraction(12, 5), 5), -1: (Fraction(4), 1)}
+
+
 def _exact_point_params(eps: int, kappa_eff: Fraction) -> GeometryParams:
-    if eps == +1:
-        a = Fraction(12, 5) / kappa_eff
-        return GeometryParams(a=a, b=a, q=5 * a * a, eps=eps)
-    a = 4 / kappa_eff
-    return GeometryParams(a=a, b=a, q=a * a, eps=eps)
+    r, s = _CLOSED_FORM[+1 if eps == +1 else -1]  # GeometryParams refuses any other eps
+    a = r / kappa_eff
+    return GeometryParams(a=a, b=a, q=s * a * a, eps=eps)
 
 
 def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPoint]:
@@ -281,8 +287,18 @@ def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
     """
     lam = [kappa ** 2 * (c0 + c1 * gamma + c2 * gamma ** 2) / 72
            for c0, c1, c2 in _SPECTRA[MODIFIED, eps, LABEL_PRINCIPAL]]
-    rows, den = _PROJECTORS[eps]
-    return np.array([[(lam[0] * x + lam[1] * y + lam[2] * z) / den for x, y, z in row] for row in rows])
+    return np.array(_table_linearization(lam, eps))
+
+
+def _table_linearization(lam, eps: int, den: int = 1) -> list[list]:
+    """sum_k lam_k P_k / den entry by entry, with the projectors P_k of `_PROJECTORS[eps]`.
+
+    Each entry is one numerator over den times the projectors' denominator,
+    so integer lam and den give it by one int / int division, rounded once.
+    """
+    rows, pden = _PROJECTORS[eps]
+    den *= pden
+    return [[(lam[0] * x + lam[1] * y + lam[2] * z) / den for x, y, z in row] for row in rows]
 
 
 def _label_kappa_eff(flavor: str, label: str, kappa: Fraction, gamma: Fraction | None) -> Fraction:
@@ -299,16 +315,49 @@ def _closed_form_kappa_eff(point: CriticalPoint) -> Fraction:
 
     Checked exactly: kappa_eff must be the label's (`_label_kappa_eff`),
     the params the closed form at it and the state those params rounded to
-    floats; ValueError otherwise.
+    floats; ValueError otherwise.  The params are compared with the closed
+    form of `_CLOSED_FORM` by integer cross-multiplication of their ratios.
     """
     keff = _label_kappa_eff(point.flavor, point.label, point.kappa, point.gamma)
     if point.kappa_eff != keff:
         raise ValueError(f"kappa_eff {point.kappa_eff} is not the {point.label} point's {keff}")
-    if point.params != _exact_point_params(point.eps, keff):
+    p = point.params
+    r, s = _CLOSED_FORM[p.eps]
+    rn, rd = r.as_integer_ratio()
+    an, ad, bn, bd, qn, qd = p._ratios
+    kn, kd = keff.as_integer_ratio()
+    # a kappa_eff = r, b = a and q = s a^2, each an integer cross-multiplication
+    if (p.eps != point.eps or an * kn * rd != rn * ad * kd
+            or (bn, bd) != (an, ad) or qn * ad * ad != s * an * an * qd):
         raise ValueError(f"params {point.params} are not the closed-form {point.label} point")
     if point.state != point.params.state():
         raise ValueError(f"state {point.state} is not the point's params rounded to floats")
     return keff
+
+
+def _check_point(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> None:
+    """Refuse constants other than the point's own, then a point that is not its label's closed form.
+
+    flavor, eps and kappa (read as find_critical_points reads it), and gamma
+    for the modified flavor, must be the point's own, or ValueError names
+    the one that differs; then `_closed_form_kappa_eff` checks the point.
+    jacobian and classify both run this, so their messages are the same.
+    """
+    checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
+              ("kappa", kappa, _exact(kappa) == point.kappa)]
+    if flavor == MODIFIED:
+        checks.append(("gamma", gamma, gamma is not None and _exact(gamma) == point.gamma))
+    for name, value, same in checks:
+        if not same:
+            raise ValueError(f"{name} {value} differs from the point's {name} {getattr(point, name)}")
+    _closed_form_kappa_eff(point)
+
+
+def _range_cut(jac) -> None:
+    """ValueError unless jac is a 3x3 matrix whose squared Frobenius norm is a finite float."""
+    jnorm = math.inf if jac is None else math.hypot(*(x for row in jac for x in row))
+    if not math.isfinite(jnorm * jnorm):
+        raise ValueError("the linearization does not evaluate in floating point at the point")
 
 
 def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
@@ -323,22 +372,13 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     J_ij y_j / y_i at the point y, so the analytic matrices apply literally.
     When the twin exists the two must agree to 1e-12 in relative sup norm.
     """
-    checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
-              ("kappa", kappa, _exact(kappa) == point.kappa)]
-    if flavor == MODIFIED:
-        checks.append(("gamma", gamma, gamma is not None and _exact(gamma) == point.gamma))
-    for name, value, same in checks:
-        if not same:
-            raise ValueError(f"{name} {value} differs from the point's {name} {getattr(point, name)}")
-    _closed_form_kappa_eff(point)
+    _check_point(flavor, point, kappa, gamma, eps)
     flavor, eps = point.flavor, point.eps
 
     kap, gam = float(point.kappa), None if point.gamma is None else float(point.gamma)
     y = point.state
     jac = _rhs_jacobian(flavor, y, kap, gam, eps)
-    jnorm = math.inf if jac is None else math.hypot(*jac.flat)
-    if not math.isfinite(jnorm * jnorm):  # a range cut: from kappa ~ 1e77 up J is wrong
-        raise ValueError("the linearization does not evaluate in floating point at the point")
+    _range_cut(jac)  # from kappa ~ 1e77 up the complex-step J is wrong
 
     ys = np.array(y)
     num = jac * ys / ys[:, None]
@@ -352,6 +392,12 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     return num, ana
 
 
+def _variation(a, b, q, A, B, C) -> tuple:
+    """(delta a, delta b, delta q) = (a A / q, b B / q, 2 C) varies the monomials
+    (q^2, a b q, a^2 q) by (4 q C, a b (A + B + 2 C), 2 a^2 (A + C))."""
+    return 4 * q * C, a * b * (A + B + 2 * C), 2 * a * a * (A + C)
+
+
 def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
     """Directional derivative of the dual 4-form along an (A, B, C) perturbation.
 
@@ -362,12 +408,8 @@ def variation_to_form(point: CriticalPoint, direction) -> InvariantForm:
     comps = [_exact(x) for x in direction]
     if all(x == 0 for x in comps):
         raise ValueError("direction must be nonzero")
-    A_, B_, C_ = comps
     p = point.params
-    a, b, q = p.a, p.b, p.q
-    # (delta a, delta b, delta q) = (a A / q, b B / q, 2 C) varies the monomials
-    # (q^2, a b q, a^2 q) by (4 q C, a b (A + B + 2 C), 2 a^2 (A + C))
-    return ansatz_4form((4 * q * C_, a * b * (A_ + B_ + 2 * C_), 2 * a * a * (A_ + C_)), p.eps)
+    return ansatz_4form(_exactly(_variation, p.a, p.b, p.q, *comps), p.eps)
 
 
 def window_mu(point: CriticalPoint) -> Fraction:
@@ -408,25 +450,33 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     """Full spectral report: linearization, eigenpairs, index, window verdict.
 
     The eigenpairs are the point's exact table vectors (`_EIGENBASIS`) and
-    values (`_SPECTRA`), which `jacobian`'s closed-form check makes apply.
-    At kappa = kn/kd and gamma = gn/gd (0/1 for the normalized flavor) the
-    values share the denominator 72 kd^2 gd^2 > 0, so every decision is on
-    integer numerators: index counts the positive values, marginal flags
-    the zeros, and pairs sort by decreasing value, ties in table order.
-    Each value is rounded once to a float, with its residual |J u - lambda u|
-    against the complex-step J.  unstable_form is the exact variation along
-    the first pair's table vector.  The window verdict is decided exactly,
-    at the point's own kappa and gamma, and the report carries the point's
-    flavor, eps, kappa and gamma (None for the normalized flavor);
-    `jacobian` refuses other constants and other points.
+    values (`_SPECTRA`), which the closed-form check makes apply; other
+    constants and other points are refused as `jacobian` refuses them, with
+    the same messages.  At kappa = kn/kd and gamma = gn/gd (0/1 for the
+    normalized flavor) the values share the denominator 72 kd^2 gd^2 > 0,
+    so every decision is on integer numerators: index counts the positive
+    values, marginal flags the zeros, and pairs sort by decreasing value,
+    ties in table order.  The reported J is the table's too, sum_k lambda_k
+    P_k, each entry one integer numerator rounded once, under jacobian's
+    range cut on ||J||^2; the float rates are never evaluated here, and
+    the complex step belongs to `jacobian` alone.  Each value is rounded
+    once to a float, with its residual |J u - lambda u| against that J.
+    unstable_form is the exact variation along the first pair's table
+    vector.  The window verdict is decided exactly, at the point's own
+    kappa and gamma, and the report carries the point's flavor, eps, kappa
+    and gamma (None for the normalized flavor).
     """
-    J, _ = jacobian(flavor, point, kappa, gamma, eps)
-    rows = J.tolist()
+    _check_point(flavor, point, kappa, gamma, eps)
     kn, kd = point.kappa.as_integer_ratio()
     gn, gd = (0, 1) if point.gamma is None else point.gamma.as_integer_ratio()
     nums = [kn * kn * (c0 * gd * gd + c1 * gn * gd + c2 * gn * gn)
             for c0, c1, c2 in _SPECTRA[point.flavor, point.eps, point.label]]
     den = 72 * kd * kd * gd * gd
+    try:
+        rows = _table_linearization(nums, point.eps, den)
+    except OverflowError:  # an entry beyond the float range
+        rows = None
+    _range_cut(rows)
     order = sorted(range(3), key=lambda i: -nums[i])
 
     pairs = []
@@ -438,7 +488,7 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     marginal = tuple(nums[i] == 0 for i in order)
     unstable_form = variation_to_form(point, _EIGENBASIS[point.eps][order[0]]) if index > 0 else None
 
-    mu = _PSI_MU0[point.eps][1] * point.kappa_eff / point.kappa  # window_mu, checked by jacobian
+    mu = _PSI_MU0[point.eps][1] * point.kappa_eff / point.kappa  # window_mu, checked by _check_point
     window = window_verdict(mu, point.gamma, flavor)
 
     return SpectralReport(

@@ -313,6 +313,16 @@ def test_stability_refuses_a_kappa_beyond_the_float_range(capsys, kappa):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ([], ["--eps", "1"]))
+def test_normalized_stability_classifies_below_its_float_rates_range(capsys, eps):
+    # the float rates do not evaluate at kappa = 1e-80; the index is read from the exact table
+    code, out = run(["stability", "--flavor", "normalized", "--kappa", "1e-80", *eps], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["index"] == 0
+    assert all(e["re"] < 0 for e in report["eigenvalues"])
+
+
 def test_flow_escapes_from_a_small_kappa_point(tmp_path, capsys):
     code, printed = run(["flow", "--flavor", "modified", "--eps", "1", "--kappa", "0.01",
                          "--perturb", "unstable", "--out", str(tmp_path / "x.csv")], capsys)

@@ -164,6 +164,33 @@ def test_records_agree_with_the_level_functions():
             d1=multiplicity_d1(l), lower_bound=dim_lower(l))
 
 
+def test_kept_records_equal_records_built_from_the_level_functions():
+    from coflow import sphere_spectrum
+
+    top = 3 * sphere_spectrum._RECORD_CACHE_LEVELS // 2
+    for _ in range(2):  # once building, once reading what is kept (or rebuilt past the bound)
+        for l in range(top + 1):
+            d, d0, d1 = multiplicity_d(l), multiplicity_d0(l), multiplicity_d1(l)
+            record = MultiplicityRecord.at(l)
+            assert record == MultiplicityRecord(l=l, eigenvalue=-(4 + l), d=d, d0=d0, d1=d1,
+                                                lower_bound=max(0, d - d0 - d1))
+            assert type(record.l) is int
+
+
+def test_a_kept_level_does_not_admit_what_equals_it():
+    MultiplicityRecord.at(3)
+    dim_lower(3)
+    for bad in (3.0, -1, [3], Fraction(3)):
+        with pytest.raises(ValueError):
+            MultiplicityRecord.at(bad)
+    for bad in (3.0, Fraction(3)):
+        with pytest.raises(ValueError):
+            dim_lower(bad)
+    # a bool is an int and is accepted as before, but kept apart from its level
+    assert MultiplicityRecord.at(True).l is True
+    assert type(MultiplicityRecord.at(1).l) is int
+
+
 def test_product_forms_equal_the_factorial_definitions():
     # the factorial quotients the dimensions are defined by, as the oracle
     for l in range(1001):

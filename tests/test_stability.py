@@ -1444,3 +1444,99 @@ def test_variation_to_form_is_the_derivative_of_the_monomials():
                 for _ in range(2):
                     v = direction()
                     assert variation_to_form(at, v) == _sympy_variation(params, v)
+
+
+# the exact linearization classify reports: sum_k lambda_k P_k from the tables
+EXACT_J_KAPPAS = (1e-6, 0.5, Fraction(7, 3), 4, 1e10, 1e40)
+EXACT_J_CASES = [(NORMALIZED, None)] + [(MODIFIED, g) for g in (2.2, 2.5, 8 / 3, 3, 16)]
+
+
+def _every_point(flavor, kappa, gamma):
+    return [p for eps in (+1, -1) for p in find_critical_points(flavor, kappa, gamma, eps)]
+
+
+def _table_jacobian_in_fractions(point):
+    # lambda_k = kappa^2 (c0 + c1 gamma + c2 gamma^2) / 72 and P_k = v_k w_k^T, with
+    # w_k the rows of V^-1 and V the table's vectors as columns, all in Fractions
+    kap = point.kappa
+    gam = Fraction(0) if point.gamma is None else point.gamma
+    lam = [kap * kap * (c0 + c1 * gam + c2 * gam * gam) / 72
+           for c0, c1, c2 in _SPECTRA[point.flavor, point.eps, point.label]]
+    basis = _EIGENBASIS[point.eps]
+    V = sympy.Matrix(3, 3, lambda i, k: sympy.Rational(str(Fraction(basis[k][i]))))
+    W = [[Fraction(int(x.p), int(x.q)) for x in V.inv().row(k)] for k in range(3)]
+    return [[sum(lam[k] * Fraction(basis[k][i]) * W[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
+@pytest.mark.parametrize("flavor, gamma", EXACT_J_CASES)
+@pytest.mark.parametrize("kappa", EXACT_J_KAPPAS)
+def test_classify_reports_the_tables_linearization_rounded_once(flavor, gamma, kappa):
+    for point in _every_point(flavor, kappa, gamma):
+        report = classify(flavor, point, kappa, gamma, point.eps)
+        exact = _table_jacobian_in_fractions(point)
+        assert report.jacobian == tuple(tuple(float(x) for x in row) for row in exact)
+        jnorm = math.hypot(*(x for row in report.jacobian for x in row))
+        assert all(p.residual <= 1e-15 * jnorm for p in report.eigenpairs)
+
+
+@pytest.mark.parametrize("flavor, gamma", EXACT_J_CASES)
+@pytest.mark.parametrize("kappa", EXACT_J_KAPPAS)
+def test_the_tables_linearization_agrees_with_the_complex_step(flavor, gamma, kappa):
+    for point in _every_point(flavor, kappa, gamma):
+        reported = np.array(classify(flavor, point, kappa, gamma, point.eps).jacobian)
+        stepped, _ = jacobian(flavor, point, kappa, gamma, point.eps)
+        sup = np.max(np.abs(reported))
+        assert np.max(np.abs(stepped - reported)) <= 1e-14 * sup
+
+
+def test_classify_evaluates_no_float_rates_and_builds_no_second_point(monkeypatch):
+    from coflow import stability
+
+    points = [p for eps, kappa, gamma in GRID for p in find_critical_points(MODIFIED, kappa, gamma, eps)]
+    points += _every_point(NORMALIZED, 4, None)
+
+    def fields(report):
+        return (report.index, [p.value for p in report.eigenpairs],
+                [p.vector for p in report.eigenpairs], report.marginal, report.unstable_form)
+
+    want = [fields(classify(p.flavor, p, p.kappa, p.gamma, p.eps)) for p in points]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify called the float rates or rebuilt its point")
+
+    for name in ("_rhs_jacobian", "jacobian", "state_rates", "monomial_rates", "_exact_point_params"):
+        monkeypatch.setattr(stability, name, refuse)
+    got = [fields(stability.classify(p.flavor, p, p.kappa, p.gamma, p.eps)) for p in points]
+    assert got == want
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_classify_keeps_the_range_cut_on_the_exact_linearization(eps):
+    message = "the linearization does not evaluate in floating point at the point"
+    for flavor, gamma in ((NORMALIZED, None), (MODIFIED, 3.0), (MODIFIED, 16.0)):
+        point = principal(flavor, 1e80, gamma, eps)
+        with pytest.raises(ValueError, match=message):
+            classify(flavor, point, 1e80, gamma, eps)
+    point = rescaled(1e76, 16.0, eps)
+    with pytest.raises(ValueError, match=message):
+        classify(MODIFIED, point, 1e76, 16.0, eps)
+    # an entry beyond the float range is refused the same way, not by OverflowError
+    point = principal(MODIFIED, 1e160, 3.0, eps)
+    with pytest.raises(ValueError, match=message):
+        classify(MODIFIED, point, 1e160, 3.0, eps)
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+def test_the_closed_form_check_compares_every_ratio_and_the_sign(eps):
+    # a point whose b is not its a, and a point carrying the other family's params
+    point = principal(MODIFIED, 4, 3, eps)
+    p = point.params
+    params = GeometryParams(p.a, 2 * p.b, p.q, eps)
+    other_b = dataclasses.replace(point, params=params, state=params.state())
+    other_sign = dataclasses.replace(principal(MODIFIED, 4, 3, -eps), eps=eps)
+    for bad in (other_b, other_sign):
+        for check in (window_mu, lambda pt: classify(MODIFIED, pt, 4, 3, eps),
+                      lambda pt: jacobian(MODIFIED, pt, 4, 3, eps)):
+            with pytest.raises(ValueError, match="are not the closed-form tau0_eq_kappa point"):
+                check(bad)
