@@ -2,8 +2,10 @@
 # Runs the README's "## Command line" block through the console script and
 # its "## Library quickstart" Python blocks, both extracted from README.md so
 # CI cannot drift from it, and checks the two sphere-index totals the README
-# quotes and the index of its modified-flow stability command.  Run from the repository root, with the package
-# installed:  sh .github/check_readme.sh
+# quotes, the index of its modified-flow stability command and the evidence
+# of each row of "## What the paper claims and where it is checked".  Run
+# from the repository root, with the package installed:
+#   sh .github/check_readme.sh
 set -eu
 
 # the README's own "## Command line" block, extracted
@@ -20,6 +22,32 @@ grep -q '^coflow ' "$cmds"
   grep -qx 'coflow stability --flavor modified --eps 1 --kappa 4 --gamma 3' "$cmds"
   coflow stability --flavor modified --eps 1 --kappa 4 --gamma 3 | grep -qx '  "index": 1,'
 )
+
+# each claim row's command, run only if the README lists it, must print each
+# line given after it: claim COMMAND LINE...
+claim() {
+  c="$1"
+  shift
+  grep -qF "\`$c\`" README.md
+  out="$($c)"
+  for line in "$@"; do
+    printf '%s\n' "$out" | grep -qxF -- "$line"
+  done
+}
+# rescaling: the scaling mode is -10 at the principal point and +20 at the
+# rescaled one, and the normalized flow has index 0 at both eps
+claim 'coflow stability --flavor modified --eps 1 --kappa 4 --gamma 3 --point rescaled' '      "re": 20.0,'
+claim 'coflow stability --flavor normalized --eps 1 --kappa 4' '  "index": 0,'
+claim 'coflow stability --flavor normalized --eps -1 --kappa 4' '  "index": 0,'
+# 3-Sasakian: index 1 and a destabilizing window at both eps; at eps = -1 the
+# point is a = b = c = 1
+claim 'coflow stability --flavor modified --eps 1 --kappa 4 --gamma 3' '  "index": 1,' \
+  '    "verdict": "destabilizing"' '      "re": -10.0,'
+claim 'coflow stability --flavor modified --eps -1 --kappa 4 --gamma 3' '  "index": 1,' \
+  '    "verdict": "destabilizing"' '    "a": 1.0,' '    "b": 1.0,' '    "c": 1.0'
+# the round sphere's bound
+claim 'coflow sphere-index --l-min 3 --l-max 6 --gamma 3' 7047
+claim 'coflow sphere-index --l-min 1 --l-max 15 --gamma 3' 980733
 
 # the README's "## Library quickstart" Python blocks, extracted the same way
 script="$(mktemp)"

@@ -23,11 +23,11 @@ rounding.  Levels whose ratio mu = -(4+l)/4 falls in the
 destabilizing window -1 > mu > -(5/2)(gamma-1) contribute to the index
 bound of the modified flow.
 
-The window rule is written once here: `_window_floor` owns the floor and
-its gamma > 2 check, and `stability.window_verdict` reads the same floor.
-gamma is read exactly, by the one reader `invariant_forms._exact`.
-index_lower_bound checks the level range, and the command line leaves
-that check, like the gamma check, to this module.
+The window rule is written once here, on integers: `_window_floor` owns
+the floor and its gamma > 2 check, read by `invariant_forms._exact`, and
+`_window_form` the inequality, by whose sign `_in_window` and
+`stability.window_verdict` decide.  index_lower_bound checks the level
+range; the command line leaves that check, like gamma's, to this module.
 """
 
 from __future__ import annotations
@@ -94,18 +94,26 @@ def level_mu(l: int) -> Fraction:
 def _window_floor(gamma) -> Fraction:
     """Lower end -(5/2)(gamma - 1) of the destabilizing window, exactly; gamma > 2.
 
-    The one copy of the window rule: `stability.window_verdict` reads its
-    floor from here too.  gamma is read by `invariant_forms._exact`, as in
-    `find_critical_points`; None is refused like any gamma <= 2.
+    gamma is read by `invariant_forms._exact`, as in `find_critical_points`;
+    None is refused like any gamma <= 2.
     """
     if gamma is None or not gamma > 2:
         raise ValueError("the window requires gamma > 2")
     return Fraction(-5, 2) * (_exact(gamma) - 1)
 
 
+def _window_form(mn: int, md: int, floor: Fraction) -> tuple[int, int]:
+    """(mu + 1)(mu - floor) at mu = mn / md, md > 0, as (numerator, positive denominator).
+
+    The one copy of the window rule: negative exactly on -1 > mu > floor.
+    """
+    fn, fd = floor.as_integer_ratio()
+    return (mn + md) * (mn * fd - fn * md), md * md * fd
+
+
 def _in_window(l: int, floor: Fraction) -> bool:
-    """-1 > level_mu(l) > floor, in integers: mu = -(4 + l)/4 and floor's denominator is positive."""
-    return l > 0 and -(4 + l) * floor.denominator > 4 * floor.numerator
+    """Whether level_mu(l) = -(4 + l)/4 lies in the window above floor, by `_window_form`."""
+    return _window_form(-(4 + l), 4, floor)[0] < 0
 
 
 def in_window(l: int, gamma) -> bool:

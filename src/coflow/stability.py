@@ -19,11 +19,10 @@ find_critical_points is where kappa and gamma become exact rationals, by
 the one reader `invariant_forms._exact` that `sphere_spectrum` uses too.
 The CriticalPoint carries those values and its exact kappa_eff, so every
 decision is made at the one rational the point was built at: its tau0 is
-kappa_eff, and window_mu is the family's mu0 of `_PSI_MU0` times
-kappa_eff / kappa.  jacobian and classify refuse a flavor, eps, kappa
-or gamma other than the point's own, and they and window_mu share the check
-that refuses a point that is not the closed-form point its label names;
-classify runs it once.  The window rule lives in `sphere_spectrum._window_floor`.
+kappa_eff, and window_mu, the one copy of mu, is mu0 of `_PSI_MU0` times
+kappa_eff / kappa.  jacobian and classify refuse constants other than the
+point's own; jacobian and window_mu (classify's mu) refuse a point that is
+not its label's closed form.  The window rule is `sphere_spectrum`'s.
 
 At a point (a, b, c) with q = c^2 the coordinates are
 (A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
@@ -66,7 +65,7 @@ from .invariant_forms import (
     wedge,
     exterior_derivative,
 )
-from .sphere_spectrum import _window_floor
+from .sphere_spectrum import _window_floor, _window_form
 
 PSI_PLUS = form([("e23^w1", 1), ("e13^w2", -1), ("e12^w3", -2)])
 PSI_MINUS = form([("vol", 2), ("e23^w1", -1), ("e13^w2", 1), ("e12^w3", -1)])
@@ -336,12 +335,11 @@ def _closed_form_kappa_eff(point: CriticalPoint) -> Fraction:
 
 
 def _check_point(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> None:
-    """Refuse constants other than the point's own, then a point that is not its label's closed form.
+    """Refuse a flavor, eps, kappa or (modified flavor) gamma other than the point's own.
 
-    flavor, eps and kappa (read as find_critical_points reads it), and gamma
-    for the modified flavor, must be the point's own, or ValueError names
-    the one that differs; then `_closed_form_kappa_eff` checks the point.
-    jacobian and classify both run this, so their messages are the same.
+    kappa and gamma are read as find_critical_points reads them; ValueError
+    names the constant that differs.  jacobian and classify run this first,
+    so their messages are the same.
     """
     checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
               ("kappa", kappa, _exact(kappa) == point.kappa)]
@@ -350,7 +348,6 @@ def _check_point(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> N
     for name, value, same in checks:
         if not same:
             raise ValueError(f"{name} {value} differs from the point's {name} {getattr(point, name)}")
-    _closed_form_kappa_eff(point)
 
 
 def _range_cut(jac) -> None:
@@ -373,6 +370,7 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     When the twin exists the two must agree to 1e-12 in relative sup norm.
     """
     _check_point(flavor, point, kappa, gamma, eps)
+    _closed_form_kappa_eff(point)
     flavor, eps = point.flavor, point.eps
 
     kap, gam = float(point.kappa), None if point.gamma is None else float(point.gamma)
@@ -419,54 +417,50 @@ def window_mu(point: CriticalPoint) -> Fraction:
     effective torsion, so rescaled points report a gamma-dependent ratio.
     A point that fails jacobian's closed-form check raises its ValueError.
     """
-    return _PSI_MU0[point.eps][1] * _closed_form_kappa_eff(point) / point.kappa
+    return _closed_form_kappa_eff(point) * _PSI_MU0[point.eps][1] / point.kappa
 
 
 def window_verdict(mu, gamma, flavor: str) -> WindowVerdict:
     """Classify a d*-eigenvalue ratio against the flavor's quadratic form.
 
-    Modified flavor: form (mu + 1)(mu - floor) with the window floor
-    -(5/2)(gamma - 1) of `sphere_spectrum._window_floor`, destabilizing
-    exactly on -1 > mu > floor; gamma must exceed 2.  Normalized flavor:
-    form (mu + 1)^2, never destabilizing.  Kernel when the form vanishes.
+    mu and gamma are read by `invariant_forms._exact`.  Modified flavor: the
+    window form `sphere_spectrum._window_form`, gamma > 2.  Normalized flavor:
+    the square of mu + 1.  A negative form is destabilizing and a zero one a
+    kernel; form_value is its integer ratio, rounded once.
     """
+    mn, md = _exact(mu).as_integer_ratio()
     if flavor == MODIFIED:
-        value = (mu + 1) * (mu - _window_floor(gamma))
+        num, den = _window_form(mn, md, _window_floor(gamma))
     elif flavor == NORMALIZED:
-        value = (mu + 1) ** 2
+        num, den = (mn + md) ** 2, md * md
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if value < 0:
-        verdict = "destabilizing"
-    elif value == 0:
-        verdict = "kernel"
-    else:
-        verdict = "stable-direction"
+    verdict = "destabilizing" if num < 0 else "kernel" if num == 0 else "stable-direction"
     return WindowVerdict(mu=float(mu), gamma=None if gamma is None else float(gamma),
-                         flavor=flavor, verdict=verdict, form_value=float(value))
+                         flavor=flavor, verdict=verdict, form_value=num / den)
 
 
 def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> SpectralReport:
     """Full spectral report: linearization, eigenpairs, index, window verdict.
 
     The eigenpairs are the point's exact table vectors (`_EIGENBASIS`) and
-    values (`_SPECTRA`), which the closed-form check makes apply; other
-    constants and other points are refused as `jacobian` refuses them, with
-    the same messages.  At kappa = kn/kd and gamma = gn/gd (0/1 for the
-    normalized flavor) the values share the denominator 72 kd^2 gd^2 > 0,
-    so every decision is on integer numerators: index counts the positive
-    values, marginal flags the zeros, and pairs sort by decreasing value,
-    ties in table order.  The reported J is the table's too, sum_k lambda_k
-    P_k, each entry one integer numerator rounded once, under jacobian's
-    range cut on ||J||^2; the float rates are never evaluated here, and
-    the complex step belongs to `jacobian` alone.  Each value is rounded
-    once to a float, with its residual |J u - lambda u| against that J.
-    unstable_form is the exact variation along the first pair's table
-    vector.  The window verdict is decided exactly, at the point's own
-    kappa and gamma, and the report carries the point's flavor, eps, kappa
-    and gamma (None for the normalized flavor).
+    values (`_SPECTRA`); other constants and other points are refused as
+    `jacobian` refuses them, with the same messages.  At kappa = kn/kd and
+    gamma = gn/gd (0/1 for the normalized flavor) the values share the
+    denominator 72 kd^2 gd^2 > 0, so every decision is on integer numerators:
+    index counts the positive values, marginal flags the zeros, and pairs
+    sort by decreasing value, ties in table order.  The reported J is the
+    table's too, sum_k lambda_k P_k, each entry one integer numerator rounded
+    once, under jacobian's range cut on ||J||^2; the float rates are never
+    evaluated here.  Each value is rounded once to a float, with its residual
+    |J u - lambda u| against that J.  unstable_form is the exact variation
+    along the first pair's table vector.  The window verdict is
+    `window_verdict` at `window_mu`, whose closed-form check makes the tables
+    apply.  The report carries the point's constants (gamma None for the
+    normalized flavor).
     """
     _check_point(flavor, point, kappa, gamma, eps)
+    mu = window_mu(point)
     kn, kd = point.kappa.as_integer_ratio()
     gn, gd = (0, 1) if point.gamma is None else point.gamma.as_integer_ratio()
     nums = [kn * kn * (c0 * gd * gd + c1 * gn * gd + c2 * gn * gn)
@@ -487,8 +481,6 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     index = sum(1 for n in nums if n > 0)
     marginal = tuple(nums[i] == 0 for i in order)
     unstable_form = variation_to_form(point, _EIGENBASIS[point.eps][order[0]]) if index > 0 else None
-
-    mu = _PSI_MU0[point.eps][1] * point.kappa_eff / point.kappa  # window_mu, checked by _check_point
     window = window_verdict(mu, point.gamma, flavor)
 
     return SpectralReport(

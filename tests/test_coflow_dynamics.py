@@ -48,7 +48,7 @@ from coflow.g2_ansatz import (
     tau3_norm_sq_terms,
     torsion,
 )
-from coflow.stability import LABEL_PRINCIPAL, LABEL_RESCALED, find_critical_points, state_direction
+from coflow.stability import LABEL_PRINCIPAL, LABEL_RESCALED, classify, find_critical_points, state_direction
 
 
 def frac_state(a, b, q):
@@ -385,6 +385,27 @@ def test_b_zero_is_invariant_and_carries_the_boundary_quadratic(eps):
     on_slice = {q: 2 * a * a}
     assert sympy.expand(u1.subs(on_slice) + 2 * x ** 2 / kappa ** 2 * quadratic) == 0
     assert sympy.expand(u3.subs(on_slice) + x ** 2 / kappa ** 2 * quadratic) == 0
+
+
+@pytest.mark.parametrize("eps, label, sign", [
+    (+1, LABEL_PRINCIPAL, -1), (+1, LABEL_RESCALED, +1),
+    (-1, LABEL_PRINCIPAL, -1), (-1, LABEL_RESCALED, +1),
+])
+def test_gamma_3_escapes_collapse_onto_the_boundary_root(eps, label, sign):
+    # The boundary algebra is our derivation, not the paper's: on b = 0 with
+    # q = 2 a^2 the rates carry 5 (gamma - 1) x^2 - 20 gamma x + 72, x = kappa a
+    # (test above), whose larger root at kappa = 4, gamma = 3 is
+    # a = (3 + sqrt(1.8)) / 4.  These four escapes along +-1e-3 of the unstable
+    # vector end there; of the other four, one runs out its 100 000 steps.
+    point = next(p for p in find_critical_points(MODIFIED, 4, 3, eps) if p.label == label)
+    vector = classify(MODIFIED, point, 4, 3, eps).eigenpairs[0].vector
+    start = np.array(point.state) + sign * 1e-3 * state_direction(point, vector)
+    config = FlowConfig(flavor=MODIFIED, kappa=4.0, gamma=3.0, eps=eps, t_max=20.0)
+    traj = integrate(config, FlowState(0.0, *start))
+    end = traj.final_state
+    assert traj.reason == "degeneracy" and end.b < 1e-8
+    assert abs(end.a - (3 + math.sqrt(1.8)) / 4) < 2e-6
+    assert abs(end.c ** 2 - 2 * end.a ** 2) < 1e-7
 
 
 @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))

@@ -669,6 +669,20 @@ def test_every_law_exponent_indexes_the_star_factor_tables():
         assert ja in (0, 2, 4) and jb in (0, 2) and jq in (0, 2, 4)
 
 
+def test_the_metric_law_makes_the_star_an_involution_for_every_a_b_q():
+    # star(m) is k eps a^(2-ja) b^(1-jb) q^(2-jq) / pairing times the complement,
+    # so star(star(m)) = m for every (a, b, q) exactly when the complement's
+    # complement is m, the exponents of the two rows cancel and the constants
+    # multiply to 1 (eps^2 = 1): integers only, no parameter point
+    laws = invariant_forms._LAW
+    assert len(laws) == 40
+    for m, (comp, pairing, k, ja, jb, jq) in laws.items():
+        comp2, pairing2, k2, ja2, jb2, jq2 = laws[comp]
+        assert comp2 == m
+        assert (ja + ja2, jb + jb2, jq + jq2) == (4, 2, 4)
+        assert k * k2 == pairing * pairing2
+
+
 def test_star_and_inner_product_reject_mixed_degrees():
     mixed = form([("e1", Fraction(-3, 2)), ("w1", 5)])
     for p in (P_PLUS, P_ODD):

@@ -41,7 +41,7 @@ from coflow.stability import (
     window_mu,
     window_verdict,
 )
-from coflow.sphere_spectrum import in_window, index_lower_bound
+from coflow.sphere_spectrum import in_window, index_lower_bound, level_mu
 
 SQ5 = math.sqrt(5)
 
@@ -1540,3 +1540,56 @@ def test_the_closed_form_check_compares_every_ratio_and_the_sign(eps):
                       lambda pt: jacobian(MODIFIED, pt, 4, 3, eps)):
             with pytest.raises(ValueError, match="are not the closed-form tau0_eq_kappa point"):
                 check(bad)
+
+
+# The window rule has one encoding, sphere_spectrum's, and a point's mu one
+# copy, window_mu: the sphere levels and the Psi verdicts decide alike.
+_RULE_GAMMAS = [Fraction(21, 10), 2.1, Decimal("2.1"), Fraction(5, 2), Fraction(8, 3), 8 / 3, 3, 16]
+_RULE_IDS = [f"{type(g).__name__}-{g}" for g in _RULE_GAMMAS]
+
+
+@pytest.mark.parametrize("gamma", _RULE_GAMMAS, ids=_RULE_IDS)
+def test_in_window_and_window_verdict_decide_by_the_one_rule(gamma):
+    verdicts = [window_verdict(level_mu(l), gamma, MODIFIED).verdict for l in range(301)]
+    assert [in_window(l, gamma) for l in range(301)] == [v == "destabilizing" for v in verdicts]
+    floor = Fraction(-5, 2) * (Fraction(gamma) - 1)
+    assert [l for l, v in enumerate(verdicts) if v == "kernel"] == [
+        l for l in range(301) if level_mu(l) in (-1, floor)]
+    # mu = -1 at level 0; level 7's -11/4 is the floor at the decimal 2.1 alone
+    assert verdicts[0] == "kernel"
+    assert (verdicts[7] == "kernel") == (Fraction(gamma) == Fraction(21, 10))
+    # a Decimal or float mu is read at the exact value it spells, as gamma is
+    assert window_verdict(Decimal("-1.5"), gamma, MODIFIED) == window_verdict(Fraction(-3, 2), gamma,
+                                                                               MODIFIED)
+
+
+def test_form_value_is_the_inline_forms_rounded_once():
+    points = [p for eps, kappa, gamma in BENCHMARK_GRID
+              for p in find_critical_points(MODIFIED, kappa, gamma, eps)]
+    mus = [level_mu(l) for l in range(301)] + [window_mu(p) for p in points]
+    for gamma in _RULE_GAMMAS:
+        floor = Fraction(-5, 2) * (Fraction(gamma) - 1)
+        assert [window_verdict(mu, gamma, MODIFIED).form_value.hex() for mu in mus] == [
+            float((mu + 1) * (mu - floor)).hex() for mu in mus]
+    assert [window_verdict(mu, None, NORMALIZED).form_value.hex() for mu in mus] == [
+        float((mu + 1) ** 2).hex() for mu in mus]
+
+
+def test_the_closed_form_check_runs_once_per_call(monkeypatch):
+    from coflow import stability
+
+    check, calls = stability._closed_form_kappa_eff, []
+
+    def counting(point):
+        calls.append(point)
+        return check(point)
+
+    monkeypatch.setattr(stability, "_closed_form_kappa_eff", counting)
+    for eps in (+1, -1):
+        points = [(MODIFIED, p) for p in find_critical_points(MODIFIED, 4, 3, eps)]
+        points.append((NORMALIZED, principal(NORMALIZED, 4, None, eps)))
+        for flavor, point in points:
+            for call in (classify, jacobian, lambda *args: window_mu(args[1])):
+                calls.clear()
+                call(flavor, point, 4, 3, eps)
+                assert calls == [point]
