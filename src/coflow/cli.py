@@ -30,7 +30,6 @@ from .coflow_dynamics import (
     NORMALIZED,
     FlowConfig,
     FlowState,
-    guarded_rhs,
     integrate,
 )
 from .g2_ansatz import identity_suite
@@ -236,16 +235,14 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         if not min(start) > 0:
             sub.error(f"--delta {args.delta} moves the start off the positive scales: "
                       f"({start[0]}, {start[1]}, {start[2]})")
-        k = guarded_rhs(flavor, start, args.kappa, args.gamma, args.eps) or (math.inf,) * 3
-        rate = math.sqrt(k[0] * k[0] + k[1] * k[1] + k[2] * k[2])  # as integrate's stop test
-        if rate < args.tol_conv:
-            sub.error(f"--delta {args.delta} starts the run already converged: |rhs| = {rate:.3g} "
-                      f"is below --tol-conv {args.tol_conv}; raise --delta or lower --tol-conv")
         initial = FlowState(0.0, *start)
         config = dataclasses.replace(config, reference=point.state)
 
     with _usage_errors(sub):
         traj = integrate(config, initial)
+    if args.perturb is not None and traj.reason == "converged" and traj.steps == 0:
+        sub.error(f"--delta {args.delta} starts the run already converged, with |rhs| below "
+                  f"--tol-conv {args.tol_conv}; raise --delta or lower --tol-conv")
     traj.write_csv(args.out)
     traj.write_sidecar(_sidecar(args.out))
     _emit(traj.sidecar_dict(), None)
@@ -302,18 +299,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_flow = subs.add_parser("flow", help="integrate one trajectory")
     p_flow.add_argument("--flavor", default="coflow")
-    p_flow.add_argument("--eps", type=int, choices=(1, -1), default=-1)
-    p_flow.add_argument("--kappa", type=float, default=4.0)
-    p_flow.add_argument("--gamma", type=float, default=3.0)
+    p_flow.add_argument("--eps", type=int, choices=(1, -1), default=FlowConfig.eps)
+    p_flow.add_argument("--kappa", type=float, default=FlowConfig.kappa)
+    p_flow.add_argument("--gamma", type=float, default=FlowConfig.gamma)
     p_flow.add_argument("--a0", type=float, default=None)
     p_flow.add_argument("--b0", type=float, default=None)
     p_flow.add_argument("--c0", type=float, default=None)
-    p_flow.add_argument("--t-max", type=float, default=10.0)
-    p_flow.add_argument("--rtol", type=float, default=1e-10)
-    p_flow.add_argument("--atol", type=float, default=1e-12)
-    p_flow.add_argument("--max-steps", type=int, default=100_000)
-    p_flow.add_argument("--tol-conv", type=float, default=1e-8)
-    p_flow.add_argument("--escape-radius", type=float, default=1e-1)
+    p_flow.add_argument("--t-max", type=float, default=FlowConfig.t_max)
+    p_flow.add_argument("--rtol", type=float, default=FlowConfig.rtol)
+    p_flow.add_argument("--atol", type=float, default=FlowConfig.atol)
+    p_flow.add_argument("--max-steps", type=int, default=FlowConfig.max_steps)
+    p_flow.add_argument("--tol-conv", type=float, default=FlowConfig.tol_conv)
+    p_flow.add_argument("--escape-radius", type=float, default=FlowConfig.escape_radius)
     p_flow.add_argument("--perturb", choices=("unstable",), default=None,
                         help="start at the principal critical point plus "
                              "delta along the unit unstable eigenvector")

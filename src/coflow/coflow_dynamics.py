@@ -212,18 +212,20 @@ def _require_positive(a, b, c) -> None:
         raise ValueError(f"state must be positive, got ({a}, {b}, {c})")
 
 
-def rhs_normalized(state, kappa, eps) -> tuple:
-    """(da/dt, db/dt, dc/dt) of the normalized flow."""
+def _rhs(flavor: str, state, kappa, gamma, eps) -> tuple:
     a, b, c = _coords(state)
     _require_positive(a, b, c)
-    return state_rates(a, b, c, monomial_rates(NORMALIZED, a, b, c * c, kappa, None, eps))
+    return state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
+
+
+def rhs_normalized(state, kappa, eps) -> tuple:
+    """(da/dt, db/dt, dc/dt) of the normalized flow."""
+    return _rhs(NORMALIZED, state, kappa, None, eps)
 
 
 def rhs_modified(state, kappa, gamma, eps) -> tuple:
     """(da/dt, db/dt, dc/dt) of the modified flow."""
-    a, b, c = _coords(state)
-    _require_positive(a, b, c)
-    return state_rates(a, b, c, monomial_rates(MODIFIED, a, b, c * c, kappa, gamma, eps))
+    return _rhs(MODIFIED, state, kappa, gamma, eps)
 
 
 def _guarded_flow(flavor: str, kappa, gamma, eps) -> Callable:

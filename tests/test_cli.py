@@ -654,3 +654,90 @@ def test_stability_prints_tau0_as_the_points_kappa_eff(argv, tau0, capsys):
     assert code == 0
     assert json.loads(out)["tau0"] == tau0
     assert f'  "tau0": {tau0!r},' in out.splitlines()
+
+
+# every flow setting the parser reads from FlowConfig, with a valid value other than its default
+_PATCHED_FLOW_DEFAULTS = {
+    "eps": 1, "kappa": 2.0, "gamma": 2.5, "t_max": 0.5, "rtol": 1e-8, "atol": 1e-10,
+    "max_steps": 7, "tol_conv": 1e-6, "escape_radius": 0.25,
+}
+
+
+def _recording_integrate(monkeypatch):
+    """Wrap cli.integrate; returns the list of (config, trajectory) pairs it saw."""
+    import coflow.cli as cli
+
+    real = cli.integrate
+    seen = []
+
+    def recorded(config, initial):
+        traj = real(config, initial)
+        seen.append((config, traj))
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", recorded)
+    return seen
+
+
+def test_flow_reads_its_defaults_from_flow_config(monkeypatch, tmp_path, capsys):
+    from coflow.coflow_dynamics import FlowConfig
+
+    for name, value in _PATCHED_FLOW_DEFAULTS.items():
+        assert getattr(FlowConfig, name) != value
+        monkeypatch.setattr(FlowConfig, name, value)
+    seen = _recording_integrate(monkeypatch)
+    code, _ = run(["flow", "--a0", "1.3", "--b0", "0.8", "--c0", "1.1",
+                   "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 0
+    [(config, _)] = seen
+    assert {name: getattr(config, name) for name in _PATCHED_FLOW_DEFAULTS} == _PATCHED_FLOW_DEFAULTS
+
+
+def test_a_perturbed_start_above_the_ceiling_reports_blow_up(tmp_path, capsys):
+    # at kappa 1e-9 the point is (4e9, 4e9, 4e9), above the 1e8 ceiling, and its
+    # rates are far below --tol-conv: integrate's first test, the ceiling, decides
+    out = tmp_path / "t.csv"
+    code, printed = run(["flow", "--flavor", "modified", "--eps", "-1", "--perturb", "unstable",
+                         "--kappa", "1e-9", "--delta", "1e-3", "--out", str(out)], capsys)
+    assert code == 0
+    report = json.loads(printed)
+    assert (report["reason"], report["steps"]) == ("blow-up", 0)
+    assert json.loads((tmp_path / "t.json").read_text()) == report
+    with open(out, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 1
+
+
+@pytest.mark.parametrize("eps", ["1", "-1"])
+def test_the_converged_refusal_is_integrates_own_stop(monkeypatch, tmp_path, capsys, eps):
+    seen = _recording_integrate(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--flavor", "modified", "--eps", eps, "--perturb", "unstable",
+              "--delta", "1e-10", "--out", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert [(traj.reason, traj.steps) for _, traj in seen] == [("converged", 0)]
+    assert "starts the run already converged" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stability_exits_1_when_a_psi_identity_fails(monkeypatch, capsys):
+    import coflow.cli as cli
+    from coflow.stability import PsiIdentityReport
+
+    monkeypatch.setattr(cli, "verify_psi_identities",
+                        lambda eps, kappa: PsiIdentityReport(True, True, False, True, ("broken",)))
+    code = main(["stability"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "psi identity sub-checks FAILED" in captured.err
+    assert json.loads(captured.out)["index"] == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_write_that_fails_past_the_checks_exits_2_with_no_traceback(capsys):
+    # /dev/full passes the up-front checks (a writable file in a directory) and fails the write
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "1", "--out", "/dev/full"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write /dev/full: No space left on device" in err
+    assert "Traceback" not in err

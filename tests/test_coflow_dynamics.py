@@ -1074,3 +1074,40 @@ def test_volume_rate_probe_is_bitwise_pinned_on_the_benchmark_grid():
         assert traj.reason == "horizon"
         assert tuple(hitchin_rate_check(traj, kappa, gamma, probe_step=5e-4 * t_max, max_samples=n).hex()
                      for n in (8, 40)) == pinned
+
+
+def test_integrate_refuses_a_non_finite_start():
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        integrate(FlowConfig(), FlowState(0.0, math.inf, 1.0, 1.0))
+
+
+def test_a_start_past_the_horizon_stops_there_after_no_step():
+    traj = integrate(FlowConfig(t_max=1.0), FlowState(2.0, 1.3, 0.8, 1.1))
+    assert (traj.reason, traj.steps) == ("horizon", 0)
+    assert traj.final_state == FlowState(2.0, 1.3, 0.8, 1.1)
+
+
+def test_the_volume_rate_check_needs_an_interior_sample():
+    traj = integrate(FlowConfig(flavor=MODIFIED, max_steps=1), FlowState(0.0, 1.3, 0.8, 1.1))
+    assert traj.steps == 1
+    with pytest.raises(ValueError, match="trajectory too short"):
+        hitchin_rate_check(traj, 4.0, 3.0)
+
+
+@pytest.mark.parametrize("mu, flavor, message", [
+    (0, MODIFIED, "mu must be positive"),
+    (1.0, "sideways", "unknown flavor"),
+])
+def test_scaling_ode_rhs_rejects_bad_inputs(mu, flavor, message):
+    with pytest.raises(ValueError, match=message):
+        scaling_ode_rhs(mu, 4, 3, flavor)
+
+
+def test_the_two_float_volumes_agree_within_4_ulp():
+    # Trajectory.volume and hitchin_volume are two float copies of a^2 b c^4 that
+    # round in different orders; each is bit-pinned, so only their gap is checked
+    traj = integrate(FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1), FlowState(0.0, 1.3, 0.8, 1.1))
+    assert (traj.steps, traj.reason) == (239, "converged")
+    for state, vol in zip(traj.states, traj.volume):
+        other = hitchin_volume(state)
+        assert abs(vol - other) <= 4 * math.ulp(max(vol, other)), state

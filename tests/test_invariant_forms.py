@@ -983,3 +983,10 @@ def test_form_sums_repeated_keys_and_drops_zeros():
     assert form([("e1", 2), ("e1", -2)]).is_zero()
     with pytest.raises(TypeError, match="exact coefficient required"):
         form([("e1", 1), ("e1", 0.5)])
+
+
+def test_dstar_on_4forms_refuses_a_3_form():
+    from coflow.invariant_forms import dstar_on_4forms
+
+    with pytest.raises(ValueError, match="expects a degree-4 form"):
+        dstar_on_4forms(wedge(E1, W1), params(1, 1, 1, +1))

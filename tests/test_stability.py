@@ -1593,3 +1593,14 @@ def test_the_closed_form_check_runs_once_per_call(monkeypatch):
                 calls.clear()
                 call(flavor, point, 4, 3, eps)
                 assert calls == [point]
+
+
+@pytest.mark.parametrize("eps, kappa", [(+1, 0), (-1, -4)])
+def test_verify_psi_identities_needs_a_positive_kappa(eps, kappa):
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        verify_psi_identities(eps, kappa)
+
+
+def test_window_verdict_rejects_an_unknown_flavor():
+    with pytest.raises(ValueError, match="unknown flavor"):
+        window_verdict(Fraction(-3, 2), 3, "sideways")
