@@ -50,6 +50,18 @@ of the contract.  The loop keeps no bookkeeping beyond its counters: each
 accepted step is recorded raw, as (t, y) in the run's scalar type, and the
 Trajectory derives its float states and its tau0, volume, X and Y columns
 from those records on first read.
+
+A run's closure holds every constant of the rates, the back substitution
+and the guard in the run's scalar type (the `one` argument of
+`_guarded_flow`, `_rates`, `_back_substitution` and
+`g2_ansatz._laplacian_rates`), so no operation mixes an int with a float or
+longdouble scalar; such a mixed operation costs CPython a failed int method
+call first, and numpy a conversion of the int.  The public entry points
+keep int constants, so exact and complex inputs see ints, and the run's
+closure gives the same bits: each constant is an int or an already rounded
+value that the conversion holds exactly, IEEE `*` and `/` round the same
+exact result whichever operand was converted, and Python still evaluates
+each expression left to right.
 """
 
 from __future__ import annotations
@@ -78,6 +90,9 @@ FLAVORS = (NORMALIZED, MODIFIED)
 # against Fraction, an abstract base class, added about 1 us to each float call
 _EXACT_TYPES = frozenset((int, Fraction, type(None)))
 
+# the dtypes a run computes in (see _scalar_type)
+_DTYPES = (np.dtype(np.float64), np.dtype(np.longdouble))
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -86,7 +101,9 @@ class FlowConfig:
     `reference` plus `escape_radius` arm the diverged-from-critical stop:
     once the state leaves the ball of that radius around the reference
     point, integration ends with that reason.  `tol_conv = 0` disables the
-    convergence stop (useful for running out the full horizon).
+    convergence stop (useful for running out the full horizon).  `dtype`
+    is float64 or longdouble, the two a run computes in; any other is
+    refused, since the run would round its start and its steps to it.
     """
 
     flavor: str = NORMALIZED
@@ -124,6 +141,12 @@ class FlowConfig:
             raise ValueError("tol_conv must be non-negative")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        try:
+            known = np.dtype(self.dtype) in _DTYPES
+        except TypeError:  # not a dtype at all, such as 'foo'
+            known = False
+        if not known:
+            raise ValueError(f"dtype must be float64 or longdouble, got {self.dtype!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +170,7 @@ def tau0_state(a, b, c, eps):
     return num / den
 
 
-def _rates(flavor: str, kappa, gamma, eps) -> Callable:
+def _rates(flavor: str, kappa, gamma, eps, one=1) -> Callable:
     """rates(a, b, q): time derivatives of (c^4, a b c^2, a^2 c^2) with q = c^2.
 
     The normalized rates are `_laplacian_rates` with kk = kappa^2.  The
@@ -155,23 +178,29 @@ def _rates(flavor: str, kappa, gamma, eps) -> Callable:
     multiplied out once, and Python evaluates
     `10 * eps * gamma * kappa * b * q` left to right, so the rates are the
     same to the bit as with the prefixes written inline.  gamma is ignored
-    by the normalized flavor.
+    by the normalized flavor.  Every constant is held as that value times
+    `one`, as in `_laplacian_rates`: a prefix is formed from kappa and gamma
+    first and converted after, so it keeps the bits it had.
     """
     if flavor == NORMALIZED:
-        return _laplacian_rates(eps, kappa * kappa)
+        return _laplacian_rates(eps, kappa * kappa, one)
     if flavor == MODIFIED:
-        gk5, gk10, gk20 = 5 * gamma * kappa, 10 * gamma * kappa, 20 * gamma * kappa
-        egk5, egk10 = 5 * eps * gamma * kappa, 10 * eps * gamma * kappa
-        eps16, eps64 = 16 * eps, 64 * eps
-        scale = 5 * (1 - gamma) * kappa * kappa
+        gk5, gk10, gk20 = (5 * gamma * kappa * one, 10 * gamma * kappa * one,
+                           20 * gamma * kappa * one)
+        egk5, egk10 = 5 * eps * gamma * kappa * one, 10 * eps * gamma * kappa * one
+        eps16, eps64 = 16 * eps * one, 64 * eps * one
+        scale = 5 * (1 - gamma) * kappa * kappa * one
+        # p and m: plus and minus
+        two, eight, p24, p32, p48 = 2 * one, 8 * one, 24 * one, 32 * one, 48 * one
+        m8, m24, m48 = -8 * one, -24 * one, -48 * one
 
         def rates(a, b, q):
-            u1 = (-48 * a * a - 8 * b * b - 48 * q + egk10 * b * q + gk20 * a * q
-                  - eps64 * a * b + scale * q * q / 2)
-            u2 = (-8 * b * q / a + gk5 * a * a * b + gk5 * b * q - 32 * a * b
-                  + scale * a * b * q / 2)
-            u3 = (-24 * a * a + 8 * b * b - 24 * q + eps16 * b * q / a + egk5 * a * a * b
-                  + gk10 * a * q - egk5 * b * q - eps16 * a * b + scale * a * a * q / 2)
+            u1 = (m48 * a * a - eight * b * b - p48 * q + egk10 * b * q + gk20 * a * q
+                  - eps64 * a * b + scale * q * q / two)
+            u2 = (m8 * b * q / a + gk5 * a * a * b + gk5 * b * q - p32 * a * b
+                  + scale * a * b * q / two)
+            u3 = (m24 * a * a + eight * b * b - p24 * q + eps16 * b * q / a + egk5 * a * a * b
+                  + gk10 * a * q - egk5 * b * q - eps16 * a * b + scale * a * a * q / two)
             return (u1, u2, u3)
         return rates
     raise ValueError(f"unknown flavor {flavor!r}")
@@ -193,18 +222,27 @@ def monomial_rates(flavor: str, a, b, q, kappa, gamma, eps) -> tuple:
     return _rates(flavor, kappa, gamma, eps)(a, b, q)
 
 
-def state_rates(a, b, c, u: tuple) -> tuple:
-    """Invert the monomial Jacobian by back substitution.
+def _back_substitution(one) -> Callable:
+    """state_rates with its constants held as values times `one`, as in `_rates`."""
+    two, four = 2 * one, 4 * one
 
-    The Jacobian of (a, b, c) -> (c^4, a b c^2, a^2 c^2) is triangular
-    enough to solve by hand, which keeps the solve dtype-generic (a library
-    solve would pin the dtype).
-    """
-    u1, u2, u3 = u
-    dc = u1 / (4 * c ** 3)
-    da = (u3 - 2 * a * a * c * dc) / (2 * a * c * c)
-    db = (u2 - b * c * c * da - 2 * a * b * c * dc) / (a * c * c)
-    return (da, db, dc)
+    def state_rates(a, b, c, u: tuple) -> tuple:
+        """Invert the monomial Jacobian by back substitution.
+
+        The Jacobian of (a, b, c) -> (c^4, a b c^2, a^2 c^2) is triangular
+        enough to solve by hand, which keeps the solve dtype-generic (a
+        library solve would pin the dtype).
+        """
+        u1, u2, u3 = u
+        dc = u1 / (four * c ** 3)
+        da = (u3 - two * a * a * c * dc) / (two * a * c * c)
+        db = (u2 - b * c * c * da - two * a * b * c * dc) / (a * c * c)
+        return (da, db, dc)
+    return state_rates
+
+
+# the public solve keeps int constants, so exact and complex inputs see ints
+state_rates = _back_substitution(1)
 
 
 def _require_positive(a, b, c) -> None:
@@ -228,26 +266,30 @@ def rhs_modified(state, kappa, gamma, eps) -> tuple:
     return _rhs(MODIFIED, state, kappa, gamma, eps)
 
 
-def _guarded_flow(flavor: str, kappa, gamma, eps) -> Callable:
+def _guarded_flow(flavor: str, kappa, gamma, eps, one=1) -> Callable:
     """f(y): (da/dt, db/dt, dc/dt) at y = (a, b, c), or None off the flow's domain.
 
     None when a scale is not positive or a rate is not finite, including
     an overflow or a division by zero that Python floats raise on.  The
     rates come back in the scalar type of y; the finiteness test is
     `x - x == 0`, which keeps longdouble scalars out of float conversion.
-    Build it once per run: the constants are folded into the rates then.
+    Build it once per run, with `one` of the run's scalar type: the
+    constants are folded into the rates, the back substitution and the
+    guard's zero then, already converted to that type.
     """
-    rates = _rates(flavor, kappa, gamma, eps)
+    rates = _rates(flavor, kappa, gamma, eps, one)
+    solve = _back_substitution(one)
+    zero = 0 * one
 
     def f(y):
         a, b, c = y
-        if not (a > 0 and b > 0 and c > 0):
+        if not (a > zero and b > zero and c > zero):
             return None
         try:
-            da, db, dc = state_rates(a, b, c, rates(a, b, c * c))
+            da, db, dc = solve(a, b, c, rates(a, b, c * c))
         except ArithmeticError:
             return None
-        if da - da == 0 and db - db == 0 and dc - dc == 0:
+        if da - da == zero and db - db == zero and dc - dc == zero:
             return (da, db, dc)
         return None
     return f
@@ -483,7 +525,17 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     is written out per component, adding terms in tableau order.  The
     seventh stage is evaluated at the new point itself, so its slope is the
     first slope of the next step: an attempt costs six right-hand-side
-    calls.
+    calls.  The right-hand side holds its constants in the run's scalar
+    type (see the module docstring), and so do atol, rtol and the error
+    norm's 3.
+
+    A run whose state runs away need not report "blow-up": the error
+    control shrinks the steps as the state grows, so the step budget can
+    end the run before a scale reaches the ceiling.
+    The modified flow at kappa 4, gamma 3 from +1e-3 along the unstable
+    vector of the eps = +1 principal point (t_max 20, default tolerances)
+    ends "max-steps" after 100 000 accepted steps at t = 0.7765, with b
+    and c still growing (b about 1.5e4).
     """
     a0, b0, c0 = _coords(initial)
     _require_positive(a0, b0, c0)
@@ -498,8 +550,8 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76) = A[1:]
     e1, _, e3, e4, e5, e6, e7 = E
-    f = _guarded_flow(config.flavor, config.kappa, config.gamma, config.eps)
-    atol, rtol = config.atol, config.rtol
+    f = _guarded_flow(config.flavor, config.kappa, config.gamma, config.eps, scalar(1))
+    atol, rtol, three = scalar(config.atol), scalar(config.rtol), scalar(3)
 
     def attempt(y, k1, h):
         """Stages 2 to 7 of one step of size h from y, whose slope is k1.
@@ -596,7 +648,7 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
         r0 = h * err0 / (atol + rtol * max(abs(y[0]), abs(y_new[0])))
         r1 = h * err1 / (atol + rtol * max(abs(y[1]), abs(y_new[1])))
         r2 = h * err2 / (atol + rtol * max(abs(y[2]), abs(y_new[2])))
-        enorm = float(sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3))
+        enorm = float(sqrt((r0 * r0 + r1 * r1 + r2 * r2) / three))
         if not math.isfinite(enorm):
             retries += 1
             h = h * shrink
@@ -628,14 +680,14 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
 def _rk4_step(f: Callable, y: tuple, h: float, slope: tuple) -> tuple:
     """One classical fourth-order step of y' = f(y) from y, given slope = f(y)."""
     y1, y2, y3 = y
-    half, sixth = h / 2, h / 6
+    half, sixth = h / 2.0, h / 6.0
     p1, p2, p3 = slope
     q1, q2, q3 = f((y1 + half * p1, y2 + half * p2, y3 + half * p3))
     r1, r2, r3 = f((y1 + half * q1, y2 + half * q2, y3 + half * q3))
     s1, s2, s3 = f((y1 + h * r1, y2 + h * r2, y3 + h * r3))
-    return (y1 + sixth * (p1 + 2 * q1 + 2 * r1 + s1),
-            y2 + sixth * (p2 + 2 * q2 + 2 * r2 + s2),
-            y3 + sixth * (p3 + 2 * q3 + 2 * r3 + s3))
+    return (y1 + sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1),
+            y2 + sixth * (p2 + 2.0 * q2 + 2.0 * r2 + s2),
+            y3 + sixth * (p3 + 2.0 * q3 + 2.0 * r3 + s3))
 
 
 def hitchin_volume(state) -> float:
@@ -702,7 +754,7 @@ def hitchin_rate_check(trajectory: Trajectory, kappa, gamma,
         raise ValueError("trajectory too short for interior finite differences")
 
     eps = cfg.eps
-    flow = _guarded_flow(MODIFIED, kappa, gamma, eps)
+    flow = _guarded_flow(MODIFIED, kappa, gamma, eps, 1.0)  # the probe's states are floats
 
     def f(y):
         rates = flow(y)

@@ -240,7 +240,7 @@ def dphi_closed_form(p: GeometryParams) -> InvariantForm:
     return ansatz_4form(_exactly(coefficients, p.a, p.b, p.q), eps)
 
 
-def _laplacian_rates(eps, kk) -> Callable:
+def _laplacian_rates(eps, kk, one=1) -> Callable:
     """rates(a, b, q): coefficients of Lap(psi) - kk psi on the monomials (q^2, a b q, a^2 q).
 
     This is the one hand-coded copy of the Laplacian's closed form.  The
@@ -254,23 +254,32 @@ def _laplacian_rates(eps, kk) -> Callable:
     reuses `2 * a * a`, while `eps2 * a * a * b * b / q` shares nothing), so
     nothing is re-associated and the rates stay the same to the bit in
     every scalar type.  The expressions are dtype-generic.
+
+    Every constant, kk included, is held as that value times `one`: with
+    the default int 1 the constants stay ints (and exact inputs see ints),
+    while a run passes one of its own scalar type (float 1.0 or
+    numpy.longdouble 1), so no operation mixes an int with the run's
+    scalars.  The bits do not move: each constant is an int or an already
+    rounded value, which the conversion holds exactly, and IEEE `*` and `/`
+    round the same exact result whichever operand was converted.
     """
-    eps2, eps4 = 2 * eps, 4 * eps
+    two, four, eight = 2 * one, 4 * one, 8 * one
+    e, eps2, eps4, kk = eps * one, 2 * eps * one, 4 * eps * one, kk * one
 
     def rates(a, b, q):
         aa = a * a
         bb = b * b
         a3 = a ** 3
-        two_aa = 2 * a * a
-        two_q = 2 * q
-        ebb = eps * b * b
+        two_aa = two * a * a
+        two_q = two * q
+        ebb = e * b * b
         e2bq_a = eps2 * b * q / a
         bbq_aa = bb * q / aa
-        u1 = 8 * (two_aa + bb + two_q + e2bq_a - bbq_aa) - kk * q * q
-        u2 = 4 * (ebb + 4 * a3 * b / q + eps2 * a * a * b * b / q
-                  + 2 * b * q / a - ebb * q / aa) - kk * a * b * q
-        u3 = 4 * (two_aa - bb + two_q + eps4 * a3 * b / q + two_aa * b * b / q
-                  - e2bq_a + bbq_aa) - kk * a * a * q
+        u1 = eight * (two_aa + bb + two_q + e2bq_a - bbq_aa) - kk * q * q
+        u2 = four * (ebb + four * a3 * b / q + eps2 * a * a * b * b / q
+                     + two * b * q / a - ebb * q / aa) - kk * a * b * q
+        u3 = four * (two_aa - bb + two_q + eps4 * a3 * b / q + two_aa * b * b / q
+                     - e2bq_a + bbq_aa) - kk * a * a * q
         return (u1, u2, u3)
     return rates
 

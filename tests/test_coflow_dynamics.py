@@ -443,6 +443,19 @@ def test_flow_config_validation():
         FlowConfig(max_steps=0)
 
 
+@pytest.mark.parametrize("dtype", (np.int64, bool, np.float16, np.float32, "foo"))
+def test_flow_config_refuses_dtypes_other_than_float64_and_longdouble(dtype):
+    # int64 would truncate the start (1.5, 0.7, 1.2) to (1, 0, 1), bool would start
+    # at (1, 1, 1), float16 would spend millions of right-hand-side calls on no step
+    with pytest.raises(ValueError, match="dtype must be float64 or longdouble"):
+        FlowConfig(dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.longdouble, float, "float64", "longdouble"))
+def test_flow_config_accepts_float64_and_longdouble(dtype):
+    assert FlowConfig(dtype=dtype).dtype is dtype
+
+
 def test_rhs_positivity_guard():
     with pytest.raises(ValueError):
         rhs_normalized((1.0, -1.0, 1.0), 4.0, -1)
@@ -581,7 +594,8 @@ def test_flow_config_rejects_non_finite_values(name, value):
 
 
 def test_guarded_rhs_returns_none_off_the_domain():
-    # guarded_rhs and the per-run closure integrate builds agree off the domain
+    # guarded_rhs and the closure factory behind it agree off the domain (the per-run
+    # closures, with constants in the run's scalar type, are checked further down)
     for rhs in (lambda flavor, y: guarded_rhs(flavor, y, 4.0, 3.0, -1),
                 lambda flavor, y: coflow_dynamics._guarded_flow(flavor, 4.0, 3.0, -1)(y)):
         assert rhs(NORMALIZED, (1.0, -1.0, 1.0)) is None
@@ -629,6 +643,58 @@ def test_every_rates_entry_point_is_the_one_copy(flavor, eps, scalar, kappa, gam
                else rhs_modified(y, kappa, gamma, eps))
         for got in (rhs, guarded_rhs(flavor, y, kappa, gamma, eps), flow(y)):
             assert _bits(got) == expected
+
+
+def _per_run_closures(monkeypatch, flavor, kappa, gamma, eps, dtype):
+    """The guarded closures integrate and hitchin_rate_check build, paired with their scalar types."""
+    built = []
+    real = coflow_dynamics._guarded_flow
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(coflow_dynamics, "_guarded_flow", recording)
+    config = FlowConfig(flavor=flavor, kappa=kappa, gamma=gamma, eps=eps, t_max=1.0,
+                        max_steps=3, tol_conv=0.0, dtype=dtype)
+    traj = integrate(config, FlowState(0.0, 1.3, 0.8, 1.1))
+    closures = [(built[0], coflow_dynamics._scalar_type(np.dtype(dtype)))]
+    if flavor == MODIFIED:
+        hitchin_rate_check(traj, kappa, gamma)  # the volume-rate probe works in floats
+        closures.append((built[1], float))
+    assert len(built) == len(closures)
+    return closures
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("dtype", (np.float64, np.longdouble), ids=["float64", "longdouble"])
+@pytest.mark.parametrize("kappa, gamma", [(4.0, 3.0), (0.3, 8 / 3)], ids=["bench", "non-dyadic"])
+def test_per_run_closures_are_the_public_rates_bit_for_bit(monkeypatch, flavor, eps, dtype,
+                                                           kappa, gamma):
+    # a run's closures hold their constants in the run's scalar type; the public
+    # entry points keep int constants, and the two give the same bits
+    rng = random.Random(29)
+    grid = [tuple(10.0 ** rng.uniform(-6, 6) for _ in range(3)) for _ in range(200)]
+    for flow, scalar in _per_run_closures(monkeypatch, flavor, kappa, gamma, eps, dtype):
+        for point in grid:
+            a, b, c = y = tuple(scalar(v) for v in point)
+            expected = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
+            assert all(type(v) is scalar for v in expected)
+            assert _bits(flow(y)) == _bits(expected)
+        # off the domain: a non-positive scale, an overflow, a division by zero
+        for point in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -0.0)):
+            assert flow(tuple(scalar(v) for v in point)) is None
+        if scalar is float:
+            assert flow((1e200, 1.0, 1.0)) is None
+            assert flow((1.0, 1.0, 1e-200)) is None
+        else:
+            big = scalar(10) ** 1500
+            if big - big == 0:  # the longdouble range reaches past 1e1500
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    assert flow((big, big, big)) is None
+                    # c^3 underflows to zero
+                    assert flow((scalar(1), scalar(1), scalar(10) ** -2000)) is None
 
 
 def _hand_written_normalized_rates(kappa, eps):
