@@ -205,6 +205,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_flow(args: argparse.Namespace) -> int:
     sub = args.subparser
     flavor = _flavor(sub, args.flavor)
+    if _sidecar(args.out) == args.out:
+        sub.error(f"--out {args.out} is the path of its own JSON sidecar; give the CSV another extension")
     _refuse_unwritable(sub, args.out, _sidecar(args.out))
     with _usage_errors(sub):
         config = FlowConfig(

@@ -36,20 +36,20 @@ scalar type calls the closure directly.  Every float caller but the
 complex-step linearization (the integrator, the residual checks, the
 volume-rate probe) evaluates the flow through a guarded closure from
 `_guarded_flow`, which returns None off the domain: integrate and
-hitchin_rate_check build one per run, and guarded_rhs is a single call of
-one.  The adaptive integrator works on 3-tuples of scalars rather than
-numpy arrays: for 3-vectors the array wrapping cost several times the
-arithmetic.  A float64 run computes in Python floats, which are the same
-IEEE doubles; a longdouble run computes in numpy.longdouble scalars
-throughout, including the tableau, the stage sums and the error norm, so no
-stage is rounded to double.  The Dormand-Prince step is written out: each
-stage sum and the error sum add their terms in tableau order, per
-component, with plain `+` (never `sum`, which compensates on Python 3.12).
-The tests pin trajectories bit for bit, so that written-out order is part
-of the contract.  The loop keeps no bookkeeping beyond its counters: each
-accepted step is recorded raw, as (t, y) in the run's scalar type, and the
-Trajectory derives its float states and its tau0, volume, X and Y columns
-from those records on first read.
+hitchin_rate_check build one per run.  The adaptive integrator works on
+3-tuples of scalars rather than numpy arrays: for 3-vectors the array
+wrapping cost several times the arithmetic.  A float64 run computes in
+Python floats, which are the same IEEE doubles; a longdouble run computes
+in numpy.longdouble scalars throughout, including the tableau, the stage
+sums and the error norm, so no stage is rounded to double.  The
+Dormand-Prince step is written out: each stage sum and the error sum add
+their terms in tableau order, per component, with plain `+` (never `sum`,
+which compensates on Python 3.12).  The tests pin trajectories bit for bit,
+so that written-out order is part of the contract.  The loop keeps no
+bookkeeping beyond its counters: each accepted step is recorded raw, as
+(t, y) in the run's scalar type, and the Trajectory derives its float
+states and its tau0, volume, X and Y columns from those records on first
+read.
 
 A run's closure holds every constant of the rates, the back substitution
 and the guard in the run's scalar type (the `one` argument of
@@ -293,14 +293,6 @@ def _guarded_flow(flavor: str, kappa, gamma, eps, one=1) -> Callable:
             return (da, db, dc)
         return None
     return f
-
-
-def guarded_rhs(flavor: str, y, kappa, gamma, eps) -> tuple | None:
-    """(da/dt, db/dt, dc/dt) at y = (a, b, c), or None off the flow's domain.
-
-    One call of the `_guarded_flow` closure; see there for the domain.
-    """
-    return _guarded_flow(flavor, kappa, gamma, eps)(y)
 
 
 def symbolic_rhs_crosscheck(params: GeometryParams, kappa, gamma, flavor: str) -> bool:

@@ -17,12 +17,13 @@ which cross-checks the tables from outside.
 
 find_critical_points is where kappa and gamma become exact rationals, by
 the one reader `invariant_forms._exact` that `sphere_spectrum` uses too.
-The CriticalPoint carries those values and its exact kappa_eff, so every
-decision is made at the one rational the point was built at: its tau0 is
-kappa_eff, and window_mu, the one copy of mu, is mu0 of `_PSI_MU0` times
+A CriticalPoint is five constants (flavor, eps, kappa, gamma and its label)
+and derives kappa_eff, params, state and tau0 from them when it is built,
+so every point is its label's closed form and every decision is made at
+the one rational the point was built at: its tau0 is kappa_eff rounded,
+and window_mu, the one copy of mu, is mu0 of `_PSI_MU0` times
 kappa_eff / kappa.  jacobian and classify refuse constants other than the
-point's own; jacobian and window_mu (classify's mu) refuse a point that is
-not its label's closed form.  The window rule is `sphere_spectrum`'s.
+point's own.  The window rule is `sphere_spectrum`'s.
 
 At a point (a, b, c) with q = c^2 the coordinates are
 (A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
@@ -41,7 +42,7 @@ tolerances at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -123,9 +124,15 @@ _PROJECTORS = {eps: _projectors(basis) for eps, basis in _EIGENBASIS.items()}
 class CriticalPoint:
     """A nearly parallel equilibrium at the exact kappa and gamma it was found for.
 
-    kappa and gamma are the rationals `find_critical_points` read its inputs
-    as (gamma is None for the normalized flavor) and tau0 is kappa_eff rounded;
-    everything that later needs the point's constants exactly reads them here.
+    A point is its five constants: flavor, eps, kappa and gamma (the
+    rationals `find_critical_points` read its inputs as, gamma None for the
+    normalized flavor) and the label of the nearly parallel point it is.
+    It derives the rest when it is built: kappa_eff, kappa or (gamma - 1)
+    kappa as the label says, the closed-form params at kappa_eff, the state
+    those params rounded to floats, and tau0, kappa_eff rounded.  So every
+    point is its label's closed form; a label the flavor does not have is
+    refused with ValueError, and `dataclasses.replace` derives the four anew
+    and refuses any of them.
     """
 
     flavor: str
@@ -133,10 +140,17 @@ class CriticalPoint:
     kappa: Fraction
     gamma: Fraction | None
     label: str
-    kappa_eff: Fraction
-    params: GeometryParams
-    state: tuple[float, float, float]
-    tau0: float
+    kappa_eff: Fraction = field(init=False)
+    params: GeometryParams = field(init=False)
+    state: tuple[float, float, float] = field(init=False)
+    tau0: float = field(init=False)
+
+    def __post_init__(self):
+        keff = _label_kappa_eff(self.flavor, self.label, self.kappa, self.gamma)
+        params = _exact_point_params(self.eps, keff)
+        for name, value in (("kappa_eff", keff), ("params", params),
+                            ("state", params.state()), ("tau0", float(keff))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -235,11 +249,13 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     modified flavor adds the (gamma - 1)^-1-rescaled copy.  This is where
     the library reads kappa and gamma as exact rationals, by
     `invariant_forms._exact`: a float as the exact value of the binary
-    float, a Decimal as the decimal it spells.  Each point carries those
-    values, and each closed-form point is an equilibrium by
-    proof, not by a float residual: its monomial rates, evaluated exactly
-    at them, are all zero.  The returned state is that exact point rounded
-    to floats, and tau0 is kappa_eff rounded, not the rounded state's torsion.
+    float, a Decimal as the decimal it spells.  Each point is built from
+    those values and its label, and derives its kappa_eff, closed-form
+    params, state and tau0 from them.  Each is an equilibrium by proof, not
+    by a float residual: its monomial rates, evaluated exactly at its
+    params, are all zero, or RuntimeError.  The state is those params
+    rounded to floats, and tau0 is kappa_eff rounded, not the rounded
+    state's torsion.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -254,18 +270,12 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
         gam = _exact(gamma)
         labels.append(LABEL_RESCALED)
 
-    points: list[CriticalPoint] = []
-    for label in labels:
-        keff = _label_kappa_eff(flavor, label, kap, gam)
-        params = _exact_point_params(eps, keff)
-        rates = monomial_rates(flavor, params.a, params.b, params.q, kap, gam, eps)
+    points = [CriticalPoint(flavor, eps, kap, gam, label) for label in labels]
+    for point in points:
+        p = point.params
+        rates = monomial_rates(flavor, p.a, p.b, p.q, kap, gam, eps)
         if rates != (0, 0, 0):
-            raise RuntimeError(f"the closed-form {label} point is not an equilibrium: rates {rates}")
-        points.append(CriticalPoint(
-            flavor=flavor, eps=eps, kappa=kap, gamma=gam,
-            label=label, kappa_eff=keff, params=params,
-            state=params.state(), tau0=float(keff),
-        ))
+            raise RuntimeError(f"the closed-form {point.label} point is not an equilibrium: rates {rates}")
     return points
 
 
@@ -309,31 +319,6 @@ def _label_kappa_eff(flavor: str, label: str, kappa: Fraction, gamma: Fraction |
     raise ValueError(f"the {flavor} flow has no {label!r} point")
 
 
-def _closed_form_kappa_eff(point: CriticalPoint) -> Fraction:
-    """kappa_eff of the closed-form nearly parallel point the point's label names.
-
-    Checked exactly: kappa_eff must be the label's (`_label_kappa_eff`),
-    the params the closed form at it and the state those params rounded to
-    floats; ValueError otherwise.  The params are compared with the closed
-    form of `_CLOSED_FORM` by integer cross-multiplication of their ratios.
-    """
-    keff = _label_kappa_eff(point.flavor, point.label, point.kappa, point.gamma)
-    if point.kappa_eff != keff:
-        raise ValueError(f"kappa_eff {point.kappa_eff} is not the {point.label} point's {keff}")
-    p = point.params
-    r, s = _CLOSED_FORM[p.eps]
-    rn, rd = r.as_integer_ratio()
-    an, ad, bn, bd, qn, qd = p._ratios
-    kn, kd = keff.as_integer_ratio()
-    # a kappa_eff = r, b = a and q = s a^2, each an integer cross-multiplication
-    if (p.eps != point.eps or an * kn * rd != rn * ad * kd
-            or (bn, bd) != (an, ad) or qn * ad * ad != s * an * an * qd):
-        raise ValueError(f"params {point.params} are not the closed-form {point.label} point")
-    if point.state != point.params.state():
-        raise ValueError(f"state {point.state} is not the point's params rounded to floats")
-    return keff
-
-
 def _check_point(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> None:
     """Refuse a flavor, eps, kappa or (modified flavor) gamma other than the point's own.
 
@@ -363,14 +348,13 @@ def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
     Computed at the point's own constants: flavor, eps and kappa (read as
     find_critical_points reads it), and gamma for the modified flavor, must
     be the point's own, or ValueError names the one that differs; the
-    normalized flavor ignores gamma.  The point must pass
-    `_closed_form_kappa_eff`'s exact check.  Since (A, B, C) is
+    normalized flavor ignores gamma.  The point is its label's closed form
+    by construction, at the state it derived.  Since (A, B, C) is
     q (delta a / a, delta b / b, delta c / c), the (a, b, c) matrix J becomes
     J_ij y_j / y_i at the point y, so the analytic matrices apply literally.
     When the twin exists the two must agree to 1e-12 in relative sup norm.
     """
     _check_point(flavor, point, kappa, gamma, eps)
-    _closed_form_kappa_eff(point)
     flavor, eps = point.flavor, point.eps
 
     kap, gam = float(point.kappa), None if point.gamma is None else float(point.gamma)
@@ -415,9 +399,9 @@ def window_mu(point: CriticalPoint) -> Fraction:
 
     mu is measured against the flow constant kappa, not against the point's
     effective torsion, so rescaled points report a gamma-dependent ratio.
-    A point that fails jacobian's closed-form check raises its ValueError.
+    kappa_eff is the one the point derived from its label when it was built.
     """
-    return _closed_form_kappa_eff(point) * _PSI_MU0[point.eps][1] / point.kappa
+    return point.kappa_eff * _PSI_MU0[point.eps][1] / point.kappa
 
 
 def window_verdict(mu, gamma, flavor: str) -> WindowVerdict:
@@ -444,10 +428,10 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     """Full spectral report: linearization, eigenpairs, index, window verdict.
 
     The eigenpairs are the point's exact table vectors (`_EIGENBASIS`) and
-    values (`_SPECTRA`); other constants and other points are refused as
-    `jacobian` refuses them, with the same messages.  At kappa = kn/kd and
-    gamma = gn/gd (0/1 for the normalized flavor) the values share the
-    denominator 72 kd^2 gd^2 > 0, so every decision is on integer numerators:
+    values (`_SPECTRA`); other constants are refused as `jacobian` refuses
+    them, with the same messages.  At kappa = kn/kd and gamma = gn/gd (0/1
+    for the normalized flavor) the values share the denominator
+    72 kd^2 gd^2 > 0, so every decision is on integer numerators:
     index counts the positive values, marginal flags the zeros, and pairs
     sort by decreasing value, ties in table order.  The reported J is the
     table's too, sum_k lambda_k P_k, each entry one integer numerator rounded
@@ -455,9 +439,9 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     evaluated here.  Each value is rounded once to a float, with its residual
     |J u - lambda u| against that J.  unstable_form is the exact variation
     along the first pair's table vector.  The window verdict is
-    `window_verdict` at `window_mu`, whose closed-form check makes the tables
-    apply.  The report carries the point's constants (gamma None for the
-    normalized flavor).
+    `window_verdict` at `window_mu`.  The tables apply because every point
+    is its label's closed form by construction.  The report carries the
+    point's constants (gamma None for the normalized flavor).
     """
     _check_point(flavor, point, kappa, gamma, eps)
     mu = window_mu(point)

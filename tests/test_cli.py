@@ -599,6 +599,27 @@ def test_an_unwritable_out_is_refused_before_any_work(argv, sidecar_dir, monkeyp
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("out", ["run.json", "./run.json"])
+def test_a_flow_out_that_is_its_own_sidecar_is_refused_before_any_work(out, monkeypatch,
+                                                                       tmp_path, capsys):
+    # the sidecar is <out without extension>.json, which would overwrite the CSV
+    import coflow.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flow integrated a run it should have refused")
+
+    monkeypatch.setattr(cli, "integrate", refuse)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--flavor", "coflow", "--eps", "-1", "--kappa", "4", "--a0", "1.3",
+              "--b0", "0.8", "--c0", "1.1", "--out", out])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: --out {out} is the path of its own JSON sidecar" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stability_reads_a_ratio_for_gamma(capsys):
     # gamma = 8/3 exactly: the kernel of the eps = -1 rescaled point, which
     # the float nearest 8/3 misses

@@ -17,7 +17,6 @@ from coflow.coflow_dynamics import (
     NORMALIZED,
     FlowConfig,
     FlowState,
-    guarded_rhs,
     hitchin_rate,
     hitchin_rate_check,
     hitchin_volume,
@@ -594,25 +593,25 @@ def test_flow_config_rejects_non_finite_values(name, value):
 
 
 def test_guarded_rhs_returns_none_off_the_domain():
-    # guarded_rhs and the closure factory behind it agree off the domain (the per-run
+    # the closure factory with int constants returns None off the domain (the per-run
     # closures, with constants in the run's scalar type, are checked further down)
-    for rhs in (lambda flavor, y: guarded_rhs(flavor, y, 4.0, 3.0, -1),
-                lambda flavor, y: coflow_dynamics._guarded_flow(flavor, 4.0, 3.0, -1)(y)):
-        assert rhs(NORMALIZED, (1.0, -1.0, 1.0)) is None
-        assert rhs(MODIFIED, (1.0, 1.0, 0.0)) is None
-        # q * q overflows the longdouble range although the state itself does not
-        big = np.longdouble(10) ** 1500
-        if big - big == 0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert rhs(NORMALIZED, (big, big, big)) is None
-        # Python floats raise on overflow and division by zero; both read as off the domain
-        assert rhs(NORMALIZED, (1e200, 1.0, 1.0)) is None
-        assert rhs(NORMALIZED, (1.0, 1.0, 1e-200)) is None
+    def rhs(flavor, y):
+        return coflow_dynamics._guarded_flow(flavor, 4.0, 3.0, -1)(y)
+
+    assert rhs(NORMALIZED, (1.0, -1.0, 1.0)) is None
+    assert rhs(MODIFIED, (1.0, 1.0, 0.0)) is None
+    # q * q overflows the longdouble range although the state itself does not
+    big = np.longdouble(10) ** 1500
+    if big - big == 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rhs(NORMALIZED, (big, big, big)) is None
+    # Python floats raise on overflow and division by zero; both read as off the domain
+    assert rhs(NORMALIZED, (1e200, 1.0, 1.0)) is None
+    assert rhs(NORMALIZED, (1.0, 1.0, 1e-200)) is None
     # inside the domain it agrees with the unguarded rates, in the scalar type of the state
-    rates = guarded_rhs(NORMALIZED, (1.3, 0.8, 1.1), 4.0, 3.0, -1)
-    assert rates == rhs_normalized((1.3, 0.8, 1.1), 4.0, -1)
+    assert rhs(NORMALIZED, (1.3, 0.8, 1.1)) == rhs_normalized((1.3, 0.8, 1.1), 4.0, -1)
     ld = tuple(np.longdouble(v) for v in (1.3, 0.8, 1.1))
-    assert all(type(r) is np.longdouble for r in guarded_rhs(MODIFIED, ld, 4.0, 3.0, -1))
+    assert all(type(r) is np.longdouble for r in rhs(MODIFIED, ld))
 
 
 def _bits(values):
@@ -641,7 +640,7 @@ def test_every_rates_entry_point_is_the_one_copy(flavor, eps, scalar, kappa, gam
         expected = _bits(state_rates(a, b, c, u))
         rhs = (rhs_normalized(y, kappa, eps) if flavor == NORMALIZED
                else rhs_modified(y, kappa, gamma, eps))
-        for got in (rhs, guarded_rhs(flavor, y, kappa, gamma, eps), flow(y)):
+        for got in (rhs, flow(y)):
             assert _bits(got) == expected
 
 

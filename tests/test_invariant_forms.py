@@ -683,6 +683,27 @@ def test_the_metric_law_makes_the_star_an_involution_for_every_a_b_q():
         assert k * k2 == pairing * pairing2
 
 
+def test_the_metric_law_makes_the_stars_pair_and_the_unit_star_for_every_a_b_q():
+    # the rest of algebra_checks' per-point checks, on integers alone. star(m) is
+    # k eps a^(2-ja) b^(1-jb) q^(2-jq) / pairing times the complement, so:
+    # - m ^ star(m) is (w / pairing) k eps a^(2-ja) b^(1-jb) q^(2-jq) TOP when
+    #   m ^ complement = w TOP, and <m, m> vol_eps is k a^-ja b^-jb q^-jq times
+    #   eps a^2 b q^2 TOP: the same Laurent monomial, so the diagonal pairing
+    #   holds for every (a, b, q) exactly when w = pairing != 0;
+    # - each star's support is its complement alone, a monomial of the
+    #   complementary degree, and the complements are a bijection of the basis;
+    # - the unit star is eps a^2 b q^2 TOP, the volume form, when its row is
+    #   (TOP, 1, 1, 0, 0, 0)
+    laws = invariant_forms._LAW
+    assert len(laws) == 40 and laws.keys() == set(BASIS)
+    for m, (comp, pairing, k, ja, jb, jq) in laws.items():
+        assert pairing != 0
+        assert wedge_monomials(m, comp) == (pairing, TOP)
+        assert comp.degree == 7 - m.degree
+    assert sorted(law[0].key for law in laws.values()) == sorted(m.key for m in BASIS)
+    assert laws[UNIT] == (TOP, 1, 1, 0, 0, 0)
+
+
 def test_star_and_inner_product_reject_mixed_degrees():
     mixed = form([("e1", Fraction(-3, 2)), ("w1", 5)])
     for p in (P_PLUS, P_ODD):

@@ -14,13 +14,12 @@ import sympy
 from coflow.coflow_dynamics import (
     MODIFIED,
     NORMALIZED,
-    guarded_rhs,
+    _guarded_flow,
     monomial_rates,
     state_rates,
-    tau0_state,
 )
 from coflow.g2_ansatz import ansatz_4form, build, laplacian_psi, tau0 as ansatz_tau0, tau0_terms, torsion
-from coflow.invariant_forms import GeometryParams, InvariantForm, dstar_on_4forms, inner_product
+from coflow.invariant_forms import GeometryParams, InvariantForm, _exactly, dstar_on_4forms, inner_product
 from coflow.stability import (
     _EIGENBASIS,
     _SPECTRA,
@@ -31,6 +30,7 @@ from coflow.stability import (
     PSI_MINUS,
     PSI_PLUS,
     _rhs_jacobian,
+    _variation,
     analytic_jacobian,
     classify,
     find_critical_points,
@@ -117,10 +117,13 @@ def test_finite_difference_jacobian_matches_analytic_on_a_grid():
 
 
 def test_jacobian_rejects_non_critical_points():
+    # a point derives its state from its constants, so a shifted one cannot be made
     pt = principal(MODIFIED, 4.0, 3.0, -1)
-    shifted = dataclasses.replace(pt, state=(1.2, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        jacobian(MODIFIED, shifted, 4.0, 3.0, -1)
+    with pytest.raises(ValueError, match="state is declared with init=False"):
+        dataclasses.replace(pt, state=(1.2, 1.0, 1.0))
+    with pytest.raises(TypeError):
+        CriticalPoint(MODIFIED, -1, pt.kappa, pt.gamma, LABEL_PRINCIPAL, state=(1.2, 1.0, 1.0))
+    assert jacobian(MODIFIED, pt, 4.0, 3.0, -1)[0].shape == (3, 3)
 
 
 # The general float 3x3 eigen-solver and the float Newton iteration, kept
@@ -215,9 +218,10 @@ def eigen3(matrix) -> list[Eigenpair]:
 
 def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: int = 40):
     """Newton iteration on the floating right-hand side; None on divergence."""
+    rhs = _guarded_flow(flavor, kappa, gamma, eps)
     y = np.array([float(v) for v in y0], dtype=np.float64)
     for _ in range(max_iter):
-        fy = guarded_rhs(flavor, y.tolist(), kappa, gamma, eps)
+        fy = rhs(y.tolist())
         if fy is None:
             return None
         fy = np.array(fy)
@@ -235,7 +239,7 @@ def newton_refine(flavor, y0, kappa, gamma, eps, tol: float = 1e-13, max_iter: i
         y = y - delta
         if min(y) <= 0:
             return None
-    fy = guarded_rhs(flavor, y.tolist(), kappa, gamma, eps)
+    fy = rhs(y.tolist())
     if fy is not None and float(np.sqrt(np.sum(np.array(fy) ** 2))) < tol:
         return y
     return None
@@ -1034,31 +1038,36 @@ def test_the_witness_zeroes_the_algebras_rate_form():
 @pytest.mark.parametrize("label, kappa_eff", [(LABEL_PRINCIPAL, Fraction(4)),
                                               (LABEL_RESCALED, Fraction(20, 3))])
 def test_jacobian_and_classify_refuse_the_witness_under_either_label(label, kappa_eff):
-    # once an AssertionError from the twin check (principal) and an index-2
-    # report (rescaled); the eigenbasis holds only at the closed-form points
-    params = GeometryParams(Fraction(3, 5), Fraction(3, 5), Fraction(9, 25), +1)
-    state = params.state()
-    point = CriticalPoint(flavor=MODIFIED, eps=+1, kappa=Fraction(4), gamma=Fraction(8, 3),
-                          label=label, kappa_eff=kappa_eff, params=params, state=state,
-                          tau0=tau0_state(*state, +1))
-    with pytest.raises(ValueError, match="are not the closed-form"):
-        jacobian(MODIFIED, point, 4, Fraction(8, 3), +1)
-    with pytest.raises(ValueError, match="are not the closed-form"):
-        classify(MODIFIED, point, 4, Fraction(8, 3), +1)
+    # a witness point once gave an AssertionError from the twin check
+    # (principal) and an index-2 report (rescaled); the eigenbasis holds only
+    # at the closed-form points, and a point under either label is the closed
+    # form at its kappa_eff, never the witness
+    witness = GeometryParams(Fraction(3, 5), Fraction(3, 5), Fraction(9, 25), +1)
+    point = CriticalPoint(MODIFIED, +1, Fraction(4), Fraction(8, 3), label)
+    a = Fraction(12, 5) / kappa_eff
+    assert point.kappa_eff == kappa_eff
+    assert point.params == GeometryParams(a, a, 5 * a * a, +1) != witness
+    assert point.state == point.params.state() != witness.state()
+    assert point in find_critical_points(MODIFIED, 4, Fraction(8, 3), +1)
+    with pytest.raises(TypeError):
+        CriticalPoint(MODIFIED, +1, Fraction(4), Fraction(8, 3), label, params=witness)
+    with pytest.raises(ValueError, match="params is declared with init=False"):
+        dataclasses.replace(point, params=witness)
 
 
 @pytest.mark.parametrize("change, message", [
-    (dict(kappa_eff=Fraction(8)), "kappa_eff 8 is not the tau0_eq_kappa point's 4"),
+    (dict(kappa_eff=Fraction(8)), "kappa_eff is declared with init=False"),
     (dict(label="tau0_eq_something"), "has no 'tau0_eq_something' point"),
-    (dict(state=(1.0, 1.0, 1.0 + 2 ** -52)), r"state .* is not the point's params rounded"),
+    (dict(state=(1.0, 1.0, 1.0 + 2 ** -52)), "state is declared with init=False"),
 ])
 def test_jacobian_refuses_a_point_that_is_not_its_labels_closed_form(change, message):
-    point = dataclasses.replace(principal(MODIFIED, 4, 3, -1), **change)
+    # such a point can no longer be made, so jacobian is never handed one
     with pytest.raises(ValueError, match=message):
-        jacobian(MODIFIED, point, 4, 3, -1)
-    normalized = dataclasses.replace(principal(NORMALIZED, 4, None, -1), label=LABEL_RESCALED)
+        dataclasses.replace(principal(MODIFIED, 4, 3, -1), **change)
     with pytest.raises(ValueError, match="normalized_coflow flow has no"):
-        jacobian(NORMALIZED, normalized, 4, None, -1)
+        dataclasses.replace(principal(NORMALIZED, 4, None, -1), label=LABEL_RESCALED)
+    with pytest.raises(ValueError, match="normalized_coflow flow has no"):
+        CriticalPoint(NORMALIZED, -1, Fraction(4), None, LABEL_RESCALED)
 
 
 # the spectrum along (1, 1, 1), the Psi direction and the third table
@@ -1175,24 +1184,33 @@ def test_a_points_tau0_is_its_kappa_eff_rounded_once():
 @pytest.mark.parametrize("abq", [(Fraction(3, 5), Fraction(3, 5), Fraction(9, 25)), (1, 1, 5)])
 def test_window_mu_refuses_a_point_that_is_not_its_labels_closed_form(abq):
     # d(star(Psi)) is proportional to Psi at both, so the d(star(.)) route
-    # once returned -5/3 at the witness and -1 at (1, 1, 5)
+    # once returned -5/3 at the witness and -1 at (1, 1, 5); a point carrying
+    # either can no longer be made
     params = GeometryParams(*abq, eps=+1)
-    point = dataclasses.replace(principal(MODIFIED, 4, 3, +1), params=params, state=params.state())
-    with pytest.raises(ValueError, match="are not the closed-form tau0_eq_kappa point"):
-        window_mu(point)
-    with pytest.raises(ValueError, match="are not the closed-form tau0_eq_kappa point"):
-        jacobian(MODIFIED, point, 4, 3, +1)
+    point = principal(MODIFIED, 4, 3, +1)
+    with pytest.raises(ValueError, match="params is declared with init=False"):
+        dataclasses.replace(point, params=params)
+    with pytest.raises(TypeError):
+        CriticalPoint(MODIFIED, +1, Fraction(4), Fraction(3), LABEL_PRINCIPAL, params=params)
+    assert point.params != params
+    assert window_mu(point) == Fraction(-5, 3) == _window_mu_by_dstar(point)
 
 
 @pytest.mark.parametrize("change", [dict(kappa_eff=Fraction(8)), dict(label="tau0_eq_something"),
                                     dict(state=(1.0, 1.0, 1.0 + 2 ** -52))])
 def test_window_mu_and_jacobian_share_the_closed_form_check(change):
-    point = dataclasses.replace(principal(MODIFIED, 4, 3, -1), **change)
-    with pytest.raises(ValueError) as from_window_mu:
-        window_mu(point)
-    with pytest.raises(ValueError) as from_jacobian:
-        jacobian(MODIFIED, point, 4, 3, -1)
-    assert str(from_window_mu.value) == str(from_jacobian.value)
+    # window_mu and jacobian read the one point, and the point that is not its
+    # label's closed form is refused where it would be made: by replace with
+    # ValueError, and by the constructor, which takes only the five constants
+    point = principal(MODIFIED, 4, 3, -1)
+    constants = {f.name: getattr(point, f.name) for f in dataclasses.fields(point) if f.init}
+    assert list(constants) == ["flavor", "eps", "kappa", "gamma", "label"]
+    with pytest.raises(ValueError):
+        dataclasses.replace(point, **change)
+    with pytest.raises(ValueError if set(change) <= set(constants) else TypeError):
+        CriticalPoint(**{**constants, **change})
+    assert window_mu(point) == Fraction(-3, 2)
+    assert jacobian(MODIFIED, point, 4, 3, -1)[1] is not None
 
 
 def test_the_modified_flows_symmetric_equilibria_at_kappa_4():
@@ -1440,10 +1458,13 @@ def test_variation_to_form_is_the_derivative_of_the_monomials():
                      GeometryParams(small(), small(), small(), eps),
                      GeometryParams(*(Fraction(rng.uniform(0.05, 20.0)) for _ in range(3)), eps)]
             for params in sites:
-                at = dataclasses.replace(point, params=params)
                 for _ in range(2):
                     v = direction()
-                    assert variation_to_form(at, v) == _sympy_variation(params, v)
+                    # a point carries only its closed-form params, so at the other
+                    # sites the test evaluates variation_to_form's own expression
+                    got = (variation_to_form(point, v) if params == point.params else
+                           ansatz_4form(_exactly(_variation, params.a, params.b, params.q, *v), eps))
+                    assert got == _sympy_variation(params, v)
 
 
 # the exact linearization classify reports: sum_k lambda_k P_k from the tables
@@ -1529,17 +1550,16 @@ def test_classify_keeps_the_range_cut_on_the_exact_linearization(eps):
 
 @pytest.mark.parametrize("eps", (+1, -1))
 def test_the_closed_form_check_compares_every_ratio_and_the_sign(eps):
-    # a point whose b is not its a, and a point carrying the other family's params
+    # a point whose b is not its a cannot be made, and a point moved to the
+    # other sign derives that family's params anew
     point = principal(MODIFIED, 4, 3, eps)
     p = point.params
-    params = GeometryParams(p.a, 2 * p.b, p.q, eps)
-    other_b = dataclasses.replace(point, params=params, state=params.state())
-    other_sign = dataclasses.replace(principal(MODIFIED, 4, 3, -eps), eps=eps)
-    for bad in (other_b, other_sign):
-        for check in (window_mu, lambda pt: classify(MODIFIED, pt, 4, 3, eps),
-                      lambda pt: jacobian(MODIFIED, pt, 4, 3, eps)):
-            with pytest.raises(ValueError, match="are not the closed-form tau0_eq_kappa point"):
-                check(bad)
+    with pytest.raises(ValueError, match="params is declared with init=False"):
+        dataclasses.replace(point, params=GeometryParams(p.a, 2 * p.b, p.q, eps))
+    assert dataclasses.replace(principal(MODIFIED, 4, 3, -eps), eps=eps) == point
+    # a kappa_eff = r, b = a and q = s a^2, with (r, s) = (12/5, 5) or (4, 1)
+    r, s = (Fraction(12, 5), 5) if eps == +1 else (Fraction(4), 1)
+    assert (p.a * point.kappa_eff, p.b, p.q, p.eps) == (r, p.a, s * p.a * p.a, eps)
 
 
 # The window rule has one encoding, sphere_spectrum's, and a point's mu one
@@ -1573,26 +1593,6 @@ def test_form_value_is_the_inline_forms_rounded_once():
             float((mu + 1) * (mu - floor)).hex() for mu in mus]
     assert [window_verdict(mu, None, NORMALIZED).form_value.hex() for mu in mus] == [
         float((mu + 1) ** 2).hex() for mu in mus]
-
-
-def test_the_closed_form_check_runs_once_per_call(monkeypatch):
-    from coflow import stability
-
-    check, calls = stability._closed_form_kappa_eff, []
-
-    def counting(point):
-        calls.append(point)
-        return check(point)
-
-    monkeypatch.setattr(stability, "_closed_form_kappa_eff", counting)
-    for eps in (+1, -1):
-        points = [(MODIFIED, p) for p in find_critical_points(MODIFIED, 4, 3, eps)]
-        points.append((NORMALIZED, principal(NORMALIZED, 4, None, eps)))
-        for flavor, point in points:
-            for call in (classify, jacobian, lambda *args: window_mu(args[1])):
-                calls.clear()
-                call(flavor, point, 4, 3, eps)
-                assert calls == [point]
 
 
 @pytest.mark.parametrize("eps, kappa", [(+1, 0), (-1, -4)])
