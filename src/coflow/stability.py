@@ -17,6 +17,13 @@ which cross-checks the tables from outside.
 
 find_critical_points is where kappa and gamma become exact rationals, by
 the one reader `invariant_forms._exact` that `sphere_spectrum` uses too.
+It proves each point an equilibrium at kappa = 1: the rates of both flows
+are covariant under (a, b, q, kappa) -> (l a, l b, l^2 q, kappa / l), which
+multiplies every rate by l^2, so a point is an equilibrium exactly when its
+copy (a kappa, b kappa, q kappa^2) at kappa = 1 is one, and that proof is
+kept per flavor, eps, gamma and copy (`_rates_at_kappa_one`).  This reading
+of "critical points up to scale" is our derivation from the repo's rates,
+not the paper's; the tests prove the covariance in sympy.
 A CriticalPoint is five constants (flavor, eps, kappa, gamma and its label)
 and derives kappa_eff, params, state and tau0 from them when it is built,
 so every point is its label's closed form and every decision is made at
@@ -41,6 +48,7 @@ tolerances at all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -130,9 +138,11 @@ class CriticalPoint:
     It derives the rest when it is built: kappa_eff, kappa or (gamma - 1)
     kappa as the label says, the closed-form params at kappa_eff, the state
     those params rounded to floats, and tau0, kappa_eff rounded.  So every
-    point is its label's closed form; a label the flavor does not have is
-    refused with ValueError, and `dataclasses.replace` derives the four anew
-    and refuses any of them.
+    point is its label's closed form; a label the flavor does not have, a
+    kappa that is not positive, or a modified flow's point without a gamma
+    above 2, is refused with ValueError, a kappa or gamma that is not an
+    int or a Fraction with TypeError, and
+    `dataclasses.replace` derives the four anew and refuses any of them.
     """
 
     flavor: str
@@ -146,6 +156,16 @@ class CriticalPoint:
     tau0: float = field(init=False)
 
     def __post_init__(self):
+        if self.flavor == MODIFIED and self.gamma is None:
+            raise ValueError("the modified flow's point needs gamma, got None")
+        for name in ("kappa", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, Fraction)):
+                raise TypeError(f"{name} must be an int or a Fraction, got {type(value).__name__}")
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if self.flavor == MODIFIED and not self.gamma > 2:
+            raise ValueError(f"modified flavor requires gamma > 2, got {self.gamma}")
         keff = _label_kappa_eff(self.flavor, self.label, self.kappa, self.gamma)
         params = _exact_point_params(self.eps, keff)
         for name, value in (("kappa_eff", keff), ("params", params),
@@ -237,9 +257,18 @@ _CLOSED_FORM = {+1: (Fraction(12, 5), 5), -1: (Fraction(4), 1)}
 
 
 def _exact_point_params(eps: int, kappa_eff: Fraction) -> GeometryParams:
+    """The closed form at kappa_eff = kn / kd: a = b = rn kd / (rd kn), q = s an^2 / ad^2."""
     r, s = _CLOSED_FORM[+1 if eps == +1 else -1]  # GeometryParams refuses any other eps
-    a = r / kappa_eff
-    return GeometryParams(a=a, b=a, q=s * a * a, eps=eps)
+    kn, kd = kappa_eff.as_integer_ratio()
+    a = Fraction(r.numerator * kd, r.denominator * kn)
+    an, ad = a.as_integer_ratio()
+    return GeometryParams(a=a, b=a, q=Fraction(s * an * an, ad * ad), eps=eps)
+
+
+@functools.lru_cache(maxsize=128)
+def _rates_at_kappa_one(flavor: str, a: Fraction, b: Fraction, q: Fraction, gamma, eps: int) -> tuple:
+    """The exact monomial rates at (a, b, q) and kappa = 1, kept per argument tuple."""
+    return monomial_rates(flavor, a, b, q, 1, gamma, eps)
 
 
 def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPoint]:
@@ -252,10 +281,17 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     float, a Decimal as the decimal it spells.  Each point is built from
     those values and its label, and derives its kappa_eff, closed-form
     params, state and tau0 from them.  Each is an equilibrium by proof, not
-    by a float residual: its monomial rates, evaluated exactly at its
-    params, are all zero, or RuntimeError.  The state is those params
-    rounded to floats, and tau0 is kappa_eff rounded, not the rounded
-    state's torsion.
+    by a float residual: its monomial rates, evaluated exactly, are all
+    zero, or RuntimeError.  The proof runs at kappa = 1, on the point's
+    params scaled to (a kappa, b kappa, q kappa^2): the covariance
+    (a, b, q, kappa) -> (l a, l b, l^2 q, kappa / l) multiplies every rate
+    by l^2, so the point is an equilibrium at kappa exactly when that copy
+    is one at kappa = 1 (our derivation from the rates, not the paper's).
+    The kappa = 1 rates are cached on the copy's exact params, gamma, eps
+    and flavor, so a family is proved once for every kappa, and a point
+    that is not its closed form misses the cache and is refused.  The state
+    is the params rounded to floats, and tau0 is kappa_eff rounded, not the
+    rounded state's torsion.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -271,10 +307,14 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
         labels.append(LABEL_RESCALED)
 
     points = [CriticalPoint(flavor, eps, kap, gam, label) for label in labels]
+    kn, kd = kap.as_integer_ratio()
     for point in points:
-        p = point.params
-        rates = monomial_rates(flavor, p.a, p.b, p.q, kap, gam, eps)
+        # (a, b, q, kappa) -> (a kappa, b kappa, q kappa^2, 1) multiplies every rate by kappa^2
+        an, ad, bn, bd, qn, qd = point.params._ratios
+        rates = _rates_at_kappa_one(flavor, Fraction(an * kn, ad * kd), Fraction(bn * kn, bd * kd),
+                                    Fraction(qn * kn * kn, qd * kd * kd), gam, eps)
         if rates != (0, 0, 0):
+            rates = tuple(u / (kap * kap) for u in rates)
             raise RuntimeError(f"the closed-form {point.label} point is not an equilibrium: rates {rates}")
     return points
 

@@ -30,7 +30,7 @@ from coflow.coflow_dynamics import (
     symbolic_rhs_crosscheck,
     tau0_state,
 )
-from coflow import coflow_dynamics
+from coflow import coflow_dynamics, stability
 from coflow.invariant_forms import (
     GeometryParams,
     InvariantForm,
@@ -131,6 +131,7 @@ def _routed_and_direct(monkeypatch):
 @pytest.mark.parametrize("kappa, gamma", [(4, 3), (Fraction(5, 2), Fraction(7, 3)), (3, Fraction(9, 4))],
                          ids=["int", "Fraction", "mixed"])
 def test_exact_rates_are_their_direct_fraction_evaluation(monkeypatch, flavor, kappa, gamma):
+    stability._rates_at_kappa_one.cache_clear()
     # small rationals and Fraction(float) points with ~2^50 denominators, both eps
     pairs = _routed_and_direct(monkeypatch)
     rng = random.Random(419)

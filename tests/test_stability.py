@@ -470,6 +470,87 @@ def test_find_critical_points_refuses_a_closed_form_point_that_is_not_an_equilib
                 find_critical_points(flavor, 4, gamma, eps)
 
 
+@pytest.mark.parametrize("gamma", (3, 3.37))
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("flavor", (NORMALIZED, MODIFIED))
+def test_a_family_is_proved_once_for_every_kappa(monkeypatch, flavor, eps, gamma):
+    from coflow import stability
+
+    gamma = gamma if flavor == MODIFIED else None
+    stability._rates_at_kappa_one.cache_clear()
+    first = find_critical_points(flavor, 4, gamma, eps)
+
+    def refuse(*_):
+        raise AssertionError("a proved family evaluated its rates again")
+
+    monkeypatch.setattr(stability, "monomial_rates", refuse)
+    for kappa in (4, 4.123456789):
+        points = find_critical_points(flavor, kappa, gamma, eps)
+        assert [p.label for p in points] == [p.label for p in first]
+        assert all(p.params.a * p.kappa_eff == q.params.a * q.kappa_eff for p, q in zip(points, first))
+    assert stability._rates_at_kappa_one.cache_info().currsize == len(first)
+
+
+def test_a_shifted_point_is_refused_after_its_family_was_proved(monkeypatch):
+    # the cache is keyed on the kappa = 1 params, so a point that is not its
+    # closed form misses it and is proved, and refused, at every kappa
+    from coflow import stability
+
+    exact = stability._exact_point_params
+
+    def shifted(eps, kappa_eff):
+        p = exact(eps, kappa_eff)
+        return dataclasses.replace(p, a=p.a + Fraction(1, 10 ** 12))
+
+    cases = [(flavor, gamma, eps) for flavor, gamma in ((NORMALIZED, None), (MODIFIED, 3)) for eps in (+1, -1)]
+    for flavor, gamma, eps in cases:
+        find_critical_points(flavor, 4, gamma, eps)
+    monkeypatch.setattr(stability, "_exact_point_params", shifted)
+    for flavor, gamma, eps in cases:
+        with pytest.raises(RuntimeError, match="tau0_eq_kappa point is not an equilibrium"):
+            find_critical_points(flavor, 4, gamma, eps)
+
+
+def test_the_refusal_reports_the_rates_at_the_points_own_kappa(monkeypatch):
+    from coflow import stability
+
+    exact = stability._exact_point_params
+
+    def doubled(eps, kappa_eff):
+        p = exact(eps, kappa_eff)
+        return dataclasses.replace(p, a=2 * p.a)
+
+    monkeypatch.setattr(stability, "_exact_point_params", doubled)
+    with pytest.raises(RuntimeError) as refused:
+        find_critical_points(MODIFIED, Fraction(7, 3), 3, -1)
+    p = doubled(-1, Fraction(7, 3))
+    want = monomial_rates(MODIFIED, p.a, p.b, p.q, Fraction(7, 3), Fraction(3), -1)
+    assert str(refused.value).endswith(f"rates {want}")
+
+
+def test_a_point_without_gamma_or_with_an_inexact_or_out_of_range_constant_is_refused():
+    for label in (LABEL_RESCALED, LABEL_PRINCIPAL):
+        with pytest.raises(ValueError, match="^the modified flow's point needs gamma, got None$"):
+            CriticalPoint(MODIFIED, -1, Fraction(4), None, label)
+    for kappa, gamma, name in ((4.0, Fraction(3), "kappa"), (Fraction(4), 3.0, "gamma"),
+                               (Decimal(4), 3, "kappa"), (np.float64(4), 3, "kappa")):
+        with pytest.raises(TypeError, match=rf"^{name} must be an int or a Fraction, got "):
+            CriticalPoint(MODIFIED, -1, kappa, gamma, LABEL_PRINCIPAL)
+    with pytest.raises(TypeError, match="^kappa must be an int or a Fraction, got float$"):
+        CriticalPoint(NORMALIZED, +1, 4.0, None, LABEL_PRINCIPAL)
+    # the constants find_critical_points refuses are refused by the constructor too
+    for kappa in (0, Fraction(-4)):
+        with pytest.raises(ValueError, match=f"^kappa must be positive, got {kappa}$"):
+            CriticalPoint(NORMALIZED, +1, kappa, None, LABEL_PRINCIPAL)
+    for gamma, label in ((1, LABEL_RESCALED), (Fraction(2), LABEL_PRINCIPAL)):
+        with pytest.raises(ValueError, match=f"^modified flavor requires gamma > 2, got {gamma}$"):
+            CriticalPoint(MODIFIED, -1, 4, gamma, label)
+    point = principal(MODIFIED, 4, 3, -1)
+    with pytest.raises(TypeError, match="^kappa must be"):
+        dataclasses.replace(point, kappa=4.0)
+    assert CriticalPoint(MODIFIED, -1, 4, 3, LABEL_PRINCIPAL).params == point.params
+
+
 @pytest.mark.parametrize("gamma", (None, 2, Fraction(2), 1.5))
 def test_modified_window_verdict_requires_gamma_above_2(gamma):
     with pytest.raises(ValueError, match="gamma > 2"):
@@ -1102,6 +1183,32 @@ def _exact_abc_jacobian(flavor, eps, label):
     pq = (5 if eps == +1 else 1) * pa * pa
     scales = sympy.diag(pq / pa, pq / pa, sympy.Rational(1, 2))
     return scales * J.subs({a: pa, b: pa, q: pq}) * scales.inv()
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("flavor", (NORMALIZED, MODIFIED))
+def test_every_rate_scales_by_lambda_squared_under_the_covariance(flavor, eps):
+    # (a, b, q, kappa) -> (l a, l b, l^2 q, kappa / l) multiplies each rate by
+    # l^2, so a point is an equilibrium at kappa exactly when its kappa = 1 copy is
+    a, b, q, lam = sympy.symbols("a b q lambda", positive=True)
+    gamma = sympy.Symbol("gamma")
+    moved = monomial_rates(flavor, lam * a, lam * b, lam ** 2 * q, _K / lam, gamma, eps)
+    rates = monomial_rates(flavor, a, b, q, _K, gamma, eps)
+    assert all(sympy.cancel(u - lam ** 2 * v) == 0 for u, v in zip(moved, rates))
+
+
+@pytest.mark.parametrize("eps", (+1, -1))
+@pytest.mark.parametrize("flavor, label", [(NORMALIZED, LABEL_PRINCIPAL), (MODIFIED, LABEL_PRINCIPAL),
+                                           (MODIFIED, LABEL_RESCALED)])
+def test_each_closed_form_zeroes_the_rates_for_every_kappa_and_gamma(flavor, label, eps):
+    # (r / kappa_eff, r / kappa_eff, s r^2 / kappa_eff^2), (r, s) = (12/5, 5) or (4, 1):
+    # each rate is 0 as a rational function of kappa and gamma, so at every kappa > 0 and gamma > 2
+    gamma = _G if flavor == MODIFIED else None
+    kappa_eff = _K if label == LABEL_PRINCIPAL else (_G - 1) * _K
+    r, s = (sympy.Rational(12, 5), 5) if eps == +1 else (sympy.Integer(4), 1)
+    a = r / kappa_eff
+    rates = monomial_rates(flavor, a, a, s * a * a, _K, gamma, eps)
+    assert all(sympy.cancel(u) == 0 for u in rates)
 
 
 @pytest.mark.parametrize("flavor, eps, label, spectrum", TABLE_SPECTRA)
