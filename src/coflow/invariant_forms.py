@@ -25,16 +25,20 @@ and <vol, vol> = 1/q^4 horizontally, with q the squared horizontal scale
 even where c itself is irrational.  The orientation carries the sign eps:
 the Riemannian volume form is vol_eps = eps * a^2 b q^2 * e123 ^ vol.
 
-The structure tables do not depend on (a, b, q, eps).  d of each basis
-monomial (the Leibniz rule over the generator differentials) and the
-product of each pair of monomials are derived once, on first use, from the
-relations above and kept.  Each monomial's metric law -- its Hodge
-complement, the sign of its wedge onto the top monomial, its horizontal
-weight k and its Laurent exponents -- is one tuple in _LAW, made at import
-for the 40 basis monomials.  The tables are keyed by monomials only, at
-most 40 x 40 entries, and hand out the 40 basis monomials made at import;
-Monomial.from_key looks a key up among them.  Only the coefficient
-arithmetic of a call depends on the geometry.
+The structure tables do not depend on (a, b, q, eps).  Each monomial's
+hash is its index, 0..39, and _INDEX holds the basis monomial of each
+index.  Three tables are built at import, as tuples indexed by it, from
+the relations above: _PRODUCT, the product of each pair of monomials
+(from wedge_monomials); _D, d of each monomial (the Leibniz rule over the
+generator differentials, from _d_monomial); and _LAW, each monomial's
+metric law -- its Hodge complement, the sign of its wedge onto the top
+monomial, its horizontal weight k and its Laurent exponents (from
+_metric_law).  Each entry names its output monomial by index, so a
+kernel hashes a monomial only to write its result map or, in
+inner_product, to find a term of the other operand.  The kernels hand
+out the 40 basis monomials made at import; Monomial.from_key looks a key
+up among them.  Only the coefficient arithmetic of a call depends on the
+geometry.
 
 algebra_checks splits the same way.  d circ d = 0, the horizontal products
 and the star pairings of distinct monomials are facts about the tables, so
@@ -52,9 +56,10 @@ GeometryParams reads off its scales once per geometry (_ratios); that
 costs a single gcd.  The star picks each factor a^(2-ja), b^(1-jb) and
 q^(2-jq) by lookup among the integer pairs of its few values.  The product
 table holds its structure constants as ints and each d(m) is kept as
-(monomial, int) pairs, so wedge, exterior_derivative and inner_product
-keep each output coefficient's sum as one integer numerator and
-denominator and reduce it once, dropping the sums that cancel to 0.  A
+(index, int) pairs, so wedge, exterior_derivative and inner_product keep
+each output coefficient's sum as one integer numerator and denominator
+(the first two keyed by index) and reduce it once, dropping the sums that
+cancel to 0.  A
 sum or difference of two forms costs one Fraction per monomial the two
 share, and a scalar times a form one per coefficient.  The kernels and
 the form arithmetic hand the maps they have just built to
@@ -100,17 +105,20 @@ def _exact(x) -> Fraction:
 
     An int, Fraction or numpy integer as itself, over Python ints; a float,
     numpy float or Decimal as its exact as_integer_ratio(); anything else
-    as the Fraction of its float.
+    as the Fraction of its float.  An infinity or a NaN raises ValueError.
     """
     if isinstance(x, numbers.Rational):
         return Fraction(int(x.numerator), int(x.denominator))
-    ratio = getattr(x, "as_integer_ratio", None)
-    return Fraction(*ratio()) if ratio is not None else Fraction(float(x))
+    ratio = getattr(x, "as_integer_ratio", None) or float(x).as_integer_ratio
+    try:
+        return Fraction(*ratio())
+    except (OverflowError, ValueError):  # an infinity or a NaN has no integer ratio
+        raise ValueError(f"the value must be finite, got {x!r}") from None
 
 
-def _reduced(sums: dict[Monomial, tuple[int, int]]) -> dict[Monomial, Fraction]:
-    """One Fraction per (numerator, denominator) sum, leaving out the sums that are 0."""
-    return {m: Fraction(n, d) for m, (n, d) in sums.items() if n}
+def _reduced(sums: dict[int, tuple[int, int]]) -> dict[Monomial, Fraction]:
+    """One Fraction per (numerator, denominator) sum, keyed by the monomial at its index; 0 left out."""
+    return {_INDEX[i]: Fraction(n, d) for i, (n, d) in sums.items() if n}
 
 
 def _refuse(*_):
@@ -273,6 +281,9 @@ def _make_basis() -> tuple[Monomial, ...]:
 _BASIS = _make_basis()
 _BY_KEY = {m.key: m for m in _BASIS}
 _BY_PARTS = {(m.verts, m.horiz): m for m in _BASIS}
+# position i holds the basis monomial whose hash, its index, is i; the
+# structure tables are tuples in this order and name monomials by index
+_INDEX = tuple(sorted(_BASIS, key=lambda m: m._hash))
 
 
 def all_monomials() -> list[Monomial]:
@@ -496,28 +507,37 @@ def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
     return sign * hcoeff, _BY_PARTS[(verts, horiz)]
 
 
+# _PRODUCT[i][j] is wedge_monomials of the monomials at indices i and j, as
+# (integer coefficient, index of the product) or None; it is derived through
+# __wrapped__, so the cache of wedge_monomials holds no second, keyed copy
+_PRODUCT = tuple(tuple(None if w is None else (w[0], w[1]._hash)
+                       for w in (wedge_monomials.__wrapped__(m1, m2) for m2 in _INDEX))
+                 for m1 in _INDEX)
+
+
 def wedge(alpha: InvariantForm, beta: InvariantForm) -> InvariantForm:
     """Bilinear, associative wedge product; degree overflow gives zero.
 
     Each output coefficient is summed as one integer numerator and
-    denominator and reduced once.
+    denominator, keyed by its monomial's index, and reduced once.
     """
-    terms = [(m2, *c2.as_integer_ratio()) for m2, c2 in beta.coeffs.items()]
-    sums: dict[Monomial, tuple[int, int]] = {}
+    terms = [(m2._hash, *c2.as_integer_ratio()) for m2, c2 in beta.coeffs.items()]
+    sums: dict[int, tuple[int, int]] = {}
     for m1, c1 in alpha.coeffs.items():
         n1, d1 = c1.as_integer_ratio()
-        for m2, n2, d2 in terms:
-            prod = wedge_monomials(m1, m2)
+        row = _PRODUCT[m1._hash]
+        for j2, n2, d2 in terms:
+            prod = row[j2]
             if prod is not None:
-                k, m = prod
+                k, j = prod
                 n, d = k * n1 * n2, d1 * d2
-                s = sums.get(m)
+                s = sums.get(j)
                 if s is None:
-                    sums[m] = (n, d)
+                    sums[j] = (n, d)
                 elif s[1] == d:
-                    sums[m] = (s[0] + n, d)
+                    sums[j] = (s[0] + n, d)
                 else:
-                    sums[m] = (s[0] * d + n * s[1], s[1] * d)
+                    sums[j] = (s[0] * d + n * s[1], s[1] * d)
     return InvariantForm._of(_reduced(sums))
 
 
@@ -554,29 +574,30 @@ def _d_monomial(m: Monomial) -> InvariantForm:
     return total
 
 
-@functools.cache
-def _d_terms(m: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """d(m) as (monomial, integer coefficient) pairs; its coefficients are whole numbers."""
-    return tuple((dm, dc.numerator) for dm, dc in _d_monomial(m).coeffs.items())
+# _D[i] is d of the monomial at index i as (index, integer coefficient) pairs,
+# derived through __wrapped__ like _PRODUCT; the coefficients are whole numbers
+_D = tuple(tuple((dm._hash, dc.numerator) for dm, dc in _d_monomial.__wrapped__(m).coeffs.items())
+           for m in _INDEX)
 
 
 def exterior_derivative(alpha: InvariantForm) -> InvariantForm:
     """Exterior derivative from the structure relations and the Leibniz rule.
 
     The coefficients of each d(m) are integers, so each output coefficient
-    is summed as one integer numerator and denominator and reduced once.
+    is summed as one integer numerator and denominator, keyed by its
+    monomial's index, and reduced once.
     """
-    sums: dict[Monomial, tuple[int, int]] = {}
+    sums: dict[int, tuple[int, int]] = {}
     for m, c in alpha.coeffs.items():
         n, d = c.as_integer_ratio()
-        for dm, k in _d_terms(m):
-            s = sums.get(dm)
+        for j, k in _D[m._hash]:
+            s = sums.get(j)
             if s is None:
-                sums[dm] = (k * n, d)
+                sums[j] = (k * n, d)
             elif s[1] == d:
-                sums[dm] = (s[0] + k * n, d)
+                sums[j] = (s[0] + k * n, d)
             else:
-                sums[dm] = (s[0] * d + k * n * s[1], s[1] * d)
+                sums[j] = (s[0] * d + k * n * s[1], s[1] * d)
     return InvariantForm._of(_reduced(sums))
 
 
@@ -591,8 +612,8 @@ def _star_partner(m: Monomial) -> tuple[Monomial, int]:
     """Complementary monomial of m and the coefficient of m ^ complement on TOP."""
     comp = _BY_PARTS[(tuple(i for i in (1, 2, 3) if i not in m.verts),
                       _HORIZ_PARTNER[m.horiz])]
-    pairing = wedge_monomials(m, comp)
-    assert pairing is not None and pairing[1] == TOP
+    pairing = _PRODUCT[m._hash][comp._hash]
+    assert pairing is not None and pairing[1] == TOP._hash
     return comp, pairing[0]
 
 
@@ -608,8 +629,9 @@ def _metric_law(m: Monomial) -> tuple[Monomial, int, int, int, int, int]:
     return (*_star_partner(m), k, 2 * len(m.verts) - jb, jb, jq)
 
 
-# the metric law of each basis monomial, the one table the metric kernels read
-_LAW = {m: _metric_law(m) for m in _BASIS}
+# _LAW[i] is the metric law of the monomial at index i with its complement as
+# an index, the one table the metric kernels read
+_LAW = tuple((comp._hash, *rest) for comp, *rest in map(_metric_law, _INDEX))
 
 
 def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
@@ -619,7 +641,7 @@ def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
     contributes k / q^jq from _HORIZ_WEIGHT: with m's law that is
     k / (a^ja b^jb q^jq), one Fraction.
     """
-    _, _, k, ja, jb, jq = _LAW[m]
+    _, _, k, ja, jb, jq = _LAW[m._hash]
     an, ad, bn, bd, qn, qd = p._ratios
     return Fraction(k * ad ** ja * bd ** jb * qd ** jq, an ** ja * bn ** jb * qn ** jq)
 
@@ -654,10 +676,10 @@ def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     fq = ((qn2, qd2), (1, 1), (qd2, qn2))
     out: dict[Monomial, Fraction] = {}
     for m, c in alpha.coeffs.items():
-        comp, pairing, k, ja, jb, jq = _LAW[m]
+        comp, pairing, k, ja, jb, jq = _LAW[m._hash]
         num, den = c.as_integer_ratio()
         (na, da), (nb, db), (nq, dq) = fa[ja // 2], fb[jb // 2], fq[jq // 2]
-        out[comp] = Fraction(eps * k * num * na * nb * nq, pairing * den * da * db * dq)
+        out[_INDEX[comp]] = Fraction(eps * k * num * na * nb * nq, pairing * den * da * db * dq)
     return InvariantForm._of(out)
 
 
@@ -676,7 +698,7 @@ def inner_product(alpha: InvariantForm, beta: InvariantForm, p: GeometryParams) 
     for m, c in alpha.coeffs.items():
         cb = other.get(m)
         if cb is not None:
-            _, _, k, ja, jb, jq = _LAW[m]
+            _, _, k, ja, jb, jq = _LAW[m._hash]
             cn, cd = c.as_integer_ratio()
             cbn, cbd = cb.as_integer_ratio()
             tn = k * cn * cbn * ad ** ja * bd ** jb * qd ** jq
@@ -715,16 +737,15 @@ def _structure_checks() -> tuple[bool, bool, bool]:
     product of m1 with that complement is zero.  algebra_checks ties this
     to the stars computed at each point by checking their support.
     """
-    basis = all_monomials()
-    dd_ok = all(exterior_derivative(_d_monomial(m)).is_zero() for m in basis)
+    dd_ok = all(exterior_derivative(exterior_derivative(f)).is_zero() for f in _BASIS_FORMS)
     horiz_ok = (
         wedge(W1, W1) == 2 * VOL and wedge(W2, W2) == 2 * VOL
         and wedge(W3, W3) == 2 * VOL
         and wedge(W1, W2).is_zero() and wedge(W2, W3).is_zero()
         and wedge(W3, W1).is_zero() and wedge(W1, VOL).is_zero()
     )
-    off_diagonal_ok = all(wedge_monomials(m1, _LAW[m2][0]) is None
-                          for m1 in basis for m2 in basis
+    off_diagonal_ok = all(_PRODUCT[m1._hash][_LAW[m2._hash][0]] is None
+                          for m1 in _BASIS for m2 in _BASIS
                           if m1 != m2 and m1.degree == m2.degree)
     return dd_ok, horiz_ok, off_diagonal_ok
 
@@ -732,7 +753,7 @@ def _structure_checks() -> tuple[bool, bool, bool]:
 # the 40 basis monomials as forms of coefficient 1, the unit first, each with
 # the support its star must have (its complement alone)
 _BASIS_FORMS = tuple(InvariantForm._of({m: Fraction(1)}) for m in _BASIS)
-_STAR_SUPPORTS = tuple(frozenset((_LAW[m][0],)) for m in _BASIS)
+_STAR_SUPPORTS = tuple(frozenset((_INDEX[_LAW[m._hash][0]],)) for m in _BASIS)
 _TOP_SUPPORT = frozenset((TOP,))
 
 

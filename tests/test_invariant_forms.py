@@ -1,12 +1,14 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import pickle
 import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,7 +44,8 @@ from coflow.invariant_forms import (
     wedge_monomials,
 )
 from coflow import invariant_forms
-from coflow.invariant_forms import _d_monomial, _star_partner, _structure_checks, _top_coeff
+from coflow.invariant_forms import _d_monomial, _metric_law, _star_partner, _structure_checks, _top_coeff
+from coflow.g2_ansatz import build
 
 BASIS = all_monomials()
 
@@ -664,8 +667,8 @@ def test_every_law_exponent_indexes_the_star_factor_tables():
     # hodge_star looks a^(2-ja), b^(1-jb) and q^(2-jq) up in tables of 3, 2 and 3
     # entries at ja // 2, jb // 2 and jq // 2
     laws = invariant_forms._LAW
-    assert laws.keys() == set(BASIS)
-    for _, _, _, ja, jb, jq in laws.values():
+    assert {invariant_forms._INDEX[i] for i in range(len(laws))} == set(BASIS)
+    for _, _, _, ja, jb, jq in laws:
         assert ja in (0, 2, 4) and jb in (0, 2) and jq in (0, 2, 4)
 
 
@@ -673,10 +676,11 @@ def test_the_metric_law_makes_the_star_an_involution_for_every_a_b_q():
     # star(m) is k eps a^(2-ja) b^(1-jb) q^(2-jq) / pairing times the complement,
     # so star(star(m)) = m for every (a, b, q) exactly when the complement's
     # complement is m, the exponents of the two rows cancel and the constants
-    # multiply to 1 (eps^2 = 1): integers only, no parameter point
+    # multiply to 1 (eps^2 = 1): integers only, no parameter point.  Row i
+    # is the law of the monomial whose hash is i, its complement an index
     laws = invariant_forms._LAW
     assert len(laws) == 40
-    for m, (comp, pairing, k, ja, jb, jq) in laws.items():
+    for m, (comp, pairing, k, ja, jb, jq) in enumerate(laws):
         comp2, pairing2, k2, ja2, jb2, jq2 = laws[comp]
         assert comp2 == m
         assert (ja + ja2, jb + jb2, jq + jq2) == (4, 2, 4)
@@ -694,14 +698,16 @@ def test_the_metric_law_makes_the_stars_pair_and_the_unit_star_for_every_a_b_q()
     #   complementary degree, and the complements are a bijection of the basis;
     # - the unit star is eps a^2 b q^2 TOP, the volume form, when its row is
     #   (TOP, 1, 1, 0, 0, 0)
-    laws = invariant_forms._LAW
-    assert len(laws) == 40 and laws.keys() == set(BASIS)
-    for m, (comp, pairing, k, ja, jb, jq) in laws.items():
+    # Row i is the law of the monomial whose hash is i, its complement an index
+    laws, index = invariant_forms._LAW, invariant_forms._INDEX
+    assert len(laws) == 40 and {index[i] for i in range(len(laws))} == set(BASIS)
+    for i, (comp, pairing, k, ja, jb, jq) in enumerate(laws):
+        m, comp = index[i], index[comp]
         assert pairing != 0
         assert wedge_monomials(m, comp) == (pairing, TOP)
         assert comp.degree == 7 - m.degree
-    assert sorted(law[0].key for law in laws.values()) == sorted(m.key for m in BASIS)
-    assert laws[UNIT] == (TOP, 1, 1, 0, 0, 0)
+    assert sorted(index[law[0]].key for law in laws) == sorted(m.key for m in BASIS)
+    assert laws[hash(UNIT)] == (hash(TOP), 1, 1, 0, 0, 0)
 
 
 def test_star_and_inner_product_reject_mixed_degrees():
@@ -744,8 +750,8 @@ def test_copied_and_unpickled_monomials_find_their_dict_entries():
 
 
 def test_kernels_on_copied_and_rebuilt_monomials_equal_those_on_the_basis():
-    # the metric law is a table keyed by monomial, so an equal monomial that
-    # is not one of the 40 basis objects must read the same entry
+    # the structure tables are indexed by a monomial's hash, so an equal
+    # monomial that is not one of the 40 basis objects must read the same entry
     c = Fraction(-7, 3)
     basis_units = [InvariantForm.monomial(m2) for m2 in BASIS]
     for m in BASIS:
@@ -928,7 +934,7 @@ def test_results_own_their_coefficient_maps():
 
 
 def test_structure_tables_hold_integers():
-    # exterior_derivative reads the numerators of the cached d(m) alone
+    # exterior_derivative's table keeps the numerators of each d(m) alone
     for m in BASIS:
         assert all(type(c) is Fraction and c.denominator == 1 for c in _d_monomial(m).coeffs.values())
         assert type(_star_partner(m)[1]) is int
@@ -937,7 +943,68 @@ def test_structure_tables_hold_integers():
             assert prod is None or type(prod[0]) is int
 
 
+# The kernels read three tuples made at import, indexed by a monomial's hash:
+# the product table, d of each monomial and the metric law.  Each names its
+# output monomial by index, so a kernel hashes a monomial only to write its
+# result map, or, in inner_product, to find a term in the other operand.
+
+def test_each_structure_table_equals_its_derivation():
+    index = invariant_forms._INDEX
+    assert [hash(m) for m in index] == list(range(40))
+    assert len(index) == 40 and {id(m) for m in index} == {id(m) for m in invariant_forms._BASIS}
+    product, d_table, laws = invariant_forms._PRODUCT, invariant_forms._D, invariant_forms._LAW
+    assert len(product) == len(d_table) == len(laws) == 40
+    for i, m in enumerate(index):
+        assert len(product[i]) == 40
+        for j, m2 in enumerate(index):
+            w = wedge_monomials.__wrapped__(m, m2)
+            assert product[i][j] == (None if w is None else (w[0], hash(w[1])))
+        d = _d_monomial.__wrapped__(m)
+        assert d_table[i] == tuple((hash(dm), dc) for dm, dc in d.coeffs.items())
+        assert all(type(k) is int for _, k in d_table[i])
+        comp, *rest = _metric_law(m)
+        assert laws[i] == (hash(comp), *rest)
+
+
+def test_each_kernel_hashes_a_monomial_only_for_its_result_or_the_other_operand(monkeypatch):
+    ans = build(P_PLUS)
+    phi, psi = ans.phi, ans.psi
+    kernels = ((wedge, (phi, psi)), (exterior_derivative, (phi,)), (hodge_star, (phi, P_PLUS)))
+    expected = [fn(*args) for fn, args in kernels]
+    assert not any(f.is_zero() for f in expected)
+    calls = 0
+    unwrapped = Monomial.__hash__
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return unwrapped(m)
+
+    monkeypatch.setattr(Monomial, "__hash__", counted)
+
+    def hashes(fn, *args):
+        nonlocal calls
+        calls = 0
+        return fn(*args), calls
+
+    for (fn, args), want in zip(kernels, expected):
+        out, n = hashes(fn, *args)
+        assert out == want and n == len(out.coeffs), fn.__name__
+    value, n = hashes(inner_product, phi, phi, P_PLUS)
+    assert n == len(phi.coeffs)
+    monkeypatch.undo()
+    assert value == inner_product(phi, phi, P_PLUS)
+
+
 # ------------------------------------------------------- unreduced exact ratios
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf"), np.float32("-inf"),
+                                   np.longdouble("nan"), Decimal("Infinity"), Decimal("-Infinity"),
+                                   Decimal("NaN"), Decimal("sNaN")], ids=repr)
+def test_the_exact_reader_refuses_a_value_with_no_integer_ratio(value):
+    with pytest.raises(ValueError, match="the value must be finite"):
+        invariant_forms._exact(value)
+
 
 def _ratio_expressions(x, y):
     # every operation of the ratio, each sum and difference both over one

@@ -1639,6 +1639,35 @@ def test_classify_evaluates_no_float_rates_and_builds_no_second_point(monkeypatc
     assert got == want
 
 
+# A value with no integer ratio, an infinity or a NaN, is refused with
+# ValueError by the one reader or, for -inf and nan, by an entry point's own
+# range check before it; never with OverflowError.
+_FINITE = "the value must be finite"
+_POSITIVE = "kappa must be positive"
+_GAMMA_MODIFIED = "modified flavor requires gamma > 2"
+_GAMMA_WINDOW = "the window requires gamma > 2"
+_NON_FINITE_CASES = [
+    # (call, message at +inf, message at -inf and at nan)
+    (lambda x: find_critical_points(MODIFIED, x, 3, 1), _FINITE, _POSITIVE),
+    (lambda x: find_critical_points(NORMALIZED, x, None, -1), _FINITE, _POSITIVE),
+    (lambda x: find_critical_points(MODIFIED, 4, x, 1), _FINITE, _GAMMA_MODIFIED),
+    (lambda x: verify_psi_identities(1, x), _FINITE, _FINITE),
+    (lambda x: verify_psi_identities(-1, x), _FINITE, _FINITE),
+    (lambda x: index_lower_bound(1, 3, x), _FINITE, _GAMMA_WINDOW),
+    (lambda x: window_verdict(x, 3, MODIFIED), _FINITE, _FINITE),
+    (lambda x: window_verdict(x, None, NORMALIZED), _FINITE, _FINITE),
+    (lambda x: window_verdict(Fraction(-3, 2), x, MODIFIED), _FINITE, _GAMMA_WINDOW),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_NON_FINITE_CASES)))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_kappa_gamma_or_mu_raises_value_error(case, value):
+    call, at_inf, otherwise = _NON_FINITE_CASES[case]
+    with pytest.raises(ValueError, match=at_inf if value == math.inf else otherwise):
+        call(value)
+
+
 @pytest.mark.parametrize("eps", (+1, -1))
 def test_classify_keeps_the_range_cut_on_the_exact_linearization(eps):
     message = "the linearization does not evaluate in floating point at the point"
