@@ -32,9 +32,9 @@ Fraction) monomial_rates evaluates the same closure through
 `invariant_forms._exactly`, over unreduced integer ratios reduced once per
 rate, so symbolic_rhs_crosscheck and the equilibrium proof of
 `stability.find_critical_points` pay no gcd per operation; every other
-scalar type calls the closure directly.  Every float caller but the
-complex-step linearization (the integrator, the residual checks, the
-volume-rate probe) evaluates the flow through a guarded closure from
+scalar type calls the closure directly.  Every float caller in the
+package (the integrator, the residual checks, the volume-rate probe)
+evaluates the flow through a guarded closure from
 `_guarded_flow`, which returns None off the domain: integrate and
 hitchin_rate_check build one per run.  The adaptive integrator works on
 3-tuples of scalars rather than numpy arrays: for 3-vectors the array

@@ -116,6 +116,14 @@ def _exact(x) -> Fraction:
         raise ValueError(f"the value must be finite, got {x!r}") from None
 
 
+def _above(x, bound) -> bool:
+    """x > bound for a given kappa or gamma, False for any NaN: a Decimal NaN signals when ordered."""
+    try:
+        return x > bound
+    except ArithmeticError:  # decimal.InvalidOperation
+        return False
+
+
 def _reduced(sums: dict[int, tuple[int, int]]) -> dict[Monomial, Fraction]:
     """One Fraction per (numerator, denominator) sum, keyed by the monomial at its index; 0 left out."""
     return {_INDEX[i]: Fraction(n, d) for i, (n, d) in sums.items() if n}

@@ -37,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariant_forms import _exact
+from .invariant_forms import _above, _exact
 
 KAPPA = 4  # unit-curvature normalization; fixed throughout this module
 # levels whose records are kept once built; gamma = 6 uses 45, gamma = 16 uses 145
@@ -97,7 +97,7 @@ def _window_floor(gamma) -> Fraction:
     gamma is read by `invariant_forms._exact`, as in `find_critical_points`;
     None is refused like any gamma <= 2.
     """
-    if gamma is None or not gamma > 2:
+    if gamma is None or not _above(gamma, 2):
         raise ValueError("the window requires gamma > 2")
     return Fraction(-5, 2) * (_exact(gamma) - 1)
 

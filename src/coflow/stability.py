@@ -11,9 +11,9 @@ eigenbasis (`_EIGENBASIS`, the same three vectors at every nearly parallel
 point) and each point's eigenvalues, kappa^2 times a polynomial in gamma
 (`_SPECTRA`), so J = sum_k lambda_k P_k with the projectors of
 `_PROJECTORS`.  It counts the instability index exactly and maps the
-unstable direction's exact vector to an invariant 4-form.  The
-complex-step linearization of the float rates belongs to `jacobian` alone,
-which cross-checks the tables from outside.
+unstable direction's exact vector to an invariant 4-form.  This is the
+library's one linearization: the tests prove the tables in sympy and keep
+the complex-step derivative of the float rates as their outside check.
 
 find_critical_points is where kappa and gamma become exact rationals, by
 the one reader `invariant_forms._exact` that `sphere_spectrum` uses too.
@@ -29,8 +29,8 @@ and derives kappa_eff, params, state and tau0 from them when it is built,
 so every point is its label's closed form and every decision is made at
 the one rational the point was built at: its tau0 is kappa_eff rounded,
 and window_mu, the one copy of mu, is mu0 of `_PSI_MU0` times
-kappa_eff / kappa.  jacobian and classify refuse constants other than the
-point's own.  The window rule is `sphere_spectrum`'s.
+kappa_eff / kappa.  classify refuses constants other than the point's
+own.  The window rule is `sphere_spectrum`'s.
 
 At a point (a, b, c) with q = c^2 the coordinates are
 (A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
@@ -55,17 +55,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coflow_dynamics import (
-    FLAVORS,
-    MODIFIED,
-    NORMALIZED,
-    monomial_rates,
-    state_rates,
-)
+from .coflow_dynamics import FLAVORS, MODIFIED, NORMALIZED, monomial_rates
 from .g2_ansatz import ansatz_4form, build
 from .invariant_forms import (
     GeometryParams,
     InvariantForm,
+    _above,
     _exact,
     _exactly,
     dstar_on_4forms,
@@ -231,26 +226,6 @@ class SpectralReport:
         }
 
 
-def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:
-    """d(da/dt, db/dt, dc/dt)/d(a, b, c) at y by complex-step differentiation.
-
-    Column j is Im f(y + i h e_j) / h with h = 1e-20 |y_j| (Squire and
-    Trapp, SIAM Review 40, 1998), no difference of nearby values, but at tiny
-    states, from kappa ~ 1e75 up, the imaginary parts go subnormal and lose
-    bits.  None when the rates raise ArithmeticError or an entry is not finite.
-    """
-    jac = np.empty((3, 3))
-    for j in range(3):
-        h = 1e-20 * abs(y[j])
-        a, b, c = (v + (h * 1j if i == j else 0j) for i, v in enumerate(y))
-        try:
-            rates = state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
-            jac[:, j] = [r.imag / h for r in rates]
-        except ArithmeticError:
-            return None
-    return jac if np.isfinite(jac).all() else None
-
-
 # the closed-form nearly parallel point at tau0 = kappa_eff, per eps: (r, s) with
 # a = b = r / kappa_eff and q = s a^2
 _CLOSED_FORM = {+1: (Fraction(12, 5), 5), -1: (Fraction(4), 1)}
@@ -295,13 +270,13 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if not kappa > 0:
+    if not _above(kappa, 0):
         raise ValueError("kappa must be positive")
     kap = _exact(kappa)
     gam = None
     labels = [LABEL_PRINCIPAL]
     if flavor == MODIFIED:
-        if gamma is None or not gamma > 2:
+        if gamma is None or not _above(gamma, 2):
             raise ValueError("modified flavor requires gamma > 2")
         gam = _exact(gamma)
         labels.append(LABEL_RESCALED)
@@ -363,8 +338,7 @@ def _check_point(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> N
     """Refuse a flavor, eps, kappa or (modified flavor) gamma other than the point's own.
 
     kappa and gamma are read as find_critical_points reads them; ValueError
-    names the constant that differs.  jacobian and classify run this first,
-    so their messages are the same.
+    names the constant that differs.  classify runs this first.
     """
     checks = [("flavor", flavor, flavor == point.flavor), ("eps", eps, eps == point.eps),
               ("kappa", kappa, _exact(kappa) == point.kappa)]
@@ -380,38 +354,6 @@ def _range_cut(jac) -> None:
     jnorm = math.inf if jac is None else math.hypot(*(x for row in jac for x in row))
     if not math.isfinite(jnorm * jnorm):
         raise ValueError("the linearization does not evaluate in floating point at the point")
-
-
-def jacobian(flavor: str, point: CriticalPoint, kappa, gamma, eps: int):
-    """(complex-step matrix, analytic twin or None) in (A, B, C) coordinates.
-
-    Computed at the point's own constants: flavor, eps and kappa (read as
-    find_critical_points reads it), and gamma for the modified flavor, must
-    be the point's own, or ValueError names the one that differs; the
-    normalized flavor ignores gamma.  The point is its label's closed form
-    by construction, at the state it derived.  Since (A, B, C) is
-    q (delta a / a, delta b / b, delta c / c), the (a, b, c) matrix J becomes
-    J_ij y_j / y_i at the point y, so the analytic matrices apply literally.
-    When the twin exists the two must agree to 1e-12 in relative sup norm.
-    """
-    _check_point(flavor, point, kappa, gamma, eps)
-    flavor, eps = point.flavor, point.eps
-
-    kap, gam = float(point.kappa), None if point.gamma is None else float(point.gamma)
-    y = point.state
-    jac = _rhs_jacobian(flavor, y, kap, gam, eps)
-    _range_cut(jac)  # from kappa ~ 1e77 up the complex-step J is wrong
-
-    ys = np.array(y)
-    num = jac * ys / ys[:, None]
-
-    ana = None
-    if flavor == MODIFIED and point.label == LABEL_PRINCIPAL:
-        ana = analytic_jacobian(eps, kap, gam)
-        rel = float(np.max(np.abs(num - ana)) / np.max(np.abs(ana)))
-        if rel > 1e-12:
-            raise AssertionError(f"complex-step and analytic linearizations disagree: {rel:.2e}")
-    return num, ana
 
 
 def _variation(a, b, q, A, B, C) -> tuple:
@@ -468,14 +410,14 @@ def classify(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> Spect
     """Full spectral report: linearization, eigenpairs, index, window verdict.
 
     The eigenpairs are the point's exact table vectors (`_EIGENBASIS`) and
-    values (`_SPECTRA`); other constants are refused as `jacobian` refuses
-    them, with the same messages.  At kappa = kn/kd and gamma = gn/gd (0/1
+    values (`_SPECTRA`); constants other than the point's own are refused by
+    `_check_point`.  At kappa = kn/kd and gamma = gn/gd (0/1
     for the normalized flavor) the values share the denominator
     72 kd^2 gd^2 > 0, so every decision is on integer numerators:
     index counts the positive values, marginal flags the zeros, and pairs
     sort by decreasing value, ties in table order.  The reported J is the
     table's too, sum_k lambda_k P_k, each entry one integer numerator rounded
-    once, under jacobian's range cut on ||J||^2; the float rates are never
+    once, under `_range_cut` on ||J||^2; the float rates are never
     evaluated here.  Each value is rounded once to a float, with its residual
     |J u - lambda u| against that J.  unstable_form is the exact variation
     along the first pair's table vector.  The window verdict is

@@ -44,12 +44,13 @@ from coflow.stability import (
     analytic_jacobian,
     classify,
     find_critical_points,
-    jacobian,
     state_direction,
     variation_to_form,
     verify_psi_identities,
     window_verdict,
 )
+
+from _linearization import jacobian
 
 SQ5 = math.sqrt(5)
 

@@ -626,7 +626,7 @@ def _bits(values):
     (float, 4.0, 3.0),
     (np.longdouble, 4.0, 3.0),
     (Fraction, Fraction(4), Fraction(7, 3)),
-    # the complex-step linearization stability._rhs_jacobian evaluates
+    # the complex-step linearization _linearization._rhs_jacobian evaluates
     (lambda v: complex(v, 1e-20 * v), 4.0, 3.0),
 ], ids=["float64", "longdouble", "Fraction", "complex"])
 def test_every_rates_entry_point_is_the_one_copy(flavor, eps, scalar, kappa, gamma):

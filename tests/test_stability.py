@@ -29,12 +29,10 @@ from coflow.stability import (
     LABEL_RESCALED,
     PSI_MINUS,
     PSI_PLUS,
-    _rhs_jacobian,
     _variation,
     analytic_jacobian,
     classify,
     find_critical_points,
-    jacobian,
     state_direction,
     variation_to_form,
     verify_psi_identities,
@@ -42,6 +40,8 @@ from coflow.stability import (
     window_verdict,
 )
 from coflow.sphere_spectrum import in_window, index_lower_bound, level_mu
+
+from _linearization import _rhs_jacobian, jacobian
 
 SQ5 = math.sqrt(5)
 
@@ -1619,7 +1619,7 @@ def test_the_tables_linearization_agrees_with_the_complex_step(flavor, gamma, ka
 
 
 def test_classify_evaluates_no_float_rates_and_builds_no_second_point(monkeypatch):
-    from coflow import stability
+    from coflow import coflow_dynamics, stability
 
     points = [p for eps, kappa, gamma in GRID for p in find_critical_points(MODIFIED, kappa, gamma, eps)]
     points += _every_point(NORMALIZED, 4, None)
@@ -1633,15 +1633,28 @@ def test_classify_evaluates_no_float_rates_and_builds_no_second_point(monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("classify called the float rates or rebuilt its point")
 
-    for name in ("_rhs_jacobian", "jacobian", "state_rates", "monomial_rates", "_exact_point_params"):
-        monkeypatch.setattr(stability, name, refuse)
+    for module, name in ((stability, "monomial_rates"), (stability, "_exact_point_params"),
+                         (coflow_dynamics, "_rates"), (coflow_dynamics, "state_rates")):
+        monkeypatch.setattr(module, name, refuse)
     got = [fields(stability.classify(p.flavor, p, p.kappa, p.gamma, p.eps)) for p in points]
     assert got == want
 
 
+def test_the_library_exports_no_complex_step_linearization():
+    # classify decides from the exact tables; the complex-step check is the
+    # tests' own copy, in _linearization
+    import coflow
+    from coflow import stability
+
+    assert "jacobian" not in coflow.__all__
+    assert not hasattr(stability, "jacobian")
+    assert not hasattr(stability, "_rhs_jacobian")
+
+
 # A value with no integer ratio, an infinity or a NaN, is refused with
-# ValueError by the one reader or, for -inf and nan, by an entry point's own
-# range check before it; never with OverflowError.
+# ValueError by the one reader or, for -inf and a NaN (a Decimal one too), by
+# an entry point's own range check before it; never with OverflowError or
+# decimal.InvalidOperation.
 _FINITE = "the value must be finite"
 _POSITIVE = "kappa must be positive"
 _GAMMA_MODIFIED = "modified flavor requires gamma > 2"
@@ -1661,10 +1674,12 @@ _NON_FINITE_CASES = [
 
 
 @pytest.mark.parametrize("case", range(len(_NON_FINITE_CASES)))
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, Decimal("NaN"), Decimal("sNaN")],
+                         ids=["inf", "-inf", "nan", "Decimal-NaN", "Decimal-sNaN"])
 def test_a_non_finite_kappa_gamma_or_mu_raises_value_error(case, value):
+    # a Decimal NaN signals when ordered, and a signaling one even under ==
     call, at_inf, otherwise = _NON_FINITE_CASES[case]
-    with pytest.raises(ValueError, match=at_inf if value == math.inf else otherwise):
+    with pytest.raises(ValueError, match=at_inf if value is math.inf else otherwise):
         call(value)
 
 
