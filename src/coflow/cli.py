@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 input or usage error, an
 unwritable --out too.  A reader that closes standard output early (`coflow
 ... | head -1`) changes neither the exit code nor the files it writes.
-The environment variable COFLOW_SEED, when set, overrides --seed.
+A command reads its inputs from its arguments alone, never from the
+environment.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ def _flavor(sub: argparse.ArgumentParser, name: str) -> str:
         sub.error(f"unknown flavor {name!r}; choose from {sorted(_FLAVOR_ALIASES)}")
 
 
-def _check_finite(sub: argparse.ArgumentParser, name: str, value: float,
-                  positive: bool = False) -> None:
+def _check_positive(sub: argparse.ArgumentParser, name: str, value: float) -> None:
     if not math.isfinite(value):
         sub.error(f"--{name} must be finite, got {value}")
-    if positive and not value > 0:
+    if not value > 0:
         sub.error(f"--{name} must be positive, got {value}")
 
 
@@ -156,16 +156,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     sub = args.subparser
     if args.trials < 1:
         sub.error("--trials must be at least 1")
-    seed = args.seed
-    env_seed = os.environ.get("COFLOW_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            sub.error(f"COFLOW_SEED must be an integer, got {env_seed!r}")
     _refuse_unwritable(sub, args.out)
 
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     failures: dict[str, int] = {}
     first_failure: dict | None = None
     for trial in range(args.trials):
@@ -188,7 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     all_pass = first_failure is None
     report = {
-        "seed": seed,
+        "seed": args.seed,
         "trials": args.trials,
         "checks": [
             {"id": cid, "status": "pass" if n == 0 else "fail", "failures": n}
@@ -220,12 +213,12 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             val = getattr(args, name)
             if val is None:
                 sub.error(f"--{name} is required unless --perturb is given")
-            _check_finite(sub, name, val, positive=True)
+            _check_positive(sub, name, val)
         initial = FlowState(0.0, args.a0, args.b0, args.c0)
     else:
         if any(getattr(args, n) is not None for n in ("a0", "b0", "c0")):
             sub.error("--perturb replaces --a0/--b0/--c0; do not pass both")
-        _check_finite(sub, "delta", args.delta, positive=True)
+        _check_positive(sub, "delta", args.delta)
         with _usage_errors(sub):
             points = find_critical_points(flavor, args.kappa, args.gamma, args.eps)
             point = next(p for p in points if p.label == LABEL_PRINCIPAL)

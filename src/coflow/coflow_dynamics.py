@@ -73,13 +73,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import truediv
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from .g2_ansatz import (_laplacian_rates, ansatz_4form, build, laplacian_psi, tau0, tau0_terms,
                         tau3_norm_sq_terms)
-from .invariant_forms import GeometryParams, _as_scalar, _exactly
+from .invariant_forms import GeometryParams, _above, _as_scalar, _exactly
 
 NORMALIZED = "normalized_coflow"
 MODIFIED = "modified_coflow"
@@ -93,6 +93,9 @@ _EXACT_TYPES = frozenset((int, Fraction, type(None)))
 # the dtypes a run computes in (see _scalar_type)
 _DTYPES = (np.dtype(np.float64), np.dtype(np.longdouble))
 
+# every run's first step size, and the floor and ceiling on its scales (see _stop_reason)
+_FIRST_STEP, _FLOOR, _CEILING = 1e-4, 1e-8, 1e8
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -104,6 +107,9 @@ class FlowConfig:
     convergence stop (useful for running out the full horizon).  `dtype`
     is float64 or longdouble, the two a run computes in; any other is
     refused, since the run would round its start and its steps to it.
+    The first step size and the floor and ceiling on the scales are the
+    same for every run: the module constants `_FIRST_STEP` (1e-4),
+    `_FLOOR` (1e-8) and `_CEILING` (1e8).
     """
 
     flavor: str = NORMALIZED
@@ -111,12 +117,9 @@ class FlowConfig:
     gamma: float = 3.0
     eps: int = -1
     t_max: float = 10.0
-    first_step: float = 1e-4
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 100_000
-    floor: float = 1e-8
-    ceiling: float = 1e8
     tol_conv: float = 1e-8
     reference: tuple[float, float, float] | None = None
     escape_radius: float = 1e-1
@@ -127,14 +130,13 @@ class FlowConfig:
             raise ValueError(f"unknown flavor {self.flavor!r}, expected one of {FLAVORS}")
         if self.eps not in (+1, -1):
             raise ValueError(f"eps must be +1 or -1, got {self.eps}")
-        for name in ("kappa", "gamma", "t_max", "first_step", "rtol", "atol", "floor",
-                     "ceiling", "tol_conv", "escape_radius"):
+        for name in ("kappa", "gamma", "t_max", "rtol", "atol", "tol_conv", "escape_radius"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        for name in ("t_max", "first_step", "rtol", "atol", "floor", "ceiling", "escape_radius"):
+        for name in ("t_max", "rtol", "atol", "escape_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.tol_conv < 0:
@@ -344,7 +346,8 @@ def reduced_xy_rhs(X, Y, eps) -> tuple:
     Laplacian's rates alone (kk = 0) and kappa does not enter.  X and Y must
     be positive and finite.
     """
-    if not (X > 0 and Y > 0 and X != math.inf and Y != math.inf):  # nan fails X > 0
+    # nan fails _above, which goes first: a Decimal sNaN signals even on X != inf
+    if not (_above(X, 0) and _above(Y, 0) and X != math.inf and Y != math.inf):
         raise ValueError(f"reduced coordinates must be positive and finite, got ({X}, {Y})")
     u1, u2, u3 = _laplacian_rates(eps, 0)(1, Y / X, 1 / X)
     return (X * (u3 - X * u1), X * (u2 - Y * u1))
@@ -352,7 +355,7 @@ def reduced_xy_rhs(X, Y, eps) -> tuple:
 
 def scaling_ode_rhs(mu, kappa, gamma, flavor: str):
     """Rate of the relative scale mu of a trajectory against its attractor."""
-    if not mu > 0:
+    if not _above(mu, 0):
         raise ValueError(f"mu must be positive, got {mu}")
     if flavor == NORMALIZED:
         return kappa * kappa * (1 - mu * mu) / (4 * mu)
@@ -395,7 +398,7 @@ def _tableau(dt: np.dtype):
     scalar = _scalar_type(dt)
 
     def conv(row):
-        return tuple(scalar(dt.type(f.numerator) / dt.type(f.denominator)) for f in row)
+        return tuple(scalar(f.numerator) / scalar(f.denominator) for f in row)
 
     return tuple(conv(row) for row in _DP_A), conv(_DP_E)
 
@@ -487,9 +490,9 @@ class Trajectory:
 
 def _stop_reason(config: FlowConfig, y: tuple, k: tuple, ref: tuple | None, sqrt) -> str | None:
     a, b, c = y
-    if min(a, b, c) < config.floor:
+    if min(a, b, c) < _FLOOR:
         return "degeneracy"
-    if max(a, b, c) > config.ceiling:
+    if max(a, b, c) > _CEILING:
         return "blow-up"
     if ref is not None:
         d0, d1, d2 = a - ref[0], b - ref[1], c - ref[2]
@@ -505,11 +508,13 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     """Adaptive embedded Runge-Kutta 5(4) run with first-same-as-last reuse.
 
     Stops with one of: "converged" (|rhs| below tol_conv), "degeneracy"
-    (a scale under the floor, also at a start whose right-hand side does
-    not evaluate), "blow-up" (a scale over the ceiling, likewise),
+    (a scale under the floor `_FLOOR`, 1e-8, also at a start whose
+    right-hand side does not evaluate), "blow-up" (a scale over the
+    ceiling `_CEILING`, 1e8, likewise),
     "diverged-from-critical" (left the reference ball), "horizon" (reached
-    t_max), "max-steps".  The error control is an RMS norm of the embedded
-    difference against atol + rtol * |y|.
+    t_max), "max-steps".  The first step is `_FIRST_STEP`, 1e-4.  The
+    error control is an RMS norm of the embedded difference against
+    atol + rtol * |y|.
 
     The state and the stage slopes are 3-tuples of the run's scalar type
     (see `_scalar_type`), the tableau is unpacked into scalars of that type
@@ -594,24 +599,24 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
             e1 * k11 + e3 * k31 + e4 * k41 + e5 * k51 + e6 * k61 + e7 * k71,
             e1 * k12 + e3 * k32 + e4 * k42 + e5 * k52 + e6 * k62 + e7 * k72)
 
-    y = tuple(scalar(v) for v in np.array([a0, b0, c0], dtype=dt))
-    t = scalar(dt.type(initial.t))
-    t_max = scalar(dt.type(config.t_max))
+    y = (scalar(a0), scalar(b0), scalar(c0))
+    t = scalar(initial.t)
+    t_max = scalar(config.t_max)
     ref = None
     if config.reference is not None:
-        ref = tuple(scalar(v) for v in np.asarray(config.reference, dtype=dt))
+        ref = tuple(scalar(v) for v in config.reference)
     shrink = scalar(0.2)
 
     traj = Trajectory(config=config)
     records = traj._records
     records.append((t, y))
     k1 = f(y)
-    if k1 is None and config.floor <= min(y) and max(y) <= config.ceiling:
+    if k1 is None and _FLOOR <= min(y) and max(y) <= _CEILING:
         raise ValueError("right-hand side is not finite at the initial state")
 
     # a start beyond the floor or the ceiling stops at once, whatever its slope
     reason = _stop_reason(config, y, k1, ref, sqrt)
-    h = scalar(dt.type(config.first_step))
+    h = scalar(_FIRST_STEP)
     steps = attempts = rejected = retries = 0
     rhs_evals = 1
 

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import random
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -261,6 +263,10 @@ def test_reduction_consistency_finite_difference():
     (1.0, math.inf),
     (math.inf, math.inf),
     (math.nan, 1.0),
+    (Decimal("NaN"), 1),
+    (1, Decimal("NaN")),
+    (Decimal("sNaN"), 1),
+    (1, Decimal("sNaN")),
 ])
 def test_reduced_xy_rhs_refuses_non_finite_coordinates(X, Y):
     # an infinite coordinate passed the positivity test and gave (nan, nan)
@@ -493,15 +499,14 @@ def test_equilibrium_run_stays_put_over_the_horizon():
 
 
 def test_stop_reasons():
-    # blow-up fires on the initial state when it already exceeds the ceiling
-    cfg = FlowConfig(flavor=NORMALIZED, eps=-1, ceiling=1.2)
-    traj = integrate(cfg, FlowState(0.0, 1.3, 0.8, 1.1))
-    assert traj.reason == "blow-up"
-    assert traj.steps == 0
+    # blow-up and degeneracy fire on the initial state when it is already above
+    # the 1e8 ceiling or below the 1e-8 floor
+    cfg = FlowConfig(flavor=NORMALIZED, eps=-1)
+    traj = integrate(cfg, FlowState(0.0, 1.3, 0.8, 2e8))
+    assert (traj.reason, traj.steps) == ("blow-up", 0)
 
-    cfg = FlowConfig(flavor=NORMALIZED, eps=-1, floor=0.9)
-    traj = integrate(cfg, FlowState(0.0, 1.3, 0.8, 1.1))
-    assert traj.reason == "degeneracy"
+    traj = integrate(cfg, FlowState(0.0, 1.3, 5e-9, 1.1))
+    assert (traj.reason, traj.steps) == ("degeneracy", 0)
 
     cfg = FlowConfig(flavor=NORMALIZED, eps=-1, max_steps=3, tol_conv=0.0)
     traj = integrate(cfg, FlowState(0.0, 1.3, 0.8, 1.1))
@@ -585,12 +590,23 @@ def test_hitchin_rate_matches_finite_difference():
                                      FlowState(0.0, 1.2, 0.9, 1.0)), 4.0, 3.0)
 
 
-@pytest.mark.parametrize("name", ["kappa", "gamma", "t_max", "rtol", "atol", "floor",
-                                  "ceiling", "escape_radius"])
+@pytest.mark.parametrize("name", ["kappa", "gamma", "t_max", "rtol", "atol", "escape_radius"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_flow_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         FlowConfig(**{name: value})
+
+
+def test_the_first_step_floor_and_ceiling_are_not_settings():
+    # every run starts with the same step and stops at the same floor and ceiling
+    for name in ("first_step", "floor", "ceiling"):
+        with pytest.raises(TypeError):
+            FlowConfig(**{name: 1.0})
+    assert [f.name for f in dataclasses.fields(FlowConfig)] == [
+        "flavor", "kappa", "gamma", "eps", "t_max", "rtol", "atol", "max_steps", "tol_conv",
+        "reference", "escape_radius", "dtype"]
+    assert (coflow_dynamics._FIRST_STEP, coflow_dynamics._FLOOR,
+            coflow_dynamics._CEILING) == (1e-4, 1e-8, 1e8)
 
 
 def test_guarded_rhs_returns_none_off_the_domain():
@@ -744,6 +760,10 @@ def test_laplacian_closed_form_is_the_normalized_rates_at_kappa_zero(eps):
         assert laplacian_closed_form(p) == ansatz_4form(rates, p.eps)
 
 
+# 0.013 (1.3, 0.8, 1.1): the first step, 1e-4, leaves the positive octant from here
+_SMALL_START = (0.013 * 1.3, 0.013 * 0.8, 0.013 * 1.1)
+
+
 def test_run_counters():
     # no stage leaves the domain: one initial call, then six per attempted step
     cfg = FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1)
@@ -756,9 +776,9 @@ def test_run_counters():
     assert (traj.steps, traj.rejected, traj.nonfinite_retries) == (289, 1, 0)
     assert traj.rhs_evals == 1 + 6 * (289 + 1)
 
-    # a first step of 10 leaves the positive octant; a retry stops at the failing stage
-    cfg = FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1, first_step=10.0)
-    traj = integrate(cfg, FlowState(0.0, 1.3, 0.8, 1.1))
+    # at 0.013 times that start the rates are large enough that the first step
+    # leaves the positive octant; a retry stops at the failing stage
+    traj = integrate(cfg, FlowState(0.0, *_SMALL_START))
     assert traj.nonfinite_retries > 0
     full = 1 + 6 * (traj.steps + traj.rejected)
     assert full < traj.rhs_evals <= full + 6 * traj.nonfinite_retries
@@ -892,16 +912,16 @@ def test_float64_ensemble_is_bitwise_pinned():
         "09256a9279ec7ad3535a2590578404a615a0e1e39e7b59ec2d0e87e9193ef7cd"
 
 
-@pytest.mark.parametrize("overrides, counters", [
-    # a first step of 10 leaves the positive octant; each retry stops at its failing stage
-    ({"first_step": 10.0}, (237, 1443, 2, 4, "converged")),
-    ({"max_steps": 3, "tol_conv": 0.0}, (3, 19, 0, 0, "max-steps")),
-    ({"first_step": 10.0, "max_steps": 3, "tol_conv": 0.0}, (3, 39, 2, 4, "max-steps")),
+@pytest.mark.parametrize("start, overrides, counters", [
+    # the first step leaves the positive octant; each retry stops at its failing stage
+    (_SMALL_START, {}, (301, 1837, 4, 2, "converged")),
+    ((1.3, 0.8, 1.1), {"max_steps": 3, "tol_conv": 0.0}, (3, 19, 0, 0, "max-steps")),
+    (_SMALL_START, {"max_steps": 3, "tol_conv": 0.0}, (3, 37, 2, 2, "max-steps")),
 ])
-def test_run_counters_are_pinned(overrides, counters):
+def test_run_counters_are_pinned(start, overrides, counters):
     # (steps, rhs_evals, rejected, nonfinite_retries) recorded from the zip-loop step
     traj = integrate(FlowConfig(flavor=NORMALIZED, kappa=4.0, eps=-1, **overrides),
-                     FlowState(0.0, 1.3, 0.8, 1.1))
+                     FlowState(0.0, *start))
     assert (traj.steps, traj.rhs_evals, traj.rejected, traj.nonfinite_retries,
             traj.reason) == counters
 
@@ -933,9 +953,9 @@ def test_degenerate_start_stops_with_a_reason():
     traj = integrate(FlowConfig(), FlowState(0.0, 1.0, 1.0, 1e-300))
     assert traj.reason == "degeneracy"
     assert all(math.isnan(v) for v in (traj.tau0[0], traj.X[0], traj.Y[0]))
-    # inside the floor and the ceiling an unevaluable start is still an error
+    # inside the floor and the ceiling an unevaluable start is still an error: kappa^2 overflows
     with pytest.raises(ValueError, match="not finite at the initial state"):
-        integrate(FlowConfig(floor=1e-320), FlowState(0.0, 1e-300, 1.0, 1.0))
+        integrate(FlowConfig(kappa=1e200), FlowState(0.0, 1.0, 1.0, 1.0))
 
 
 def _algebra_rate(y, kappa, gamma, eps):
@@ -1162,6 +1182,8 @@ def test_the_volume_rate_check_needs_an_interior_sample():
 
 @pytest.mark.parametrize("mu, flavor, message", [
     (0, MODIFIED, "mu must be positive"),
+    (Decimal("NaN"), MODIFIED, "mu must be positive"),
+    (Decimal("sNaN"), NORMALIZED, "mu must be positive"),
     (1.0, "sideways", "unknown flavor"),
 ])
 def test_scaling_ode_rhs_rejects_bad_inputs(mu, flavor, message):
