@@ -79,7 +79,7 @@ import numpy as np
 
 from .g2_ansatz import (_laplacian_rates, ansatz_4form, build, laplacian_psi, tau0, tau0_terms,
                         tau3_norm_sq_terms)
-from .invariant_forms import GeometryParams, _above, _as_scalar, _exactly
+from .invariant_forms import GeometryParams, _above, _as_scalar, _eps, _exactly
 
 NORMALIZED = "normalized_coflow"
 MODIFIED = "modified_coflow"
@@ -128,8 +128,9 @@ class FlowConfig:
     def __post_init__(self) -> None:
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}, expected one of {FLAVORS}")
-        if self.eps not in (+1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {self.eps}")
+        object.__setattr__(self, "eps", _eps(self.eps))
+        if self.flavor == MODIFIED and self.gamma is None:
+            raise ValueError("the modified flow needs gamma, got None")
         for name in ("kappa", "gamma", "t_max", "rtol", "atol", "tol_conv", "escape_radius"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -309,15 +310,14 @@ def symbolic_rhs_crosscheck(params: GeometryParams, kappa, gamma, flavor: str) -
     kap = _as_scalar(kappa)
     ans = build(params)
     if flavor == NORMALIZED:
-        rate_form = laplacian_psi(ans) - kap * kap * ans.psi
-        gam = None
+        gam, along_dphi, along_psi = None, 0, -kap * kap
     elif flavor == MODIFIED:
         gam = _as_scalar(gamma)
-        rate_form = (laplacian_psi(ans)
-                     + Fraction(1, 2) * ((5 * gam * kap - 7 * tau0(ans)) * ans.dphi)
-                     + (Fraction(5, 2) * (1 - gam) * kap * kap) * ans.psi)
+        along_dphi = Fraction(1, 2) * (5 * gam * kap - 7 * tau0(ans))
+        along_psi = Fraction(5, 2) * (1 - gam) * kap * kap
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
+    rate_form = laplacian_psi(ans) + along_dphi * ans.dphi + along_psi * ans.psi
 
     rates = monomial_rates(flavor, params.a, params.b, params.q, kap, gam, params.eps)
     diff = rate_form - ansatz_4form(rates, params.eps)
@@ -355,8 +355,9 @@ def reduced_xy_rhs(X, Y, eps) -> tuple:
 
 def scaling_ode_rhs(mu, kappa, gamma, flavor: str):
     """Rate of the relative scale mu of a trajectory against its attractor."""
-    if not _above(mu, 0):
-        raise ValueError(f"mu must be positive, got {mu}")
+    # nan fails _above, which goes first: a Decimal sNaN signals even on mu != inf
+    if not (_above(mu, 0) and mu != math.inf):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     if flavor == NORMALIZED:
         return kappa * kappa * (1 - mu * mu) / (4 * mu)
     if flavor == MODIFIED:
@@ -488,7 +489,8 @@ class Trajectory:
             fh.write("\n")
 
 
-def _stop_reason(config: FlowConfig, y: tuple, k: tuple, ref: tuple | None, sqrt) -> str | None:
+def _stop_reason(config: FlowConfig, t, t_max, y: tuple, k: tuple, ref: tuple | None, sqrt) -> str | None:
+    """The reason a run stops at time t in state y with slope k, or None; "horizon" is decided last."""
     a, b, c = y
     if min(a, b, c) < _FLOOR:
         return "degeneracy"
@@ -501,6 +503,8 @@ def _stop_reason(config: FlowConfig, y: tuple, k: tuple, ref: tuple | None, sqrt
     k0, k1, k2 = k
     if float(sqrt(k0 * k0 + k1 * k1 + k2 * k2)) < config.tol_conv:
         return "converged"
+    if t >= t_max:
+        return "horizon"
     return None
 
 
@@ -614,8 +618,8 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     if k1 is None and _FLOOR <= min(y) and max(y) <= _CEILING:
         raise ValueError("right-hand side is not finite at the initial state")
 
-    # a start beyond the floor or the ceiling stops at once, whatever its slope
-    reason = _stop_reason(config, y, k1, ref, sqrt)
+    # a start beyond the floor, the ceiling or the horizon stops at once, whatever its slope
+    reason = _stop_reason(config, t, t_max, y, k1, ref, sqrt)
     h = scalar(_FIRST_STEP)
     steps = attempts = rejected = retries = 0
     rhs_evals = 1
@@ -623,9 +627,6 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     while reason is None:
         if steps >= config.max_steps or attempts >= 10 * config.max_steps:
             reason = "max-steps"
-            break
-        if t >= t_max:
-            reason = "horizon"
             break
 
         final_step = h >= t_max - t
@@ -657,9 +658,7 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
             k1 = k7
             steps += 1
             records.append((t, y))
-            reason = _stop_reason(config, y, k1, ref, sqrt)
-            if reason is None and t >= t_max:
-                reason = "horizon"
+            reason = _stop_reason(config, t, t_max, y, k1, ref, sqrt)
             grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
             h = h * scalar(grow)
         else:
@@ -714,8 +713,7 @@ def hitchin_rate(state, kappa, gamma, eps) -> float:
     (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
     if not (a > 0 and b > 0 and c != 0):
         raise ValueError(f"scales must be positive, got ({a}, {b}, {c})")
-    if eps not in (+1, -1):
-        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    eps = _eps(eps)
     d = max(da, db, dc)
     ia, ib, ic = na * (d // da), nb * (d // db), nc * (d // dc)
     num0, den0 = tau0_terms(ia, ib, ic * ic, eps)

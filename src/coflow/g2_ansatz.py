@@ -48,6 +48,7 @@ from .invariant_forms import (
     Monomial,
     _as_scalar,
     _exactly,
+    dstar_on_4forms,
     exterior_derivative,
     hodge_star,
     inner_product,
@@ -157,23 +158,14 @@ def torsion(ans: G2Ansatz) -> TorsionData:
     return TorsionData(tau0=t0, tau3=t3, tau3_norm_sq=inner_product(t3, t3, ans.params))
 
 
-def verify_dtau3_lemma(ans: G2Ansatz) -> bool:
-    """Check that the pure-scalar part of d(tau3) is (1/7)|tau3|^2 psi.
-
-    Both sides are computed independently: the left from the inner product
-    of d(tau3) with psi, the right from |tau3|^2.  Since psi is not zero,
-    the exact comparison of the two scalars is the comparison of the forms.
-    """
-    return _dtau3_lemma(ans, torsion(ans))
-
-
 def _dtau3_lemma(ans: G2Ansatz, td: TorsionData) -> bool:
+    """The pure-scalar part of d(tau3) is (1/7)|tau3|^2 psi: <d(tau3), psi> = |tau3|^2."""
     return inner_product(exterior_derivative(td.tau3), ans.psi, ans.params) == td.tau3_norm_sq
 
 
 def laplacian_psi(ans: G2Ansatz) -> InvariantForm:
     """Hodge Laplacian of the dual 4-form; on co-closed structures d(star(dphi))."""
-    return exterior_derivative(hodge_star(ans.dphi, ans.params))
+    return dstar_on_4forms(ans.dphi, ans.params)
 
 
 def type_project_4form(rho: InvariantForm, ans: G2Ansatz) -> tuple[InvariantForm, InvariantForm, InvariantForm]:

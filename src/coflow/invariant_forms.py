@@ -50,8 +50,9 @@ a monomial with its own star is one integer cross-multiplication of the
 wedge's TOP coefficient against <m, m> and eps a^2 b q^2.
 
 Each metric coefficient is a Laurent monomial in (a, b, q), so a star
-coefficient, a weight or the volume coefficient costs one _LAW lookup and
-one Fraction, built from the integer numerators and denominators that a
+coefficient or the volume coefficient costs one _LAW lookup and one
+Fraction, and a weight in inner_product's sum one lookup and integer
+products, built from the integer numerators and denominators that a
 GeometryParams reads off its scales once per geometry (_ratios); that
 costs a single gcd.  The star picks each factor a^(2-ja), b^(1-jb) and
 q^(2-jq) by lookup among the integer pairs of its few values.  The product
@@ -122,6 +123,17 @@ def _above(x, bound) -> bool:
         return x > bound
     except ArithmeticError:  # decimal.InvalidOperation
         return False
+
+
+def _eps(x) -> int:
+    """The one reading of a given eps: the int +1 or -1 it equals, else ValueError."""
+    try:
+        bad = x not in (+1, -1)
+    except ArithmeticError:  # decimal.InvalidOperation: a Decimal sNaN signals when compared
+        bad = True
+    if bad:
+        raise ValueError(f"eps must be +1 or -1, got {x}")
+    return 1 if x == 1 else -1
 
 
 def _reduced(sums: dict[int, tuple[int, int]]) -> dict[Monomial, Fraction]:
@@ -443,7 +455,8 @@ class GeometryParams:
     """Scales (a, b, q) and orientation sign eps of an invariant geometry.
 
     a scales e1, e2 and b scales e3; q = c^2 is the squared horizontal
-    scale.  All three must be positive rationals; eps is +1 or -1.
+    scale.  All three must be positive rationals; eps is +1 or -1, kept
+    as the int that _eps reads it as.
     """
 
     a: Fraction
@@ -457,8 +470,7 @@ class GeometryParams:
             object.__setattr__(self, name, v)
             if v <= 0:
                 raise ValueError(f"{name} must be positive, got {v}")
-        if self.eps not in (+1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {self.eps}")
+        object.__setattr__(self, "eps", _eps(self.eps))
 
     @functools.cached_property
     def _ratios(self) -> tuple[int, int, int, int, int, int]:
@@ -640,18 +652,6 @@ def _metric_law(m: Monomial) -> tuple[Monomial, int, int, int, int, int]:
 # _LAW[i] is the metric law of the monomial at index i with its complement as
 # an index, the one table the metric kernels read
 _LAW = tuple((comp._hash, *rest) for comp, *rest in map(_metric_law, _INDEX))
-
-
-def monomial_weight(m: Monomial, p: GeometryParams) -> Fraction:
-    """Squared norm <m, m>: the basis is orthogonal and the metric multiplicative.
-
-    |e1|^2 = |e2|^2 = 1/a^2, |e3|^2 = 1/b^2, and the horizontal part
-    contributes k / q^jq from _HORIZ_WEIGHT: with m's law that is
-    k / (a^ja b^jb q^jq), one Fraction.
-    """
-    _, _, k, ja, jb, jq = _LAW[m._hash]
-    an, ad, bn, bd, qn, qd = p._ratios
-    return Fraction(k * ad ** ja * bd ** jb * qd ** jq, an ** ja * bn ** jb * qn ** jq)
 
 
 def _top_coeff(p: GeometryParams) -> Fraction:

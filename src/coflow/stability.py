@@ -61,6 +61,7 @@ from .invariant_forms import (
     GeometryParams,
     InvariantForm,
     _above,
+    _eps,
     _exact,
     _exactly,
     dstar_on_4forms,
@@ -127,16 +128,16 @@ _PROJECTORS = {eps: _projectors(basis) for eps, basis in _EIGENBASIS.items()}
 class CriticalPoint:
     """A nearly parallel equilibrium at the exact kappa and gamma it was found for.
 
-    A point is its five constants: flavor, eps, kappa and gamma (the
-    rationals `find_critical_points` read its inputs as, gamma None for the
-    normalized flavor) and the label of the nearly parallel point it is.
-    It derives the rest when it is built: kappa_eff, kappa or (gamma - 1)
-    kappa as the label says, the closed-form params at kappa_eff, the state
-    those params rounded to floats, and tau0, kappa_eff rounded.  So every
-    point is its label's closed form; a label the flavor does not have, a
-    kappa that is not positive, or a modified flow's point without a gamma
-    above 2, is refused with ValueError, a kappa or gamma that is not an
-    int or a Fraction with TypeError, and
+    A point is its five constants: flavor, eps (kept as the int `_eps` reads
+    it as), kappa and gamma (the rationals `find_critical_points` read its
+    inputs as, gamma None for the normalized flavor) and the label of the
+    nearly parallel point it is.  It derives the rest when it is built:
+    kappa_eff, kappa or (gamma - 1) kappa as the label says, the closed-form
+    params at kappa_eff, the state those params rounded to floats, and tau0,
+    kappa_eff rounded.  So every point is its label's closed form; a label
+    the flavor does not have, a kappa that is not positive, or a modified
+    flow's point without a gamma above 2, is refused with ValueError, a
+    kappa or gamma that is not an int or a Fraction with TypeError, and
     `dataclasses.replace` derives the four anew and refuses any of them.
     """
 
@@ -151,6 +152,7 @@ class CriticalPoint:
     tau0: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "eps", _eps(self.eps))
         if self.flavor == MODIFIED and self.gamma is None:
             raise ValueError("the modified flow's point needs gamma, got None")
         for name in ("kappa", "gamma"):
@@ -233,7 +235,7 @@ _CLOSED_FORM = {+1: (Fraction(12, 5), 5), -1: (Fraction(4), 1)}
 
 def _exact_point_params(eps: int, kappa_eff: Fraction) -> GeometryParams:
     """The closed form at kappa_eff = kn / kd: a = b = rn kd / (rd kn), q = s an^2 / ad^2."""
-    r, s = _CLOSED_FORM[+1 if eps == +1 else -1]  # GeometryParams refuses any other eps
+    r, s = _CLOSED_FORM[eps]
     kn, kd = kappa_eff.as_integer_ratio()
     a = Fraction(r.numerator * kd, r.denominator * kn)
     an, ad = a.as_integer_ratio()
@@ -287,7 +289,7 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
         # (a, b, q, kappa) -> (a kappa, b kappa, q kappa^2, 1) multiplies every rate by kappa^2
         an, ad, bn, bd, qn, qd = point.params._ratios
         rates = _rates_at_kappa_one(flavor, Fraction(an * kn, ad * kd), Fraction(bn * kn, bd * kd),
-                                    Fraction(qn * kn * kn, qd * kd * kd), gam, eps)
+                                    Fraction(qn * kn * kn, qd * kd * kd), gam, point.eps)
         if rates != (0, 0, 0):
             rates = tuple(u / (kap * kap) for u in rates)
             raise RuntimeError(f"the closed-form {point.label} point is not an equilibrium: rates {rates}")
@@ -488,9 +490,9 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
     kap = _exact(kappa)
     if kap <= 0:
         raise ValueError("kappa must be positive")
-    params = _exact_point_params(eps, kap)
+    params = _exact_point_params(_eps(eps), kap)
     ans = build(params)
-    psi_27, mu0, r, primitive = _PSI_MU0[eps]
+    psi_27, mu0, r, primitive = _PSI_MU0[params.eps]
     star_psi = hodge_star(psi_27, params)
 
     # (detail label, left side, right side) in the report's field order; the

@@ -449,6 +449,44 @@ def test_flow_config_validation():
         FlowConfig(max_steps=0)
 
 
+def test_the_modified_flow_config_needs_gamma():
+    # integrate raised TypeError from inside the rates when gamma was None
+    with pytest.raises(ValueError, match="needs gamma"):
+        FlowConfig(flavor=MODIFIED, gamma=None)
+    assert FlowConfig(flavor=NORMALIZED, gamma=None).gamma is None
+
+
+@pytest.mark.parametrize("eps", [1.0, Fraction(1), np.int64(1), -1.0, Fraction(-1)], ids=repr)
+def test_flow_config_keeps_eps_as_the_int(eps):
+    cfg = FlowConfig(flavor=MODIFIED, eps=eps)
+    assert type(cfg.eps) is int
+    assert cfg == FlowConfig(flavor=MODIFIED, eps=int(eps))
+
+
+@pytest.mark.parametrize("eps", [Decimal("sNaN"), Decimal("NaN"), math.nan, 0, 1.5, "1"], ids=repr)
+def test_a_bad_eps_is_refused_with_value_error_at_every_boundary(eps):
+    # a Decimal sNaN escaped as decimal.InvalidOperation
+    with pytest.raises(ValueError, match="eps must be"):
+        GeometryParams(1, 1, 5, eps)
+    with pytest.raises(ValueError, match="eps must be"):
+        FlowConfig(eps=eps)
+    with pytest.raises(ValueError, match="eps must be"):
+        hitchin_rate((1.0, 1.0, 1.0), 4.0, 3.0, eps)
+
+
+def test_hitchin_rate_reads_a_float_eps_as_the_int():
+    # a float eps turned the exact integer evaluation into float arithmetic
+    state = (15.483194375402102, 19.204535649339117, 3.358836025778464)
+    assert hitchin_rate(state, 4.0, 3.0, 1).hex() == "0x1.10f4c4de37c62p+25"
+    for eps in (1.0, Fraction(1), np.float64(1)):
+        assert hitchin_rate(state, 4.0, 3.0, eps).hex() == "0x1.10f4c4de37c62p+25"
+    rng = random.Random(5)
+    for _ in range(2000):
+        s = tuple(rng.uniform(0.05, 20) for _ in range(3))
+        for eps in (1, -1):
+            assert hitchin_rate(s, 4.0, 3.0, float(eps)) == hitchin_rate(s, 4.0, 3.0, eps), s
+
+
 @pytest.mark.parametrize("dtype", (np.int64, bool, np.float16, np.float32, "foo"))
 def test_flow_config_refuses_dtypes_other_than_float64_and_longdouble(dtype):
     # int64 would truncate the start (1.5, 0.7, 1.2) to (1, 0, 1), bool would start
@@ -1184,6 +1222,9 @@ def test_the_volume_rate_check_needs_an_interior_sample():
     (0, MODIFIED, "mu must be positive"),
     (Decimal("NaN"), MODIFIED, "mu must be positive"),
     (Decimal("sNaN"), NORMALIZED, "mu must be positive"),
+    (math.inf, NORMALIZED, "mu must be positive"),
+    (math.inf, MODIFIED, "mu must be positive"),
+    (Decimal("Infinity"), MODIFIED, "mu must be positive"),
     (1.0, "sideways", "unknown flavor"),
 ])
 def test_scaling_ode_rhs_rejects_bad_inputs(mu, flavor, message):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from coflow.g2_ansatz import (
+    _dtau3_lemma,
     ansatz_4form,
     build,
     curl_invariant,
@@ -16,7 +17,6 @@ from coflow.g2_ansatz import (
     tau3_norm_sq_terms,
     torsion,
     type_project_4form,
-    verify_dtau3_lemma,
 )
 from coflow.invariant_forms import (
     E1,
@@ -132,7 +132,8 @@ def test_nearly_parallel_certificate_fails_off_the_critical_set():
 
 def test_dtau3_lemma():
     for p in random_points(6):
-        assert verify_dtau3_lemma(build(p))
+        ans = build(p)
+        assert _dtau3_lemma(ans, torsion(ans))
 
 
 def test_type_projection_completeness_and_orthogonality():
@@ -274,7 +275,7 @@ def test_an_ansatz_derives_dphi_once(monkeypatch):
     tau0(ans)
     torsion(ans)
     laplacian_psi(ans)
-    assert verify_dtau3_lemma(ans)
+    assert _dtau3_lemma(ans, torsion(ans))
     assert sum(alpha == ans.phi for alpha in calls) == 1
 
 
@@ -322,6 +323,31 @@ def test_ansatz_4form_is_not_exported():
     import coflow
 
     assert "ansatz_4form" not in coflow.__all__
+
+
+@pytest.mark.parametrize("module, name", [("g2_ansatz", "verify_dtau3_lemma"),
+                                          ("invariant_forms", "monomial_weight")])
+def test_second_routes_to_a_result_are_not_exported(module, name):
+    # _dtau3_lemma(ans, torsion(ans)) and inner_product of a one-term form with itself stay
+    import importlib
+
+    import coflow
+
+    assert name not in coflow.__all__
+    assert not hasattr(coflow, name)
+    assert not hasattr(importlib.import_module(f"coflow.{module}"), name)
+
+
+@pytest.mark.parametrize("eps", [1.0, Fraction(1), -1.0, Fraction(-1)], ids=repr)
+def test_identity_suite_reads_a_float_or_fraction_eps_as_the_int(eps):
+    # a float eps was accepted, and then build and identity_suite raised TypeError
+    scales = (Fraction(3, 7), Fraction(5, 2), Fraction(11, 3))
+    p, want = GeometryParams(*scales, eps), GeometryParams(*scales, int(eps))
+    assert type(p.eps) is int and p == want
+    assert build(p) == build(want)
+    results = identity_suite(p)
+    assert results == identity_suite(want)
+    assert all(ok for _, ok in results)
 
 
 def exact_and_float_points(seed):

@@ -36,7 +36,6 @@ from coflow.invariant_forms import (
     form,
     hodge_star,
     inner_product,
-    monomial_weight,
     random_params,
     total_integral,
     volume_form,
@@ -180,13 +179,19 @@ def test_star_of_unit_and_top():
         assert hodge_star(InvariantForm.monomial(TOP), p) == form([("1", Fraction(1, top_coeff))])
 
 
+def _weight(m, p):
+    """<m, m>, the inner product of the one-term form m with itself."""
+    f = InvariantForm.monomial(m)
+    return inner_product(f, f, p)
+
+
 def test_inner_product_weights():
     p = P_ODD
-    assert monomial_weight(Monomial((1,), "1"), p) == 1 / (p.a * p.a)
-    assert monomial_weight(Monomial((3,), "1"), p) == 1 / (p.b * p.b)
-    assert monomial_weight(Monomial((), "w2"), p) == 2 / (p.q * p.q)
-    assert monomial_weight(Monomial((), "vol"), p) == 1 / p.q ** 4
-    assert monomial_weight(TOP, p) == 1 / (p.a ** 4 * p.b ** 2 * p.q ** 4)
+    assert _weight(Monomial((1,), "1"), p) == 1 / (p.a * p.a)
+    assert _weight(Monomial((3,), "1"), p) == 1 / (p.b * p.b)
+    assert _weight(Monomial((), "w2"), p) == 2 / (p.q * p.q)
+    assert _weight(Monomial((), "vol"), p) == 1 / p.q ** 4
+    assert _weight(TOP, p) == 1 / (p.a ** 4 * p.b ** 2 * p.q ** 4)
 
 
 def test_inner_product_rejects_degree_mismatch():
@@ -232,6 +237,17 @@ def test_algebra_checks_pass_at_random_points():
         for _ in range(3):
             p = random_params(rng, eps)
             assert all(ok for _, ok in algebra_checks(p))
+
+
+@pytest.mark.parametrize("eps", [1.0, Fraction(1), -1.0, Fraction(-1)], ids=repr)
+def test_algebra_checks_read_a_float_or_fraction_eps_as_the_int(eps):
+    # a float eps was accepted, and then algebra_checks raised TypeError
+    scales = (Fraction(3, 7), Fraction(5, 2), Fraction(11, 3))
+    p, want = GeometryParams(*scales, eps), GeometryParams(*scales, int(eps))
+    assert type(p.eps) is int and p == want
+    results = algebra_checks(p)
+    assert results == algebra_checks(want)
+    assert all(ok for _, ok in results)
 
 
 def test_random_params_are_deterministic():
@@ -544,7 +560,7 @@ def test_metric_coefficients_equal_the_fraction_chains():
             k, e = horiz_weight[m.horiz]
             nb = int(3 in m.verts)
             na = len(m.verts) - nb
-            weight = monomial_weight(m, p)
+            weight = _weight(m, p)
             assert type(weight) is Fraction
             assert weight == k / (p.a ** (2 * na) * p.b ** (2 * nb) * p.q ** e)
 
@@ -571,7 +587,7 @@ def test_json_with_a_non_canonical_key_is_refused_not_merged():
         form([("e12^1", 1)])
 
 
-# hodge_star, inner_product and monomial_weight build each term as one
+# hodge_star and inner_product build each term as one
 # Fraction from the per-monomial metric law; the references below are the
 # former Fraction chains, kept verbatim.
 
@@ -630,7 +646,7 @@ def test_star_and_inner_product_equal_the_fraction_chains():
     pairs += [(f, g) for f in multi for g in multi if f.degree() == g.degree()]
     for p in _weight_points():
         for m in BASIS:
-            assert monomial_weight(m, p) == _reference_weight(m, p)
+            assert _weight(m, p) == _reference_weight(m, p)
         for f in forms:
             star = hodge_star(f, p)
             assert star == _reference_hodge_star(f, p)
@@ -764,7 +780,7 @@ def test_kernels_on_copied_and_rebuilt_monomials_equal_those_on_the_basis():
             for g in basis_units:
                 assert wedge(f, g) == wedge(base, g) and wedge(g, f) == wedge(g, base)
             for p in (P_PLUS, P_MINUS, P_ODD):
-                assert monomial_weight(twin, p) == monomial_weight(m, p)
+                assert _weight(twin, p) == _weight(m, p)
                 assert hodge_star(f, p) == hodge_star(base, p)
                 assert inner_product(f, f, p) == inner_product(base, base, p)
                 assert inner_product(f, base, p) == inner_product(base, f, p) == inner_product(base, base, p)

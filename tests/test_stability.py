@@ -1752,6 +1752,17 @@ def test_verify_psi_identities_needs_a_positive_kappa(eps, kappa):
         verify_psi_identities(eps, kappa)
 
 
+@pytest.mark.parametrize("eps", [1.0, Fraction(1), -1.0, Fraction(-1)], ids=repr)
+@pytest.mark.parametrize("flavor, gamma", [(NORMALIZED, None), (MODIFIED, 3)])
+def test_find_critical_points_reads_a_float_or_fraction_eps_as_the_int(flavor, gamma, eps):
+    # a float eps was accepted, and then the equilibrium proof raised TypeError
+    points = find_critical_points(flavor, 4, gamma, eps)
+    assert points == find_critical_points(flavor, 4, gamma, int(eps))
+    assert all(type(p.eps) is int and type(p.params.eps) is int for p in points)
+    assert verify_psi_identities(eps, 4) == verify_psi_identities(int(eps), 4)
+    assert verify_psi_identities(eps, 4).all_pass
+
+
 def test_window_verdict_rejects_an_unknown_flavor():
     with pytest.raises(ValueError, match="unknown flavor"):
         window_verdict(Fraction(-3, 2), 3, "sideways")
