@@ -198,12 +198,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_flow(args: argparse.Namespace) -> int:
     sub = args.subparser
     flavor = _flavor(sub, args.flavor)
+    kappa, gamma = float(args.kappa), float(args.gamma)  # typed exactly, run at the nearest double
     if _sidecar(args.out) == args.out:
         sub.error(f"--out {args.out} is the path of its own JSON sidecar; give the CSV another extension")
     _refuse_unwritable(sub, args.out, _sidecar(args.out))
     with _usage_errors(sub):
         config = FlowConfig(
-            flavor=flavor, kappa=args.kappa, gamma=args.gamma, eps=args.eps,
+            flavor=flavor, kappa=kappa, gamma=gamma, eps=args.eps,
             t_max=args.t_max, rtol=args.rtol, atol=args.atol,
             max_steps=args.max_steps, tol_conv=args.tol_conv,
             escape_radius=args.escape_radius,
@@ -220,9 +221,9 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             sub.error("--perturb replaces --a0/--b0/--c0; do not pass both")
         _check_positive(sub, "delta", args.delta)
         with _usage_errors(sub):
-            points = find_critical_points(flavor, args.kappa, args.gamma, args.eps)
+            points = find_critical_points(flavor, kappa, gamma, args.eps)
             point = next(p for p in points if p.label == LABEL_PRINCIPAL)
-            report = classify(flavor, point, args.kappa, args.gamma, args.eps)
+            report = classify(flavor, point, kappa, gamma, args.eps)
             if report.index < 1:
                 sub.error("the selected critical point has no unstable direction")
             direction = state_direction(point, report.eigenpairs[0].vector)
@@ -295,8 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow = subs.add_parser("flow", help="integrate one trajectory")
     p_flow.add_argument("--flavor", default="coflow")
     p_flow.add_argument("--eps", type=int, choices=(1, -1), default=FlowConfig.eps)
-    p_flow.add_argument("--kappa", type=float, default=FlowConfig.kappa)
-    p_flow.add_argument("--gamma", type=float, default=FlowConfig.gamma)
+    p_flow.add_argument("--kappa", type=_rational("kappa", positive=True), default=FlowConfig.kappa)
+    p_flow.add_argument("--gamma", type=_rational("gamma"), default=FlowConfig.gamma)
     p_flow.add_argument("--a0", type=float, default=None)
     p_flow.add_argument("--b0", type=float, default=None)
     p_flow.add_argument("--c0", type=float, default=None)

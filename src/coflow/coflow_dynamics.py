@@ -79,11 +79,8 @@ import numpy as np
 
 from .g2_ansatz import (_laplacian_rates, ansatz_4form, build, laplacian_psi, tau0, tau0_terms,
                         tau3_norm_sq_terms)
-from .invariant_forms import GeometryParams, _above, _as_scalar, _eps, _exactly
-
-NORMALIZED = "normalized_coflow"
-MODIFIED = "modified_coflow"
-FLAVORS = (NORMALIZED, MODIFIED)
+from .invariant_forms import (FLAVORS, MODIFIED, NORMALIZED, GeometryParams, _above, _as_scalar,
+                              _constants, _eps, _exactly)
 
 # the argument types monomial_rates evaluates through _exactly (None is the
 # normalized flavor's gamma); tested as a set of types, because isinstance
@@ -99,7 +96,7 @@ _FIRST_STEP, _FLOOR, _CEILING = 1e-4, 1e-8, 1e8
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Flavor, constants and step control for one integration run.
+    """Flavor, constants (read by `invariant_forms._constants`) and step control for one run.
 
     `reference` plus `escape_radius` arm the diverged-from-critical stop:
     once the state leaves the ball of that radius around the reference
@@ -126,17 +123,11 @@ class FlowConfig:
     dtype: Any = np.float64
 
     def __post_init__(self) -> None:
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}, expected one of {FLAVORS}")
-        object.__setattr__(self, "eps", _eps(self.eps))
-        if self.flavor == MODIFIED and self.gamma is None:
-            raise ValueError("the modified flow needs gamma, got None")
         for name in ("kappa", "gamma", "t_max", "rtol", "atol", "tol_conv", "escape_radius"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        object.__setattr__(self, "eps", _constants(self.flavor, self.kappa, self.gamma, self.eps))
         for name in ("t_max", "rtol", "atol", "escape_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -169,7 +160,7 @@ def _coords(state) -> tuple:
 
 def tau0_state(a, b, c, eps):
     """Scalar torsion of the state, from the closed form `tau0_terms` with q = c^2."""
-    num, den = tau0_terms(a, b, c * c, eps)
+    num, den = tau0_terms(a, b, c * c, _eps(eps))
     return num / den
 
 
@@ -213,12 +204,14 @@ def monomial_rates(flavor: str, a, b, q, kappa, gamma, eps) -> tuple:
     """Time derivatives of (c^4, a b c^2, a^2 c^2) with q = c^2.
 
     Only even powers of c appear, so the rates are rational in (a, b, q)
-    and stay exact on exact inputs.  gamma is ignored by the normalized
-    flavor.  When a, b, q, kappa and gamma (unless None) are all of type
-    int or Fraction, the rates are evaluated over unreduced integer ratios
-    (`invariant_forms._exactly`) and come back as Fractions; any other
-    scalars go through the closure as they are.
+    and stay exact on exact inputs.  They are the rate polynomial at any
+    kappa, so only eps is read, by `invariant_forms._eps`; gamma is ignored
+    by the normalized flavor.  When a, b, q, kappa and gamma (unless None)
+    are all int or Fraction, the rates are evaluated over unreduced integer
+    ratios (`invariant_forms._exactly`) and come back as Fractions; any
+    other scalars go through the closure as they are.
     """
+    eps = _eps(eps)
     if {type(a), type(b), type(q), type(kappa), type(gamma)} <= _EXACT_TYPES:
         return _exactly(lambda a, b, q, kappa, gamma: _rates(flavor, kappa, gamma, eps)(a, b, q),
                         a, b, q, kappa, gamma)
@@ -254,6 +247,7 @@ def _require_positive(a, b, c) -> None:
 
 
 def _rhs(flavor: str, state, kappa, gamma, eps) -> tuple:
+    eps = _constants(flavor, kappa, gamma, eps)
     a, b, c = _coords(state)
     _require_positive(a, b, c)
     return state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
@@ -307,16 +301,15 @@ def symbolic_rhs_crosscheck(params: GeometryParams, kappa, gamma, flavor: str) -
     `ansatz_4form`.  kappa and gamma must be exact (int or Fraction).
     Returns True; raises ValueError naming the mismatched monomials.
     """
+    _constants(flavor, kappa, gamma, params.eps)
     kap = _as_scalar(kappa)
     ans = build(params)
     if flavor == NORMALIZED:
         gam, along_dphi, along_psi = None, 0, -kap * kap
-    elif flavor == MODIFIED:
+    else:
         gam = _as_scalar(gamma)
         along_dphi = Fraction(1, 2) * (5 * gam * kap - 7 * tau0(ans))
         along_psi = Fraction(5, 2) * (1 - gam) * kap * kap
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
     rate_form = laplacian_psi(ans) + along_dphi * ans.dphi + along_psi * ans.psi
 
     rates = monomial_rates(flavor, params.a, params.b, params.q, kap, gam, params.eps)
@@ -349,7 +342,7 @@ def reduced_xy_rhs(X, Y, eps) -> tuple:
     # nan fails _above, which goes first: a Decimal sNaN signals even on X != inf
     if not (_above(X, 0) and _above(Y, 0) and X != math.inf and Y != math.inf):
         raise ValueError(f"reduced coordinates must be positive and finite, got ({X}, {Y})")
-    u1, u2, u3 = _laplacian_rates(eps, 0)(1, Y / X, 1 / X)
+    u1, u2, u3 = _laplacian_rates(_eps(eps), 0)(1, Y / X, 1 / X)
     return (X * (u3 - X * u1), X * (u2 - Y * u1))
 
 
@@ -358,11 +351,10 @@ def scaling_ode_rhs(mu, kappa, gamma, flavor: str):
     # nan fails _above, which goes first: a Decimal sNaN signals even on mu != inf
     if not (_above(mu, 0) and mu != math.inf):
         raise ValueError(f"mu must be positive and finite, got {mu}")
+    _constants(flavor, kappa, gamma, 1)  # the scaling ODE is the same at both eps
     if flavor == NORMALIZED:
         return kappa * kappa * (1 - mu * mu) / (4 * mu)
-    if flavor == MODIFIED:
-        return 5 * kappa * kappa * (mu * (1 - gamma) + 1) * (mu - 1) / (8 * mu)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return 5 * kappa * kappa * (mu * (1 - gamma) + 1) * (mu - 1) / (8 * mu)
 
 
 # Dormand-Prince 5(4) tableau, kept as exact rationals and materialized per
@@ -713,7 +705,7 @@ def hitchin_rate(state, kappa, gamma, eps) -> float:
     (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
     if not (a > 0 and b > 0 and c != 0):
         raise ValueError(f"scales must be positive, got ({a}, {b}, {c})")
-    eps = _eps(eps)
+    eps = _constants(MODIFIED, kappa, gamma, eps)
     d = max(da, db, dc)
     ia, ib, ic = na * (d // da), nb * (d // db), nc * (d // dc)
     num0, den0 = tau0_terms(ia, ib, ic * ic, eps)

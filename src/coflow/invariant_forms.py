@@ -80,6 +80,7 @@ Fraction, and no _Ratio leaves _exactly.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import random
 from dataclasses import dataclass, field
@@ -88,6 +89,10 @@ from typing import Iterable, Mapping, Union
 
 Scalar = Fraction
 ScalarLike = Union[int, Fraction]
+
+NORMALIZED = "normalized_coflow"
+MODIFIED = "modified_coflow"
+FLAVORS = (NORMALIZED, MODIFIED)
 
 HORIZONTALS = ("1", "w1", "w2", "w3", "vol")
 _HORIZ_DEGREE = {"1": 0, "w1": 2, "w2": 2, "w3": 2, "vol": 4}
@@ -134,6 +139,27 @@ def _eps(x) -> int:
     if bad:
         raise ValueError(f"eps must be +1 or -1, got {x}")
     return 1 if x == 1 else -1
+
+
+def _constants(flavor, kappa, gamma, eps) -> int:
+    """The one reading of a given flavor, kappa, gamma and eps; returns eps as `_eps` reads it.
+
+    ValueError for an unknown flavor, a kappa not positive and finite, or a
+    modified flow's gamma that is None or not finite.  Comparisons alone, so
+    positive sympy symbols pass; nan fails `_above`, which goes first.
+    """
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}, expected one of {FLAVORS}")
+    if not _above(kappa, 0):
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not kappa < math.inf:
+        raise ValueError(f"the value must be finite, got {kappa!r}")
+    if flavor == MODIFIED:
+        if gamma is None:
+            raise ValueError("the modified flow needs gamma, got None")
+        if not (_above(gamma, -math.inf) and gamma < math.inf):
+            raise ValueError(f"the value must be finite, got {gamma!r}")
+    return _eps(eps)
 
 
 def _reduced(sums: dict[int, tuple[int, int]]) -> dict[Monomial, Fraction]:

@@ -55,13 +55,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coflow_dynamics import FLAVORS, MODIFIED, NORMALIZED, monomial_rates
+from .coflow_dynamics import MODIFIED, NORMALIZED, monomial_rates
 from .g2_ansatz import ansatz_4form, build
 from .invariant_forms import (
     GeometryParams,
     InvariantForm,
     _above,
-    _eps,
+    _constants,
     _exact,
     _exactly,
     dstar_on_4forms,
@@ -135,7 +135,7 @@ class CriticalPoint:
     kappa_eff, kappa or (gamma - 1) kappa as the label says, the closed-form
     params at kappa_eff, the state those params rounded to floats, and tau0,
     kappa_eff rounded.  So every point is its label's closed form; a label
-    the flavor does not have, a kappa that is not positive, or a modified
+    the flavor does not have, constants `_constants` refuses, or a modified
     flow's point without a gamma above 2, is refused with ValueError, a
     kappa or gamma that is not an int or a Fraction with TypeError, and
     `dataclasses.replace` derives the four anew and refuses any of them.
@@ -152,15 +152,13 @@ class CriticalPoint:
     tau0: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _eps(self.eps))
         if self.flavor == MODIFIED and self.gamma is None:
             raise ValueError("the modified flow's point needs gamma, got None")
         for name in ("kappa", "gamma"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, (int, Fraction)):
                 raise TypeError(f"{name} must be an int or a Fraction, got {type(value).__name__}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        object.__setattr__(self, "eps", _constants(self.flavor, self.kappa, self.gamma, self.eps))
         if self.flavor == MODIFIED and not self.gamma > 2:
             raise ValueError(f"modified flavor requires gamma > 2, got {self.gamma}")
         keff = _label_kappa_eff(self.flavor, self.label, self.kappa, self.gamma)
@@ -252,12 +250,12 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     """The nearly parallel equilibria for the given flavor, certified exactly.
 
     Normalized flavor has the single tau0 = kappa point per eps; the
-    modified flavor adds the (gamma - 1)^-1-rescaled copy.  This is where
-    the library reads kappa and gamma as exact rationals, by
-    `invariant_forms._exact`: a float as the exact value of the binary
-    float, a Decimal as the decimal it spells.  Each point is built from
-    those values and its label, and derives its kappa_eff, closed-form
-    params, state and tau0 from them.  Each is an equilibrium by proof, not
+    modified flavor adds the (gamma - 1)^-1-rescaled copy.  Once gamma > 2
+    and `invariant_forms._constants` accept them, kappa and gamma are read
+    as exact rationals here, by `invariant_forms._exact`: a float as the
+    exact value of the binary float, a Decimal as the decimal it spells.
+    Each point derives its kappa_eff, closed-form params, state and tau0
+    from those values and its label.  Each is an equilibrium by proof, not
     by a float residual: its monomial rates, evaluated exactly, are all
     zero, or RuntimeError.  The proof runs at kappa = 1, on the point's
     params scaled to (a kappa, b kappa, q kappa^2): the covariance
@@ -270,18 +268,11 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     is the params rounded to floats, and tau0 is kappa_eff rounded, not the
     rounded state's torsion.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if not _above(kappa, 0):
-        raise ValueError("kappa must be positive")
-    kap = _exact(kappa)
-    gam = None
-    labels = [LABEL_PRINCIPAL]
-    if flavor == MODIFIED:
-        if gamma is None or not _above(gamma, 2):
-            raise ValueError("modified flavor requires gamma > 2")
-        gam = _exact(gamma)
-        labels.append(LABEL_RESCALED)
+    if flavor == MODIFIED and (gamma is None or not _above(gamma, 2)):
+        raise ValueError("modified flavor requires gamma > 2")
+    eps = _constants(flavor, kappa, gamma, eps)
+    kap, gam = _exact(kappa), _exact(gamma) if flavor == MODIFIED else None
+    labels = [LABEL_PRINCIPAL, LABEL_RESCALED] if flavor == MODIFIED else [LABEL_PRINCIPAL]
 
     points = [CriticalPoint(flavor, eps, kap, gam, label) for label in labels]
     kn, kd = kap.as_integer_ratio()
@@ -309,8 +300,9 @@ def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
     """The modified flow's linearization at its tau0 = kappa point, V diag(lambda) V^-1.
 
     V has the eigenbasis as columns and lambda is the point's `_SPECTRA` row;
-    kappa and gamma may be floats or sympy symbols.
+    kappa and gamma, floats or positive sympy symbols, pass `_constants`.
     """
+    eps = _constants(MODIFIED, kappa, gamma, eps)
     lam = [kappa ** 2 * (c0 + c1 * gamma + c2 * gamma ** 2) / 72
            for c0, c1, c2 in _SPECTRA[MODIFIED, eps, LABEL_PRINCIPAL]]
     return np.array(_table_linearization(lam, eps))
@@ -488,9 +480,8 @@ def verify_psi_identities(eps: int, kappa) -> PsiIdentityReport:
     find_critical_points reads it, a float as its exact binary value.
     """
     kap = _exact(kappa)
-    if kap <= 0:
-        raise ValueError("kappa must be positive")
-    params = _exact_point_params(_eps(eps), kap)
+    # the tau0 = kappa point is both flavors'; the normalized one needs no gamma
+    params = _exact_point_params(_constants(NORMALIZED, kap, None, eps), kap)
     ans = build(params)
     psi_27, mu0, r, primitive = _PSI_MU0[params.eps]
     star_psi = hodge_star(psi_27, params)

@@ -188,6 +188,33 @@ def test_flow_rejects_non_finite_settings(tmp_path, capsys, extra):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_flow_reads_a_ratio_for_kappa_and_gamma_and_runs_at_the_nearest_double(tmp_path, capsys):
+    # --kappa 8/3 exited 2 with "invalid float value"; a ratio now reads as stability reads it
+    outputs = []
+    for kappa, gamma in (("8/3", "10/3"), ("2.6666666666666665", "3.3333333333333335")):
+        out = tmp_path / f"{len(outputs)}.csv"
+        code, _ = run(["flow", "--flavor", "modified", "--eps", "-1", "--kappa", kappa,
+                       "--gamma", gamma, "--a0", "1.3", "--b0", "0.8", "--c0", "1.1",
+                       "--t-max", "0.5", "--out", str(out)], capsys)
+        assert code == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b'"steps": 172' in outputs[0][1]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--kappa=-8/3"], "--kappa must be positive, got -8/3"),
+    (["--kappa", "0"], "--kappa must be positive, got 0"),
+    (["--gamma", "8/0"], "--gamma must be a decimal or a ratio p/q, got '8/0'"),
+])
+def test_flow_refuses_a_bad_ratio_before_any_work(tmp_path, capsys, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--a0", "1", "--b0", "1", "--c0", "1", "--out", str(tmp_path / "t.csv")] + extra)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_flow_perturb_rejects_stable_points(tmp_path):
     # the normalized flavor has no unstable direction to perturb along
     with pytest.raises(SystemExit) as exc:

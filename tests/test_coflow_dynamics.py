@@ -33,6 +33,7 @@ from coflow.coflow_dynamics import (
     tau0_state,
 )
 from coflow import coflow_dynamics, stability
+from coflow.stability import analytic_jacobian
 from coflow.invariant_forms import (
     GeometryParams,
     InvariantForm,
@@ -454,6 +455,13 @@ def test_the_modified_flow_config_needs_gamma():
     with pytest.raises(ValueError, match="needs gamma"):
         FlowConfig(flavor=MODIFIED, gamma=None)
     assert FlowConfig(flavor=NORMALIZED, gamma=None).gamma is None
+    # each of these raised TypeError from inside its arithmetic
+    with pytest.raises(ValueError, match="needs gamma"):
+        rhs_modified((1.0, 1.0, 1.0), 4.0, None, 1)
+    with pytest.raises(ValueError, match="needs gamma"):
+        hitchin_rate((1.0, 1.0, 1.0), 4.0, None, 1)
+    with pytest.raises(ValueError, match="needs gamma"):
+        scaling_ode_rhs(1.5, 4, None, MODIFIED)
 
 
 @pytest.mark.parametrize("eps", [1.0, Fraction(1), np.int64(1), -1.0, Fraction(-1)], ids=repr)
@@ -472,6 +480,36 @@ def test_a_bad_eps_is_refused_with_value_error_at_every_boundary(eps):
         FlowConfig(eps=eps)
     with pytest.raises(ValueError, match="eps must be"):
         hitchin_rate((1.0, 1.0, 1.0), 4.0, 3.0, eps)
+    # these returned numbers at any eps, and analytic_jacobian raised KeyError
+    with pytest.raises(ValueError, match="eps must be"):
+        rhs_normalized((1.0, 1.0, 1.0), 4.0, eps)
+    with pytest.raises(ValueError, match="eps must be"):
+        rhs_modified((1.0, 1.0, 1.0), 4.0, 3.0, eps)
+    with pytest.raises(ValueError, match="eps must be"):
+        tau0_state(1.0, 1.0, 1.0, eps)
+    with pytest.raises(ValueError, match="eps must be"):
+        reduced_xy_rhs(0.5, 0.2, eps)
+    with pytest.raises(ValueError, match="eps must be"):
+        analytic_jacobian(eps, 4.0, 3.0)
+
+
+def test_the_flows_need_a_positive_kappa():
+    # rhs_normalized returned (3.75, 3.75, 11.75) here, though FlowConfig refuses kappa <= 0
+    with pytest.raises(ValueError, match="^kappa must be positive, got -1.0$"):
+        rhs_normalized((1.0, 1.0, 1.0), -1.0, 1)
+    with pytest.raises(ValueError, match="^kappa must be positive, got -1$"):
+        scaling_ode_rhs(1.5, -1, 3, NORMALIZED)
+    with pytest.raises(ValueError, match="^kappa must be positive, got 0$"):
+        rhs_modified((1.0, 1.0, 1.0), 0, 3.0, -1)
+
+
+@pytest.mark.parametrize("flavor, gamma", [(NORMALIZED, None), (MODIFIED, 3)])
+@pytest.mark.parametrize("eps", [1.0, Fraction(1), np.float64(-1), -1.0], ids=repr)
+def test_monomial_rates_reads_a_float_eps_as_the_int(flavor, gamma, eps):
+    # a float eps reached the exact evaluation, where _Ratio raised TypeError
+    rates = monomial_rates(flavor, 1, 1, 1, 4, gamma, eps)
+    assert rates == monomial_rates(flavor, 1, 1, 1, 4, gamma, int(eps))
+    assert all(type(u) is Fraction for u in rates)
 
 
 def test_hitchin_rate_reads_a_float_eps_as_the_int():

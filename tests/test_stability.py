@@ -15,7 +15,10 @@ from coflow.coflow_dynamics import (
     MODIFIED,
     NORMALIZED,
     _guarded_flow,
+    hitchin_rate,
     monomial_rates,
+    rhs_modified,
+    scaling_ode_rhs,
     state_rates,
 )
 from coflow.g2_ansatz import ansatz_4form, build, laplacian_psi, tau0 as ansatz_tau0, tau0_terms, torsion
@@ -545,6 +548,9 @@ def test_a_point_without_gamma_or_with_an_inexact_or_out_of_range_constant_is_re
     for gamma, label in ((1, LABEL_RESCALED), (Fraction(2), LABEL_PRINCIPAL)):
         with pytest.raises(ValueError, match=f"^modified flavor requires gamma > 2, got {gamma}$"):
             CriticalPoint(MODIFIED, -1, 4, gamma, label)
+    # a point of an unknown flavor was built, and classify then raised KeyError
+    with pytest.raises(ValueError, match="^unknown flavor 'sideways'"):
+        CriticalPoint("sideways", -1, Fraction(4), None, LABEL_PRINCIPAL)
     point = principal(MODIFIED, 4, 3, -1)
     with pytest.raises(TypeError, match="^kappa must be"):
         dataclasses.replace(point, kappa=4.0)
@@ -1670,6 +1676,14 @@ _NON_FINITE_CASES = [
     (lambda x: window_verdict(x, 3, MODIFIED), _FINITE, _FINITE),
     (lambda x: window_verdict(x, None, NORMALIZED), _FINITE, _FINITE),
     (lambda x: window_verdict(Fraction(-3, 2), x, MODIFIED), _FINITE, _GAMMA_WINDOW),
+    # the float entry points: hitchin_rate returned nan at a nan kappa, and
+    # scaling_ode_rhs -inf at an infinite one
+    (lambda x: rhs_modified((1.0, 1.0, 1.0), x, 3.0, 1), _FINITE, _POSITIVE),
+    (lambda x: rhs_modified((1.0, 1.0, 1.0), 4.0, x, 1), _FINITE, _FINITE),
+    (lambda x: hitchin_rate((1.0, 1.0, 1.0), x, 3.0, 1), _FINITE, _POSITIVE),
+    (lambda x: hitchin_rate((1.0, 1.0, 1.0), 4.0, x, 1), _FINITE, _FINITE),
+    (lambda x: scaling_ode_rhs(1.5, x, 3, NORMALIZED), _FINITE, _POSITIVE),
+    (lambda x: scaling_ode_rhs(1.5, 4, x, MODIFIED), _FINITE, _FINITE),
 ]
 
 
