@@ -699,12 +699,14 @@ def hitchin_rate(state, kappa, gamma, eps) -> float:
     once, then the prefactor is applied in floating point.  The floats are
     written as integers over one power of two D, and the closed forms are
     homogeneous (degree -1 and -2, q of weight 2), so all the exact work is
-    in Python ints.  a and b must be positive and c non-zero.
+    in Python ints.  a and b must be positive and c non-zero, all three
+    finite, or ValueError; a finite state whose closed forms leave the float
+    range raises OverflowError.
     """
     a, b, c = (float(v) for v in _coords(state))
+    if not (0 < a < math.inf and 0 < b < math.inf and 0 < abs(c) < math.inf):
+        raise ValueError(f"scales must be positive and finite, got ({a}, {b}, {c})")
     (na, da), (nb, db), (nc, dc) = (v.as_integer_ratio() for v in (a, b, c))
-    if not (a > 0 and b > 0 and c != 0):
-        raise ValueError(f"scales must be positive, got ({a}, {b}, {c})")
     eps = _constants(MODIFIED, kappa, gamma, eps)
     d = max(da, db, dc)
     ia, ib, ic = na * (d // da), nb * (d // db), nc * (d // dc)

@@ -535,12 +535,11 @@ for _i in (1, 2, 3):
     _HORIZ_MUL[(f"w{_i}", f"w{_i}")] = (2, "vol")
 
 
-@functools.cache
 def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
     """Product of two monomials as (integer coefficient, monomial), or None when zero.
 
     Horizontal parts have even degree, so the only sign comes from sorting
-    the vertical indices.  Each pair is worked out once and then kept.
+    the vertical indices.
     """
     if set(m1.verts) & set(m2.verts):
         return None
@@ -554,10 +553,9 @@ def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
 
 
 # _PRODUCT[i][j] is wedge_monomials of the monomials at indices i and j, as
-# (integer coefficient, index of the product) or None; it is derived through
-# __wrapped__, so the cache of wedge_monomials holds no second, keyed copy
+# (integer coefficient, index of the product) or None
 _PRODUCT = tuple(tuple(None if w is None else (w[0], w[1]._hash)
-                       for w in (wedge_monomials.__wrapped__(m1, m2) for m2 in _INDEX))
+                       for w in (wedge_monomials(m1, m2) for m2 in _INDEX))
                  for m1 in _INDEX)
 
 
@@ -600,9 +598,8 @@ _D_GEN: dict[str, InvariantForm] = {
 }
 
 
-@functools.cache
 def _d_monomial(m: Monomial) -> InvariantForm:
-    """d of one basis monomial by the Leibniz rule; derived once per monomial."""
+    """d of one basis monomial by the Leibniz rule."""
     total = InvariantForm.zero()
     factors = [f"e{i}" for i in m.verts] + ([m.horiz] if m.horiz != "1" else [])
     for j, fac in enumerate(factors):
@@ -620,9 +617,9 @@ def _d_monomial(m: Monomial) -> InvariantForm:
     return total
 
 
-# _D[i] is d of the monomial at index i as (index, integer coefficient) pairs,
-# derived through __wrapped__ like _PRODUCT; the coefficients are whole numbers
-_D = tuple(tuple((dm._hash, dc.numerator) for dm, dc in _d_monomial.__wrapped__(m).coeffs.items())
+# _D[i] is d of the monomial at index i as (index, integer coefficient) pairs;
+# the coefficients are whole numbers
+_D = tuple(tuple((dm._hash, dc.numerator) for dm, dc in _d_monomial(m).coeffs.items())
            for m in _INDEX)
 
 

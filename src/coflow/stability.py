@@ -13,7 +13,8 @@ point) and each point's eigenvalues, kappa^2 times a polynomial in gamma
 `_PROJECTORS`.  It counts the instability index exactly and maps the
 unstable direction's exact vector to an invariant 4-form.  This is the
 library's one linearization: the tests prove the tables in sympy and keep
-the complex-step derivative of the float rates as their outside check.
+the complex-step derivative of the float rates as their outside check, with
+the tables' analytic twin beside it (`tests/_linearization.py`).
 
 find_critical_points is where kappa and gamma become exact rationals, by
 the one reader `invariant_forms._exact` that `sphere_spectrum` uses too.
@@ -33,8 +34,8 @@ kappa_eff / kappa.  classify refuses constants other than the point's
 own.  The window rule is `sphere_spectrum`'s.
 
 At a point (a, b, c) with q = c^2 the coordinates are
-(A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C; at
-the closed-form points these are the scales `analytic_jacobian` uses.
+(A, B, C) = q (delta a / a, delta b / b, delta c / c), so delta q = 2 C, and
+classify reports its linearization in these coordinates.
 
 The two distinguished 27-type 4-forms
 
@@ -173,7 +174,6 @@ class Eigenpair:
     value: float
     vector: tuple[float, float, float]
     residual: float
-    generalized: bool = False
 
 
 @dataclass(frozen=True)
@@ -296,19 +296,7 @@ def state_direction(point: CriticalPoint, direction) -> np.ndarray:
     return v / norm
 
 
-def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
-    """The modified flow's linearization at its tau0 = kappa point, V diag(lambda) V^-1.
-
-    V has the eigenbasis as columns and lambda is the point's `_SPECTRA` row;
-    kappa and gamma, floats or positive sympy symbols, pass `_constants`.
-    """
-    eps = _constants(MODIFIED, kappa, gamma, eps)
-    lam = [kappa ** 2 * (c0 + c1 * gamma + c2 * gamma ** 2) / 72
-           for c0, c1, c2 in _SPECTRA[MODIFIED, eps, LABEL_PRINCIPAL]]
-    return np.array(_table_linearization(lam, eps))
-
-
-def _table_linearization(lam, eps: int, den: int = 1) -> list[list]:
+def _table_linearization(lam, eps: int, den: int) -> list[list]:
     """sum_k lam_k P_k / den entry by entry, with the projectors P_k of `_PROJECTORS[eps]`.
 
     Each entry is one numerator over den times the projectors' denominator,

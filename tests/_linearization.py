@@ -1,11 +1,14 @@
-"""The complex-step linearization of the float rates, the tests' outside check.
+"""The tests' two linearizations of the modified flow at its nearly parallel points.
 
 The library decides every spectrum from its exact tables (`_EIGENBASIS`,
 `_SPECTRA`, `_PROJECTORS` in `coflow.stability`), and the sympy tests prove
-those tables.  This module keeps the second, independent linearization the
-tables are checked against: the complex-step derivative of the one float
+those tables.  This module keeps the linearizations the tables are checked
+against.  `jacobian` is the complex-step derivative of the one float
 right-hand side, refused at the same constants and cut at the same range as
-`classify`.  Import it as `from _linearization import jacobian`.
+`classify`.  `analytic_jacobian` is the tables' sum V diag(lambda) V^-1 at
+float or symbolic kappa and gamma, through the same `_table_linearization`
+that `classify` runs.  Import them as
+`from _linearization import analytic_jacobian, jacobian`.
 """
 
 from __future__ import annotations
@@ -13,13 +16,27 @@ from __future__ import annotations
 import numpy as np
 
 from coflow.coflow_dynamics import MODIFIED, monomial_rates, state_rates
+from coflow.invariant_forms import _constants
 from coflow.stability import (
     LABEL_PRINCIPAL,
+    _SPECTRA,
     CriticalPoint,
     _check_point,
     _range_cut,
-    analytic_jacobian,
+    _table_linearization,
 )
+
+
+def analytic_jacobian(eps: int, kappa: float, gamma: float) -> np.ndarray:
+    """The modified flow's linearization at its tau0 = kappa point, V diag(lambda) V^-1.
+
+    V has the eigenbasis as columns and lambda is the point's `_SPECTRA` row;
+    kappa and gamma, floats or positive sympy symbols, pass `_constants`.
+    """
+    eps = _constants(MODIFIED, kappa, gamma, eps)
+    lam = [kappa ** 2 * (c0 + c1 * gamma + c2 * gamma ** 2) / 72
+           for c0, c1, c2 in _SPECTRA[MODIFIED, eps, LABEL_PRINCIPAL]]
+    return np.array(_table_linearization(lam, eps, 1))
 
 
 def _rhs_jacobian(flavor, y, kappa, gamma, eps) -> np.ndarray | None:

@@ -41,7 +41,6 @@ from coflow.stability import (
     LABEL_RESCALED,
     PSI_MINUS,
     PSI_PLUS,
-    analytic_jacobian,
     classify,
     find_critical_points,
     state_direction,
@@ -50,7 +49,7 @@ from coflow.stability import (
     window_verdict,
 )
 
-from _linearization import jacobian
+from _linearization import analytic_jacobian, jacobian
 
 SQ5 = math.sqrt(5)
 

@@ -256,20 +256,9 @@ def test_random_params_are_deterministic():
     assert (p1.a, p1.b, p1.q) == (p2.a, p2.b, p2.q)
 
 
-# The structure tables are derived once per monomial (or pair) and kept; these
-# tests compare every entry with a fresh derivation and check the algebra
-# laws on the cached entries themselves, over the whole basis.
-
-def test_memoised_d_matches_a_fresh_leibniz_derivation():
-    for m in BASIS:
-        assert _d_monomial(m) == _d_monomial.__wrapped__(m)
-
-
-def test_cached_products_match_a_fresh_derivation():
-    for m1 in BASIS:
-        for m2 in BASIS:
-            assert wedge_monomials(m1, m2) == wedge_monomials.__wrapped__(m1, m2)
-
+# The structure tables are built at import from wedge_monomials and
+# _d_monomial; these tests check the algebra laws on the product of each pair
+# of monomials and on the stars, over the whole basis.
 
 def _times(x, y):
     """Product of two (coefficient, monomial) pairs via the table; None is zero."""
@@ -296,7 +285,7 @@ def test_cached_star_signs_agree_with_the_wedge_onto_top():
     for m in BASIS:
         comp, sign = _star_partner(m)
         assert comp.degree == 7 - m.degree
-        assert wedge_monomials.__wrapped__(m, comp) == (sign, TOP)
+        assert wedge_monomials(m, comp) == (sign, TOP)
         assert _star_partner(comp)[0] == m
 
 
@@ -919,7 +908,7 @@ def test_kernels_and_arithmetic_cancel_to_exact_zero():
 
 def test_results_own_their_coefficient_maps():
     # the private constructor takes a map over without copying it, so each
-    # result must hold a map no operand, cached table or later call shares
+    # result must hold a map no operand or later call shares
     zero = InvariantForm.zero()
     unit = InvariantForm.monomial(UNIT)
     f = form([("e1", Fraction(3, 7)), ("e12", -2), ("w1", 5)])
@@ -944,9 +933,6 @@ def test_results_own_their_coefficient_maps():
         result.coeffs[TOP] = Fraction(12345)
         assert [dict(x.coeffs) for x in operands] == snapshot
         assert call() == expected
-    assert all(_d_monomial(m) == _d_monomial.__wrapped__(m) for m in BASIS)
-    assert all(wedge_monomials(m1, m2) == wedge_monomials.__wrapped__(m1, m2)
-               for m1 in BASIS for m2 in BASIS)
 
 
 def test_structure_tables_hold_integers():
@@ -973,9 +959,9 @@ def test_each_structure_table_equals_its_derivation():
     for i, m in enumerate(index):
         assert len(product[i]) == 40
         for j, m2 in enumerate(index):
-            w = wedge_monomials.__wrapped__(m, m2)
+            w = wedge_monomials(m, m2)
             assert product[i][j] == (None if w is None else (w[0], hash(w[1])))
-        d = _d_monomial.__wrapped__(m)
+        d = _d_monomial(m)
         assert d_table[i] == tuple((hash(dm), dc) for dm, dc in d.coeffs.items())
         assert all(type(k) is int for _, k in d_table[i])
         comp, *rest = _metric_law(m)
