@@ -1100,6 +1100,14 @@ def test_hitchin_rate_rejects_states_off_the_family():
         hitchin_rate((1.0, 1.0, 1.0), 4.0, 3.0, 0)
 
 
+def test_hitchin_rate_keeps_overflow_error_for_finite_states_beyond_the_float_range():
+    # the finite-scale check must not swallow a finite state whose exact
+    # closed forms round past the largest float
+    for y in ((1e-300, 1.0, 1.0), (5e-324, 1.0, 1.0), (1e-300, 1e300, 1.0)):
+        with pytest.raises(OverflowError):
+            hitchin_rate(y, 4.0, 3.0, -1)
+
+
 @pytest.mark.parametrize("state, eps, value", [
     ((1.3, 0.8, 1.1), -1, "0x1.dd4b3cb27dd9ep+1"),
     ((1.3, 0.8, 1.1), 1, "0x1.2cbdae1289ed3p+2"),

@@ -968,6 +968,21 @@ def test_each_structure_table_equals_its_derivation():
         assert laws[i] == (hash(comp), *rest)
 
 
+def test_each_derivation_returns_a_form_no_table_or_later_call_shares():
+    # nothing is kept between calls, so writing into one call's result must
+    # reach neither the structure table built from it nor the next call
+    d_table = invariant_forms._D
+    for i, m in enumerate(invariant_forms._INDEX):
+        d = _d_monomial(m)
+        expected = dict(d.coeffs)
+        d.coeffs[TOP] = Fraction(12345)
+        again = _d_monomial(m)
+        assert again is not d and again.coeffs is not d.coeffs
+        assert again.coeffs == expected
+        assert d_table[i] == tuple((hash(dm), dc) for dm, dc in expected.items())
+        assert exterior_derivative(InvariantForm.monomial(m)).coeffs == expected
+
+
 def test_each_kernel_hashes_a_monomial_only_for_its_result_or_the_other_operand(monkeypatch):
     ans = build(P_PLUS)
     phi, psi = ans.phi, ans.psi
