@@ -8,12 +8,18 @@
 #   sh .github/check_readme.sh
 set -eu
 
-# the README's own "## Command line" block, extracted
+# the two extracted blocks and the two working directories, removed however the script exits
 cmds="$(mktemp)"
+script="$(mktemp)"
+cmd_dir="$(mktemp -d)"
+quickstart_dir="$(mktemp -d)"
+trap 'rm -rf "$cmds" "$script" "$cmd_dir" "$quickstart_dir"' EXIT
+
+# the README's own "## Command line" block, extracted
 awk '/^## Command line/{s=1} s&&/^```sh/{c=1;next} c&&/^```/{exit} c' README.md > "$cmds"
 grep -q '^coflow ' "$cmds"
 (
-  cd "$(mktemp -d)"
+  cd "$cmd_dir"
   sh -ex "$cmds" > /dev/null
   # the sphere totals the README quotes, 7047 for levels 3 to 6 and 980733 for the whole window
   coflow sphere-index --l-min 3 --l-max 6 --gamma 3 | tail -n 1 | grep -qx 7047
@@ -50,10 +56,9 @@ claim 'coflow sphere-index --l-min 3 --l-max 6 --gamma 3' 7047
 claim 'coflow sphere-index --l-min 1 --l-max 15 --gamma 3' 980733
 
 # the README's "## Library quickstart" Python blocks, extracted the same way
-script="$(mktemp)"
 awk '/^## Library quickstart/{s=1;next} s&&/^## /{exit} s&&/^```python/{c=1;next} c&&/^```/{c=0;next} c' README.md > "$script"
 grep -q '^from coflow import' "$script"
-cd "$(mktemp -d)"
+cd "$quickstart_dir"
 python "$script" > quickstart.txt
 grep -qx '12/5' quickstart.txt
 grep -qx 'destabilizing' quickstart.txt

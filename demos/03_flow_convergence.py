@@ -9,6 +9,9 @@ the reduced plane (X, Y) = (a^2/c^2, ab/c^2), where the equilibria sit at
 (1/5, 1/5) and (1, 1).
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from coflow import (
@@ -48,10 +51,12 @@ for eps in (-1, +1):
     print()
 
 # the derived columns travel with every trajectory; a CSV dump has
-# columns t, a, b, c, tau0, V, X, Y
-traj.write_csv("/tmp/normalized_run.csv")
-with open("/tmp/normalized_run.csv") as fh:
-    lines = fh.read().splitlines()
+# columns t, a, b, c, tau0, V, X, Y (written to a directory removed afterwards)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "normalized_run.csv")
+    traj.write_csv(path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
 print("CSV sample:")
 print(" ", lines[0])
 print(" ", lines[1])

@@ -10,6 +10,9 @@ along the unstable eigenvector escapes, a push along a stable eigenvector
 falls back before roundoff reseeds the unstable mode.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from coflow import (
@@ -61,12 +64,13 @@ for eps in (+1, -1):
     print()
 
 # the same experiment is available from the command line; the sidecar
-# JSON carries the stop reason
+# JSON carries the stop reason (both files go to a directory removed afterwards)
 print("CLI equivalent:")
 print("  coflow flow --flavor modified --eps -1 --kappa 4 --gamma 3 \\")
 print("      --perturb unstable --delta 1e-3 --out escape.csv")
 from coflow.cli import main  # noqa: E402
 
-main(["flow", "--flavor", "modified", "--eps", "-1", "--kappa", "4",
-      "--gamma", "3", "--perturb", "unstable", "--delta", "1e-3",
-      "--out", "/tmp/escape.csv"])
+with tempfile.TemporaryDirectory() as tmp:
+    main(["flow", "--flavor", "modified", "--eps", "-1", "--kappa", "4",
+          "--gamma", "3", "--perturb", "unstable", "--delta", "1e-3",
+          "--out", os.path.join(tmp, "escape.csv")])

@@ -45,7 +45,13 @@ sums and the error norm, so no stage is rounded to double.  The
 Dormand-Prince step is written out: each stage sum and the error sum add
 their terms in tableau order, per component, with plain `+` (never `sum`,
 which compensates on Python 3.12).  The tests pin trajectories bit for bit,
-so that written-out order is part of the contract.  The loop keeps no
+so that written-out order is part of the contract.  The error norm scales
+each component by the larger of the old and the new state, picked by one
+comparison: the guard keeps both positive, so no absolute value is taken.
+An accepted step grows h by a factor in [0.9, 5] and a rejected step
+shrinks it by a factor in [0.2, 0.9] (0.9 itself only where enorm^-0.2
+rounds to 1), so each keeps only the clamp that can bind, and the loop
+calls no min, max or abs.  The loop keeps no
 bookkeeping beyond its counters: each accepted step is recorded raw, as
 (t, y) in the run's scalar type, and the Trajectory derives its float
 states and its tau0, volume, X and Y columns from those records on first
@@ -283,11 +289,12 @@ def _guarded_flow(flavor: str, kappa, gamma, eps, one=1) -> Callable:
         if not (a > zero and b > zero and c > zero):
             return None
         try:
-            da, db, dc = solve(a, b, c, rates(a, b, c * c))
+            d = solve(a, b, c, rates(a, b, c * c))
         except ArithmeticError:
             return None
+        da, db, dc = d
         if da - da == zero and db - db == zero and dc - dc == zero:
-            return (da, db, dc)
+            return d
         return None
     return f
 
@@ -481,19 +488,20 @@ class Trajectory:
             fh.write("\n")
 
 
-def _stop_reason(config: FlowConfig, t, t_max, y: tuple, k: tuple, ref: tuple | None, sqrt) -> str | None:
+def _stop_reason(t, t_max, y: tuple, k: tuple, ref: tuple | None, escape_radius, tol_conv,
+                 sqrt) -> str | None:
     """The reason a run stops at time t in state y with slope k, or None; "horizon" is decided last."""
     a, b, c = y
-    if min(a, b, c) < _FLOOR:
+    if a < _FLOOR or b < _FLOOR or c < _FLOOR:
         return "degeneracy"
-    if max(a, b, c) > _CEILING:
+    if a > _CEILING or b > _CEILING or c > _CEILING:
         return "blow-up"
     if ref is not None:
         d0, d1, d2 = a - ref[0], b - ref[1], c - ref[2]
-        if float(sqrt(d0 * d0 + d1 * d1 + d2 * d2)) > config.escape_radius:
+        if float(sqrt(d0 * d0 + d1 * d1 + d2 * d2)) > escape_radius:
             return "diverged-from-critical"
     k0, k1, k2 = k
-    if float(sqrt(k0 * k0 + k1 * k1 + k2 * k2)) < config.tol_conv:
+    if float(sqrt(k0 * k0 + k1 * k1 + k2 * k2)) < tol_conv:
         return "converged"
     if t >= t_max:
         return "horizon"
@@ -510,7 +518,13 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     "diverged-from-critical" (left the reference ball), "horizon" (reached
     t_max), "max-steps".  The first step is `_FIRST_STEP`, 1e-4.  The
     error control is an RMS norm of the embedded difference against
-    atol + rtol * |y|.
+    atol + rtol * s per component, where s is the larger of the old and the
+    new state; the guard keeps both positive, so s is the larger |y|
+    without an absolute value.  An accepted step (0 < enorm <= 1) grows h
+    by 0.9 enorm^-0.2 capped at 5, or by 5 at enorm 0: a factor in [0.9, 5].
+    A rejected step (1 < enorm < inf) shrinks h by the same expression
+    floored at 0.2: a factor in [0.2, 0.9], below 0.9 in exact arithmetic
+    and 0.9 itself where enorm^-0.2 rounds to 1 (enorm just above 1).
 
     The state and the stage slopes are 3-tuples of the run's scalar type
     (see `_scalar_type`), the tableau is unpacked into scalars of that type
@@ -601,23 +615,27 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
     ref = None
     if config.reference is not None:
         ref = tuple(scalar(v) for v in config.reference)
+    escape_radius, tol_conv = config.escape_radius, config.tol_conv
+    max_steps = config.max_steps
+    max_attempts = 10 * max_steps
     shrink = scalar(0.2)
 
     traj = Trajectory(config=config)
     records = traj._records
     records.append((t, y))
     k1 = f(y)
-    if k1 is None and _FLOOR <= min(y) and max(y) <= _CEILING:
+    if k1 is None and (_FLOOR <= y[0] <= _CEILING and _FLOOR <= y[1] <= _CEILING
+                       and _FLOOR <= y[2] <= _CEILING):
         raise ValueError("right-hand side is not finite at the initial state")
 
     # a start beyond the floor, the ceiling or the horizon stops at once, whatever its slope
-    reason = _stop_reason(config, t, t_max, y, k1, ref, sqrt)
+    reason = _stop_reason(t, t_max, y, k1, ref, escape_radius, tol_conv, sqrt)
     h = scalar(_FIRST_STEP)
     steps = attempts = rejected = retries = 0
     rhs_evals = 1
 
     while reason is None:
-        if steps >= config.max_steps or attempts >= 10 * config.max_steps:
+        if steps >= max_steps or attempts >= max_attempts:
             reason = "max-steps"
             break
 
@@ -633,11 +651,15 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
             h = h * shrink
             continue
 
-        # the last stage point is the new point; the error weights include its slope
+        # the last stage point is the new point; the error weights include its slope.  Both
+        # points are positive (y_new passed the guard), so each scale is the larger of the
+        # two as max(y_i, n_i) picks it: y_i unless n_i is greater
         err0, err1, err2 = err
-        r0 = h * err0 / (atol + rtol * max(abs(y[0]), abs(y_new[0])))
-        r1 = h * err1 / (atol + rtol * max(abs(y[1]), abs(y_new[1])))
-        r2 = h * err2 / (atol + rtol * max(abs(y[2]), abs(y_new[2])))
+        y0, y1, y2 = y
+        n0, n1, n2 = y_new
+        r0 = h * err0 / (atol + rtol * (n0 if n0 > y0 else y0))
+        r1 = h * err1 / (atol + rtol * (n1 if n1 > y1 else y1))
+        r2 = h * err2 / (atol + rtol * (n2 if n2 > y2 else y2))
         enorm = float(sqrt((r0 * r0 + r1 * r1 + r2 * r2) / three))
         if not math.isfinite(enorm):
             retries += 1
@@ -650,12 +672,15 @@ def integrate(config: FlowConfig, initial: FlowState) -> Trajectory:
             k1 = k7
             steps += 1
             records.append((t, y))
-            reason = _stop_reason(config, t, t_max, y, k1, ref, sqrt)
-            grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-            h = h * scalar(grow)
+            reason = _stop_reason(t, t_max, y, k1, ref, escape_radius, tol_conv, sqrt)
+            # 0 < enorm <= 1 makes the factor at least 0.9, so only the 5.0 cap is live
+            grow = 5.0 if enorm == 0.0 else 0.9 * enorm ** -0.2
+            h = h * scalar(grow if grow < 5.0 else 5.0)
         else:
+            # 1 < enorm < inf makes the factor at most 0.9, so only the 0.2 floor is live
             rejected += 1
-            h = h * scalar(max(0.2, min(1.0, 0.9 * enorm ** -0.2)))
+            shrunk = 0.9 * enorm ** -0.2
+            h = h * scalar(shrunk if shrunk > 0.2 else 0.2)
 
     traj.reason = reason
     traj.steps = steps

@@ -1,9 +1,13 @@
+import ast
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import random
+import sys
+import textwrap
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -11,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coflow.coflow_dynamics import (
     FLAVORS,
@@ -989,6 +993,28 @@ def test_float64_ensemble_is_bitwise_pinned():
         "09256a9279ec7ad3535a2590578404a615a0e1e39e7b59ec2d0e87e9193ef7cd"
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="pinned on 64-bit-mantissa longdouble")
+def test_longdouble_ensemble_is_bitwise_pinned():
+    # the float64 ensemble above in longdouble: sha256 over every raw record (t, a, b, c)
+    # as exact integer ratios, so no bit below float64 precision escapes the pin; three
+    # of the runs reject a step, so the error norm and both step-size rules are pinned
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    rejected = 0
+    for i in range(8):
+        eps = rng.choice((1, -1))
+        start = tuple(rng.uniform(0.5, 2.0) for _ in range(3))
+        config = FlowConfig(flavor=MODIFIED if i % 2 else NORMALIZED, kappa=4.0, gamma=3.0,
+                            eps=eps, t_max=2.0, dtype=np.longdouble)
+        traj = integrate(config, FlowState(0.0, *start))
+        rejected += traj.rejected
+        for t, y in traj._records:
+            digest.update(" ".join(repr(v.as_integer_ratio()) for v in (t, *y)).encode())
+    assert rejected == 3
+    assert digest.hexdigest() == \
+        "36b40ee28bd94d691681f804854ea8f3d64f517d8850bc46e9e24c02ccd79c7c"
+
+
 @pytest.mark.parametrize("start, overrides, counters", [
     # the first step leaves the positive octant; each retry stops at its failing stage
     (_SMALL_START, {}, (301, 1837, 4, 2, "converged")),
@@ -1001,6 +1027,33 @@ def test_run_counters_are_pinned(start, overrides, counters):
                      FlowState(0.0, *start))
     assert (traj.steps, traj.rhs_evals, traj.rejected, traj.nonfinite_retries,
             traj.reason) == counters
+
+
+def test_the_step_loop_calls_no_min_max_or_abs():
+    # the error norm's scale and the live step-size clamps are conditionals, not builtin
+    # calls paid on every attempt; the stop test compares each scale with the floor and
+    # the ceiling, and the nested attempt() is walked too
+    for fn in (coflow_dynamics.integrate, coflow_dynamics._stop_reason):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not called & {"min", "max", "abs"}, fn.__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(accepted=st.floats(min_value=math.ulp(0.0), max_value=1.0),
+       rejected=st.floats(min_value=1.0, max_value=sys.float_info.max, exclude_min=True))
+@example(accepted=math.ulp(0.0), rejected=math.nextafter(1.0, 2.0))
+@example(accepted=1.0, rejected=sys.float_info.max)
+def test_the_step_loop_drops_only_clamps_that_cannot_bind(accepted, rejected):
+    # an accepted step has 0 < enorm <= 1, so its factor 0.9 enorm^-0.2 is at least 0.9
+    # and a 0.2 floor never binds; a rejected step has 1 < enorm < inf, so its factor
+    # is at most 0.9 (0.9 itself just above 1, where enorm^-0.2 rounds to 1.0) and a
+    # 1.0 cap never binds; the loop keeps the 5.0 cap and the 0.2 floor
+    grow = 0.9 * accepted ** -0.2
+    assert 0.9 <= grow < math.inf
+    shrink = 0.9 * rejected ** -0.2
+    assert shrink <= 0.9 < 1.0
 
 
 @pytest.mark.parametrize("state, kappa, gamma, eps, rate", [
