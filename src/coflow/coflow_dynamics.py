@@ -256,6 +256,8 @@ def _rhs(flavor: str, state, kappa, gamma, eps) -> tuple:
     eps = _constants(flavor, kappa, gamma, eps)
     a, b, c = _coords(state)
     _require_positive(a, b, c)
+    if math.inf in (a, b, c):  # a NaN already failed the positivity test
+        raise ValueError(f"state must be finite, got ({a}, {b}, {c})")
     return state_rates(a, b, c, monomial_rates(flavor, a, b, c * c, kappa, gamma, eps))
 
 

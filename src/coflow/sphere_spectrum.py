@@ -118,7 +118,7 @@ def _in_window(l: int, floor: Fraction) -> bool:
 
 def in_window(l: int, gamma) -> bool:
     """Whether level l's ratio lies in the destabilizing window for gamma."""
-    return _in_window(l, _window_floor(gamma))
+    return _in_window(_check_level(l), _window_floor(gamma))
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ the tables' analytic twin beside it (`tests/_linearization.py`).
 
 find_critical_points is where kappa and gamma become exact rationals, by
 the one reader `invariant_forms._exact` that `sphere_spectrum` uses too.
-It proves each point an equilibrium at kappa = 1: the rates of both flows
-are covariant under (a, b, q, kappa) -> (l a, l b, l^2 q, kappa / l), which
-multiplies every rate by l^2, so a point is an equilibrium exactly when its
-copy (a kappa, b kappa, q kappa^2) at kappa = 1 is one, and that proof is
-kept per flavor, eps, gamma and copy (`_rates_at_kappa_one`).  This reading
-of "critical points up to scale" is our derivation from the repo's rates,
-not the paper's; the tests prove the covariance in sympy.
+It builds each point from its closed form (`_CLOSED_FORM`) and proves
+nothing per call: the tests prove once, in sympy, that every closed form of
+that table zeroes its flow's exact rates for every kappa and gamma, and
+that the rates of both flows are covariant under
+(a, b, q, kappa) -> (l a, l b, l^2 q, kappa / l), which multiplies every
+rate by l^2.  This reading of "critical points up to scale" is our
+derivation from the repo's rates, not the paper's.
 A CriticalPoint is five constants (flavor, eps, kappa, gamma and its label)
 and derives kappa_eff, params, state and tau0 from them when it is built,
 so every point is its label's closed form and every decision is made at
@@ -49,14 +49,13 @@ tolerances at all.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .coflow_dynamics import MODIFIED, NORMALIZED, monomial_rates
+from .coflow_dynamics import MODIFIED, NORMALIZED
 from .g2_ansatz import ansatz_4form, build
 from .invariant_forms import (
     GeometryParams,
@@ -240,14 +239,8 @@ def _exact_point_params(eps: int, kappa_eff: Fraction) -> GeometryParams:
     return GeometryParams(a=a, b=a, q=Fraction(s * an * an, ad * ad), eps=eps)
 
 
-@functools.lru_cache(maxsize=128)
-def _rates_at_kappa_one(flavor: str, a: Fraction, b: Fraction, q: Fraction, gamma, eps: int) -> tuple:
-    """The exact monomial rates at (a, b, q) and kappa = 1, kept per argument tuple."""
-    return monomial_rates(flavor, a, b, q, 1, gamma, eps)
-
-
 def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPoint]:
-    """The nearly parallel equilibria for the given flavor, certified exactly.
+    """The nearly parallel equilibria for the given flavor, each its closed form.
 
     Normalized flavor has the single tau0 = kappa point per eps; the
     modified flavor adds the (gamma - 1)^-1-rescaled copy.  Once gamma > 2
@@ -256,44 +249,45 @@ def find_critical_points(flavor: str, kappa, gamma, eps: int) -> list[CriticalPo
     exact value of the binary float, a Decimal as the decimal it spells.
     Each point derives its kappa_eff, closed-form params, state and tau0
     from those values and its label.  Each is an equilibrium by proof, not
-    by a float residual: its monomial rates, evaluated exactly, are all
-    zero, or RuntimeError.  The proof runs at kappa = 1, on the point's
-    params scaled to (a kappa, b kappa, q kappa^2): the covariance
-    (a, b, q, kappa) -> (l a, l b, l^2 q, kappa / l) multiplies every rate
-    by l^2, so the point is an equilibrium at kappa exactly when that copy
-    is one at kappa = 1 (our derivation from the rates, not the paper's).
-    The kappa = 1 rates are cached on the copy's exact params, gamma, eps
-    and flavor, so a family is proved once for every kappa, and a point
-    that is not its closed form misses the cache and is refused.  The state
-    is the params rounded to floats, and tau0 is kappa_eff rounded, not the
-    rounded state's torsion.
+    by a float residual and not per call: the tests prove in sympy that
+    every closed form of `_CLOSED_FORM` zeroes its flow's monomial rates as
+    a rational function of kappa and gamma.  The state is the params
+    rounded to floats, and tau0 is kappa_eff rounded, not the rounded
+    state's torsion.
     """
     if flavor == MODIFIED and (gamma is None or not _above(gamma, 2)):
         raise ValueError("modified flavor requires gamma > 2")
     eps = _constants(flavor, kappa, gamma, eps)
     kap, gam = _exact(kappa), _exact(gamma) if flavor == MODIFIED else None
     labels = [LABEL_PRINCIPAL, LABEL_RESCALED] if flavor == MODIFIED else [LABEL_PRINCIPAL]
+    return [CriticalPoint(flavor, eps, kap, gam, label) for label in labels]
 
-    points = [CriticalPoint(flavor, eps, kap, gam, label) for label in labels]
-    kn, kd = kap.as_integer_ratio()
-    for point in points:
-        # (a, b, q, kappa) -> (a kappa, b kappa, q kappa^2, 1) multiplies every rate by kappa^2
-        an, ad, bn, bd, qn, qd = point.params._ratios
-        rates = _rates_at_kappa_one(flavor, Fraction(an * kn, ad * kd), Fraction(bn * kn, bd * kd),
-                                    Fraction(qn * kn * kn, qd * kd * kd), gam, point.eps)
-        if rates != (0, 0, 0):
-            rates = tuple(u / (kap * kap) for u in rates)
-            raise RuntimeError(f"the closed-form {point.label} point is not an equilibrium: rates {rates}")
-    return points
+
+_TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
 def state_direction(point: CriticalPoint, direction) -> np.ndarray:
-    """Unit (a, b, c)-space displacement along (a A, b B, c C) for an (A, B, C) direction."""
-    v = np.array(point.state) * np.array([float(x) for x in direction])
-    norm = float(np.sqrt((v * v).sum()))
-    if norm == 0.0:
-        raise ValueError("zero direction")
-    return v / norm
+    """Unit (a, b, c)-space displacement along (a A, b B, c C) for an (A, B, C) direction.
+
+    A component that is not finite is refused with ValueError, as in
+    `variation_to_form`.  Only where the sum of squares leaves the normal
+    float range are the state and the direction first scaled to a largest
+    entry of 1, so the result is a unit vector at any finite scale, and a
+    zero displacement raises ValueError.
+    """
+    d = np.array([float(x) for x in direction])
+    if not np.isfinite(d).all():
+        raise ValueError(f"the direction must be finite, got {tuple(direction)}")
+    state = np.array(point.state)
+    with np.errstate(over="ignore"):  # an overflow is an infinite sum, rescaled below
+        v = state * d
+        squares = float((v * v).sum())
+    if not _TINY <= squares < math.inf:
+        v = state / state.max() * (d / (float(np.abs(d).max()) or 1.0))
+        squares = float((v * v).sum())
+        if squares == 0.0:
+            raise ValueError("zero direction")
+    return v / math.sqrt(squares)
 
 
 def _table_linearization(lam, eps: int, den: int) -> list[list]:

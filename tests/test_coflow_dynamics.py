@@ -36,7 +36,7 @@ from coflow.coflow_dynamics import (
     symbolic_rhs_crosscheck,
     tau0_state,
 )
-from coflow import coflow_dynamics, stability
+from coflow import coflow_dynamics
 from coflow.invariant_forms import (
     GeometryParams,
     InvariantForm,
@@ -139,7 +139,6 @@ def _routed_and_direct(monkeypatch):
 @pytest.mark.parametrize("kappa, gamma", [(4, 3), (Fraction(5, 2), Fraction(7, 3)), (3, Fraction(9, 4))],
                          ids=["int", "Fraction", "mixed"])
 def test_exact_rates_are_their_direct_fraction_evaluation(monkeypatch, flavor, kappa, gamma):
-    stability._rates_at_kappa_one.cache_clear()
     # small rationals and Fraction(float) points with ~2^50 denominators, both eps
     pairs = _routed_and_direct(monkeypatch)
     rng = random.Random(419)
@@ -153,8 +152,7 @@ def test_exact_rates_are_their_direct_fraction_evaluation(monkeypatch, flavor, k
         rates = monomial_rates(flavor, p.a, p.b, p.q, kappa, gam, p.eps)
         assert all(type(u) is Fraction for u in rates)
         assert symbolic_rhs_crosscheck(p, kappa, gamma, flavor)
-    critical = find_critical_points(flavor, kappa, gamma, +1) + find_critical_points(flavor, kappa, gamma, -1)
-    assert len(pairs) == 2 * len(points) + len(critical)
+    assert len(pairs) == 2 * len(points)
     for routed, direct in pairs:
         assert routed == direct
         assert len(routed) == 3 and all(type(u) is Fraction for u in routed)
@@ -548,6 +546,23 @@ def test_rhs_positivity_guard():
         rhs_normalized((1.0, -1.0, 1.0), 4.0, -1)
     with pytest.raises(ValueError):
         integrate(FlowConfig(), FlowState(0.0, 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("inf", (math.inf, np.longdouble("inf"), Decimal("Infinity")),
+                         ids=["float", "longdouble", "Decimal"])
+@pytest.mark.parametrize("slot", (0, 1, 2))
+def test_rhs_refuses_an_infinite_scale(slot, inf):
+    # an infinite scale passed the positivity test and gave (nan, nan, inf)
+    state = [1.0, 1.0, 1.0]
+    state[slot] = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rhs in (lambda y: rhs_normalized(y, 4, -1), lambda y: rhs_modified(y, 4, 3, -1)):
+            with pytest.raises(ValueError, match="^state must be finite, got"):
+                rhs(tuple(state))
+    # integrate keeps its own message for the same state
+    with pytest.raises(ValueError, match="^initial state must be finite$"):
+        integrate(FlowConfig(), FlowState(0.0, *(float(v) for v in state)))
 
 
 def test_integration_converges_to_the_minus_attractor():

@@ -120,9 +120,12 @@ def test_bound_grows_monotonically_past_the_clamp():
 
 
 def test_level_validation():
-    for bad in (-1, 1.5, "3"):
-        with pytest.raises(ValueError):
-            multiplicity_d(bad)
+    # -3 lies below the window and 2.5 between two levels in it, so only the
+    # level check, not the window, refuses them in in_window
+    for bad in (-1, 1.5, "3", -3, 2.5, "x"):
+        for level_fn in (multiplicity_d, lambda l: in_window(l, 3)):
+            with pytest.raises(ValueError, match="^level must be a non-negative integer"):
+                level_fn(bad)
     with pytest.raises(ValueError):
         index_lower_bound(5, 3, 3)
 

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import random
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from coflow.coflow_dynamics import (
 from coflow.g2_ansatz import ansatz_4form, build, laplacian_psi, tau0 as ansatz_tau0, tau0_terms, torsion
 from coflow.invariant_forms import GeometryParams, InvariantForm, _exactly, dstar_on_4forms, inner_product
 from coflow.stability import (
+    _CLOSED_FORM,
     _EIGENBASIS,
     _SPECTRA,
     CriticalPoint,
@@ -465,78 +467,21 @@ def test_classify_takes_the_point_constants_in_any_exact_spelling():
     assert classify(NORMALIZED, point, 4.0, 3.0, -1).index == 0
 
 
-def test_find_critical_points_refuses_a_closed_form_point_that_is_not_an_equilibrium(monkeypatch):
-    from coflow import stability
-
-    exact = stability._exact_point_params
-
-    def shifted(eps, kappa_eff):
-        p = exact(eps, kappa_eff)
-        return dataclasses.replace(p, a=p.a + Fraction(1, 10 ** 12))
-
-    monkeypatch.setattr(stability, "_exact_point_params", shifted)
-    for flavor, gamma in ((NORMALIZED, None), (MODIFIED, 3)):
-        for eps in (+1, -1):
-            with pytest.raises(RuntimeError, match="tau0_eq_kappa point is not an equilibrium"):
-                find_critical_points(flavor, 4, gamma, eps)
-
-
-@pytest.mark.parametrize("gamma", (3, 3.37))
-@pytest.mark.parametrize("eps", (+1, -1))
-@pytest.mark.parametrize("flavor", (NORMALIZED, MODIFIED))
-def test_a_family_is_proved_once_for_every_kappa(monkeypatch, flavor, eps, gamma):
-    from coflow import stability
-
-    gamma = gamma if flavor == MODIFIED else None
-    stability._rates_at_kappa_one.cache_clear()
-    first = find_critical_points(flavor, 4, gamma, eps)
+def test_find_critical_points_evaluates_no_rates(monkeypatch):
+    # each point is its closed form, proved an equilibrium once for every kappa
+    # and gamma by test_each_closed_form_zeroes_the_rates_for_every_kappa_and_gamma,
+    # so a gamma no earlier call has seen needs no rate evaluation either
+    from coflow import coflow_dynamics
 
     def refuse(*_):
-        raise AssertionError("a proved family evaluated its rates again")
+        raise AssertionError("find_critical_points evaluated the rates")
 
-    monkeypatch.setattr(stability, "monomial_rates", refuse)
-    for kappa in (4, 4.123456789):
-        points = find_critical_points(flavor, kappa, gamma, eps)
-        assert [p.label for p in points] == [p.label for p in first]
-        assert all(p.params.a * p.kappa_eff == q.params.a * q.kappa_eff for p, q in zip(points, first))
-    assert stability._rates_at_kappa_one.cache_info().currsize == len(first)
-
-
-def test_a_shifted_point_is_refused_after_its_family_was_proved(monkeypatch):
-    # the cache is keyed on the kappa = 1 params, so a point that is not its
-    # closed form misses it and is proved, and refused, at every kappa
-    from coflow import stability
-
-    exact = stability._exact_point_params
-
-    def shifted(eps, kappa_eff):
-        p = exact(eps, kappa_eff)
-        return dataclasses.replace(p, a=p.a + Fraction(1, 10 ** 12))
-
-    cases = [(flavor, gamma, eps) for flavor, gamma in ((NORMALIZED, None), (MODIFIED, 3)) for eps in (+1, -1)]
-    for flavor, gamma, eps in cases:
-        find_critical_points(flavor, 4, gamma, eps)
-    monkeypatch.setattr(stability, "_exact_point_params", shifted)
-    for flavor, gamma, eps in cases:
-        with pytest.raises(RuntimeError, match="tau0_eq_kappa point is not an equilibrium"):
-            find_critical_points(flavor, 4, gamma, eps)
-
-
-def test_the_refusal_reports_the_rates_at_the_points_own_kappa(monkeypatch):
-    from coflow import stability
-
-    exact = stability._exact_point_params
-
-    def doubled(eps, kappa_eff):
-        p = exact(eps, kappa_eff)
-        return dataclasses.replace(p, a=2 * p.a)
-
-    monkeypatch.setattr(stability, "_exact_point_params", doubled)
-    with pytest.raises(RuntimeError) as refused:
-        find_critical_points(MODIFIED, Fraction(7, 3), 3, -1)
-    p = doubled(-1, Fraction(7, 3))
-    want = monomial_rates(MODIFIED, p.a, p.b, p.q, Fraction(7, 3), Fraction(3), -1)
-    assert str(refused.value).endswith(f"rates {want}")
+    monkeypatch.setattr(coflow_dynamics, "_rates", refuse)
+    for eps in (+1, -1):
+        points = find_critical_points(MODIFIED, 4, 3.123456789, eps)
+        assert [p.label for p in points] == [LABEL_PRINCIPAL, LABEL_RESCALED]
+        assert [p.kappa_eff for p in points] == [4, 4 * (Fraction(3.123456789) - 1)]
+        assert [p.label for p in find_critical_points(NORMALIZED, 4.123456789, None, eps)] == [LABEL_PRINCIPAL]
 
 
 def test_a_point_without_gamma_or_with_an_inexact_or_out_of_range_constant_is_refused():
@@ -640,6 +585,38 @@ def test_state_direction_unit_norm_and_scaling():
     assert v[2] / v[0] == pytest.approx(SQ5)
     with pytest.raises(ValueError):
         state_direction(pt, (0, 0, 0))
+
+
+def test_state_direction_is_a_unit_vector_at_every_finite_scale():
+    pt = principal(MODIFIED, 4.0, 3.0, +1)
+    unit = state_direction(pt, (1, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1e-200, 1e308, 5e-324):
+            v = state_direction(pt, (scale, scale, scale))
+            assert np.allclose(v, unit, rtol=1e-15, atol=0)
+            assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+        # the plus family's c is sqrt(5) a
+        assert tuple(state_direction(pt, (1e308, 0, -1e308))) == pytest.approx((6 ** -0.5, 0, -(5 / 6) ** 0.5))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^the direction must be finite"):
+                state_direction(pt, (1.0, bad, 1.0))
+        for zero in ((0, 0, 0), (0.0, -0.0, 0.0)):
+            with pytest.raises(ValueError, match="^zero direction$"):
+                state_direction(pt, zero)
+
+
+def test_state_direction_keeps_the_bits_of_every_ordinary_direction():
+    # the --perturb and ensemble pins read these bits: the rescaling is taken
+    # only where the sum of squares over- or underflows
+    rng = random.Random(3)
+    points = [p for eps in (+1, -1) for p in find_critical_points(MODIFIED, rng.uniform(0.1, 10), 3, eps)]
+    for pt in points:
+        for _ in range(50):
+            d = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-100, 100) for _ in range(3)]
+            v = np.array(pt.state) * np.array(d)
+            want = v / float(np.sqrt((v * v).sum()))
+            assert state_direction(pt, d).tobytes() == want.tobytes()
 
 
 KNOWN_ROOTS = {
@@ -1214,11 +1191,12 @@ def test_every_rate_scales_by_lambda_squared_under_the_covariance(flavor, eps):
 @pytest.mark.parametrize("flavor, label", [(NORMALIZED, LABEL_PRINCIPAL), (MODIFIED, LABEL_PRINCIPAL),
                                            (MODIFIED, LABEL_RESCALED)])
 def test_each_closed_form_zeroes_the_rates_for_every_kappa_and_gamma(flavor, label, eps):
-    # (r / kappa_eff, r / kappa_eff, s r^2 / kappa_eff^2), (r, s) = (12/5, 5) or (4, 1):
-    # each rate is 0 as a rational function of kappa and gamma, so at every kappa > 0 and gamma > 2
+    # (r / kappa_eff, r / kappa_eff, s r^2 / kappa_eff^2) with the library's own (r, s):
+    # each rate is 0 as a rational function of kappa and gamma, so at every kappa > 0 and
+    # gamma > 2; this is the certificate find_critical_points relies on and does not repeat
     gamma = _G if flavor == MODIFIED else None
     kappa_eff = _K if label == LABEL_PRINCIPAL else (_G - 1) * _K
-    r, s = (sympy.Rational(12, 5), 5) if eps == +1 else (sympy.Integer(4), 1)
+    r, s = (sympy.Rational(*Fraction(x).as_integer_ratio()) for x in _CLOSED_FORM[eps])
     a = r / kappa_eff
     rates = monomial_rates(flavor, a, a, s * a * a, _K, gamma, eps)
     assert all(sympy.cancel(u) == 0 for u in rates)
@@ -1646,7 +1624,7 @@ def test_classify_evaluates_no_float_rates_and_builds_no_second_point(monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("classify called the float rates or rebuilt its point")
 
-    for module, name in ((stability, "monomial_rates"), (stability, "_exact_point_params"),
+    for module, name in ((coflow_dynamics, "monomial_rates"), (stability, "_exact_point_params"),
                          (coflow_dynamics, "_rates"), (coflow_dynamics, "state_rates")):
         monkeypatch.setattr(module, name, refuse)
     got = [fields(stability.classify(p.flavor, p, p.kappa, p.gamma, p.eps)) for p in points]
