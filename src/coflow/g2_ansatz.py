@@ -14,9 +14,9 @@ and the Hodge Laplacian of psi is d(star(dphi)).  An ansatz derives its
 dphi once, on first use, and tau0, torsion and laplacian_psi all read that
 one copy.  Everything here is exact rational arithmetic; there are no
 tolerances in this module.  Each of phi's four coefficients, and each
-coefficient of an ansatz_4form, is one Fraction, built from the integer
-ratios of (a, b, q) or from the given values; no chain of Fraction
-products is formed.
+coefficient of an ansatz_4form, is one reduced integer pair, built from
+the integer ratios of (a, b, q) or from the given values; no Fraction is
+formed for them.
 
 The Laplacian's closed form has one hand-coded copy, `_laplacian_rates`,
 which gives its coefficients on the monomials (q^2, a b q, a^2 q) of psi.
@@ -46,8 +46,9 @@ from .invariant_forms import (
     GeometryParams,
     InvariantForm,
     Monomial,
-    _as_scalar,
+    _as_pair,
     _exactly,
+    _pair,
     dstar_on_4forms,
     exterior_derivative,
     hodge_star,
@@ -85,17 +86,17 @@ _VOL, _E23W1, _E13W2, _E12W3 = (Monomial.from_key(k) for k in ("vol", "e23^w1", 
 def _assemble(p: GeometryParams) -> G2Ansatz:
     """phi and psi = star(phi), with no check of psi's co-closure.
 
-    Each of phi's coefficients is one Fraction of the integer ratios of
-    (a, b, q); e1^w1 and e2^w2 share the one -a q.
+    Each of phi's coefficients is one reduced pair of the integer ratios
+    of (a, b, q); e1^w1 and e2^w2 share the one -a q.
     """
     an, ad, bn, bd, qn, qd = p._ratios
     eps = p.eps
-    aq = Fraction(-an * qn, ad * qd)
+    aq = _pair(-an * qn, ad * qd)
     phi = InvariantForm._of({
-        _E123: Fraction(eps * an * an * bn, ad * ad * bd),
+        _E123: _pair(eps * an * an * bn, ad * ad * bd),
         _E1W1: aq,
         _E2W2: aq,
-        _E3W3: Fraction(-eps * bn * qn, bd * qd),
+        _E3W3: _pair(-eps * bn * qn, bd * qd),
     })
     return G2Ansatz(params=p, phi=phi, psi=hodge_star(phi, p))
 
@@ -145,7 +146,8 @@ def tau0(ans: G2Ansatz) -> Fraction:
     compares it with the closed form `tau0_terms` and with <dphi, psi>/7, so
     a disagreement is reported as a failed check instead of raised here.
     """
-    return Fraction(1, 7) * hodge_star(wedge(ans.dphi, ans.phi), ans.params).coefficient(UNIT)
+    n, d = hodge_star(wedge(ans.dphi, ans.phi), ans.params)._terms.get(UNIT, (0, 1))
+    return Fraction(n, 7 * d)
 
 
 def torsion(ans: G2Ansatz) -> TorsionData:
@@ -210,14 +212,14 @@ def ansatz_4form(u, eps) -> InvariantForm:
     carries their rates and variations to 4-forms.  Each u must be an int
     or a Fraction and eps is +1 or -1; a zero u leaves its monomials out.
     """
-    u1, u2, u3 = (_as_scalar(x) for x in u)
+    (n1, d1), (n2, d2), (n3, d3) = (_as_pair(x) for x in u)
     out: dict = {}
-    if u1:
-        out[_VOL] = u1
-    if u2:
-        out[_E23W1], out[_E13W2] = (-u2, u2) if eps == 1 else (u2, -u2)
-    if u3:
-        out[_E12W3] = -u3
+    if n1:
+        out[_VOL] = (n1, d1)
+    if n2:
+        out[_E23W1], out[_E13W2] = ((-n2, d2), (n2, d2)) if eps == 1 else ((n2, d2), (-n2, d2))
+    if n3:
+        out[_E12W3] = (-n3, d3)
     return InvariantForm._of(out)
 
 

@@ -49,23 +49,27 @@ parameter point, on one-term forms made once at import.  Each pairing of
 a monomial with its own star is one integer cross-multiplication of the
 wedge's TOP coefficient against <m, m> and eps a^2 b q^2.
 
-Each metric coefficient is a Laurent monomial in (a, b, q), so a star
-coefficient or the volume coefficient costs one _LAW lookup and one
-Fraction, and a weight in inner_product's sum one lookup and integer
-products, built from the integer numerators and denominators that a
-GeometryParams reads off its scales once per geometry (_ratios); that
-costs a single gcd.  The star picks each factor a^(2-ja), b^(1-jb) and
-q^(2-jq) by lookup among the integer pairs of its few values.  The product
-table holds its structure constants as ints and each d(m) is kept as
-(index, int) pairs, so wedge, exterior_derivative and inner_product keep
-each output coefficient's sum as one integer numerator and denominator
-(the first two keyed by index) and reduce it once, dropping the sums that
-cancel to 0.  A
-sum or difference of two forms costs one Fraction per monomial the two
-share, and a scalar times a form one per coefficient.  The kernels and
-the form arithmetic hand the maps they have just built to
-InvariantForm._of, which takes them over without the copy, type and zero
-scan of the public constructor.
+An InvariantForm holds each coefficient in _terms as its reduced integer
+pair (numerator, positive denominator), made by _pair with one gcd: the
+pair a Fraction of it would hold, so comparing pair maps compares the
+forms.  Each metric coefficient is a Laurent monomial in (a, b, q), so a
+star coefficient costs one _LAW lookup and one _pair, and a weight in
+inner_product's sum one lookup and integer products, built from the
+integer numerators and denominators that a GeometryParams reads off its
+scales once per geometry (_ratios).  The star picks each factor
+a^(2-ja), b^(1-jb) and q^(2-jq) by lookup among the integer pairs of its
+few values.  The product table holds its structure constants as ints and
+each d(m) is kept as (index, int) pairs, so wedge, exterior_derivative
+and inner_product keep each output coefficient's sum as one integer
+numerator and denominator (the first two keyed by index) and reduce it
+once, dropping the sums that cancel to 0.  A sum or difference of two
+forms costs one _pair per monomial the two share, and a scalar times a
+form one per coefficient.  The kernels and the form arithmetic hand the
+pair maps they have just built to InvariantForm._of, which takes them
+over without the copy, type and zero scan of the public constructor.
+A Fraction is made only where the public contract returns one: the
+`coeffs` view (a new dict at each read), coefficient, inner_product,
+total_integral, g2_ansatz.tau0 and _exactly.
 
 The hand-coded closed forms of the other modules (the co-flow rates, the
 Laplacian's and dphi's coefficients, the tau0 and |tau3|^2 quotients) are
@@ -83,7 +87,8 @@ import functools
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
+import sys
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -104,6 +109,21 @@ def _as_scalar(x: ScalarLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact coefficient required, got {type(x).__name__}")
+
+
+def _as_pair(x: ScalarLike) -> tuple[int, int]:
+    """The reduced integer pair of an int or a Fraction; TypeError for anything else."""
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
+    raise TypeError(f"exact coefficient required, got {type(x).__name__}")
+
+
+def _pair(n: int, d: int) -> tuple[int, int]:
+    """n / d as its reduced integer pair, the denominator positive: the pair Fraction(n, d) holds."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
 
 
 def _exact(x) -> Fraction:
@@ -162,9 +182,9 @@ def _constants(flavor, kappa, gamma, eps) -> int:
     return _eps(eps)
 
 
-def _reduced(sums: dict[int, tuple[int, int]]) -> dict[Monomial, Fraction]:
-    """One Fraction per (numerator, denominator) sum, keyed by the monomial at its index; 0 left out."""
-    return {_INDEX[i]: Fraction(n, d) for i, (n, d) in sums.items() if n}
+def _reduced(sums: dict[int, tuple[int, int]]) -> dict[Monomial, tuple[int, int]]:
+    """One reduced pair per (numerator, denominator) sum, keyed by the monomial at its index; 0 left out."""
+    return {_INDEX[i]: _pair(n, d) for i, (n, d) in sums.items() if n}
 
 
 def _refuse(*_):
@@ -350,23 +370,27 @@ _set_field = object.__setattr__
 class InvariantForm:
     """A formal rational combination of basis monomials.
 
-    The zero form has an empty coefficient map; construction drops zero
-    coefficients, so equality of forms is equality of the maps.  The
-    constructor copies the map, refuses any coefficient that is not an int
-    or a Fraction (a float 0.0 too) and then drops the zeros.
+    Each coefficient is held in _terms as its reduced integer pair
+    (numerator, denominator), the denominator positive, the pair a Fraction
+    of it holds; the zero form has an empty map and no pair is 0.  A
+    rational has one such pair, so equality of forms is equality of the
+    maps.  The constructor reads a map of ints and Fractions: it refuses
+    any other coefficient (a float 0.0 too) and drops the zeros.  `coeffs`
+    gives the coefficients back as a new dict of Fractions at each read.
     """
 
-    coeffs: dict[Monomial, Fraction] = field(default_factory=dict)
+    coeffs: InitVar[Mapping[Monomial, ScalarLike] | None] = None
+    _terms: dict[Monomial, tuple[int, int]] = field(init=False)
 
-    def __post_init__(self) -> None:
-        checked = ((m, c if type(c) is Fraction else _as_scalar(c)) for m, c in self.coeffs.items())
-        object.__setattr__(self, "coeffs", {m: c for m, c in checked if c})
+    def __post_init__(self, coeffs: Mapping[Monomial, ScalarLike] | None) -> None:
+        checked = ((m, _as_pair(c)) for m, c in (coeffs or {}).items())
+        object.__setattr__(self, "_terms", {m: t for m, t in checked if t[0]})
 
     @classmethod
-    def _of(cls, coeffs: dict[Monomial, Fraction]) -> "InvariantForm":
-        """A form that takes over coeffs, a new map of non-zero Fractions, unchecked."""
+    def _of(cls, terms: dict[Monomial, tuple[int, int]]) -> "InvariantForm":
+        """A form that takes over terms, a new map of non-zero reduced pairs, unchecked."""
         f = _new_object(cls)
-        _set_field(f, "coeffs", coeffs)
+        _set_field(f, "_terms", terms)
         return f
 
     @staticmethod
@@ -375,18 +399,18 @@ class InvariantForm:
 
     @staticmethod
     def monomial(m: Monomial, coeff: ScalarLike = 1) -> "InvariantForm":
-        return InvariantForm({m: _as_scalar(coeff)})
+        return InvariantForm({m: coeff})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def degrees(self) -> set[int]:
-        return {m.degree for m in self.coeffs}
+        return {m.degree for m in self._terms}
 
     def degree(self) -> int | None:
         """Degree of a homogeneous form; None for the zero form; error if mixed."""
-        if len(self.coeffs) == 1:
-            for m in self.coeffs:
+        if len(self._terms) == 1:
+            for m in self._terms:
                 return m.degree
         degs = self.degrees()
         if not degs:
@@ -396,24 +420,23 @@ class InvariantForm:
         return degs.pop()
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self.coeffs.get(m, Fraction(0))
+        return Fraction(*self._terms.get(m, (0, 1)))
 
     def _plus(self, other: "InvariantForm", sign: int) -> "InvariantForm":
-        """self + sign * other; a coefficient in both is one Fraction of its integer sum."""
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
+        """self + sign * other; a coefficient in both is one reduced pair of its integer sum."""
+        out = dict(self._terms)
+        for m, (cn, cd) in other._terms.items():
             s = out.get(m)
             if s is None:
-                out[m] = c if sign > 0 else -c
+                out[m] = (cn, cd) if sign > 0 else (-cn, cd)
                 continue
-            sn, sd = s.as_integer_ratio()
-            cn, cd = c.as_integer_ratio()
+            sn, sd = s
             if sd == cd:
                 n, d = sn + sign * cn, sd
             else:
                 n, d = sn * cd + sign * cn * sd, sd * cd
             if n:
-                out[m] = Fraction(n, d)
+                out[m] = _pair(n, d)
             else:
                 del out[m]
         return InvariantForm._of(out)
@@ -425,45 +448,58 @@ class InvariantForm:
         return self._plus(other, -1)
 
     def __neg__(self) -> "InvariantForm":
-        return InvariantForm._of({m: -c for m, c in self.coeffs.items()})
+        return InvariantForm._of({m: (-n, d) for m, (n, d) in self._terms.items()})
 
     def __rmul__(self, scalar: ScalarLike) -> "InvariantForm":
-        """scalar * form, each coefficient one Fraction of the integer products."""
-        sn, sd = _as_scalar(scalar).as_integer_ratio()
-        out: dict[Monomial, Fraction] = {}
+        """scalar * form, each coefficient one reduced pair of the integer products."""
+        sn, sd = _as_pair(scalar)
+        out: dict[Monomial, tuple[int, int]] = {}
         if sn:
-            for m, c in self.coeffs.items():
-                cn, cd = c.as_integer_ratio()
-                out[m] = Fraction(sn * cn, sd * cd)
+            for m, (cn, cd) in self._terms.items():
+                out[m] = _pair(sn * cn, sd * cd)
         return InvariantForm._of(out)
 
     def __mul__(self, scalar: ScalarLike) -> "InvariantForm":
         return self.__rmul__(scalar)
 
+    def _texts(self) -> list[tuple[str, str]]:
+        """(monomial key, coefficient as str(Fraction) writes it) in degree then key order."""
+        items = sorted(self._terms.items(), key=lambda t: (t[0].degree, t[0].key))
+        return [(m.key, str(n) if d == 1 else f"{n}/{d}") for m, (n, d) in items]
+
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._terms:
             return "0"
-        parts = [f"{c}*{m.key}" for m, c in sorted(self.coeffs.items(), key=lambda t: (t[0].degree, t[0].key))]
-        return " + ".join(parts)
+        return " + ".join(f"{c}*{k}" for k, c in self._texts())
 
     def to_json_dict(self) -> dict[str, str]:
         """Serialize as {monomial-key: "num/den"} with exact string rationals."""
-        items = sorted(self.coeffs.items(), key=lambda t: (t[0].degree, t[0].key))
-        return {m.key: str(c) for m, c in items}
+        return dict(self._texts())
 
     @staticmethod
     def from_json_dict(data: Mapping[str, str]) -> "InvariantForm":
         return InvariantForm({Monomial.from_key(k): Fraction(v) for k, v in data.items()})
 
 
+def _fraction_view(f: InvariantForm) -> dict[Monomial, Fraction]:
+    """The coefficients as a new dict of Fractions; writing into it leaves the form as it was."""
+    return {m: Fraction(n, d) for m, (n, d) in f._terms.items()}
+
+
+# the constructor's InitVar leaves its default on the class; a form's
+# coefficients are read through this view in its place
+InvariantForm.coeffs = property(_fraction_view, doc=_fraction_view.__doc__)
+
+
 def form(terms: Iterable[tuple[str, ScalarLike]]) -> InvariantForm:
     """Build a form from (key, coefficient) pairs."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, tuple[int, int]] = {}
     for key, c in terms:
         m = Monomial.from_key(key)
-        c = _as_scalar(c)
-        out[m] = out[m] + c if m in out else c
-    return InvariantForm._of({m: c for m, c in out.items() if c})
+        n, d = _as_pair(c)
+        s = out.get(m)
+        out[m] = (n, d) if s is None else _pair(s[0] * d + n * s[1], s[1] * d)
+    return InvariantForm._of({m: t for m, t in out.items() if t[0]})
 
 
 # vertical and horizontal generators as forms
@@ -504,8 +540,24 @@ class GeometryParams:
         return (*self.a.as_integer_ratio(), *self.b.as_integer_ratio(), *self.q.as_integer_ratio())
 
     def state(self) -> tuple[float, float, float]:
-        """Floating (a, b, c) with c = sqrt(q)."""
-        return (float(self.a), float(self.b), float(self.q) ** 0.5)
+        """Floating (a, b, c) with c = sqrt(q).
+
+        c is float(q) ** 0.5 wherever float(q) is a normal float.  A q
+        outside that range is first scaled exactly by 4^-k into it, so that
+        c = 2^k sqrt(q / 4^k) neither underflows nor overflows with q.
+        """
+        try:
+            x = float(self.q)
+        except OverflowError:
+            x = math.inf
+        if sys.float_info.min <= x < math.inf:
+            c = x ** 0.5
+        else:
+            qn, qd = self._ratios[4:]
+            k = (qn.bit_length() - qd.bit_length()) // 2
+            scaled = qn / (qd << 2 * k) if k >= 0 else (qn << -2 * k) / qd
+            c = math.ldexp(scaled ** 0.5, k)
+        return (float(self.a), float(self.b), c)
 
 
 def random_params(rng: random.Random, eps: int) -> GeometryParams:
@@ -565,10 +617,9 @@ def wedge(alpha: InvariantForm, beta: InvariantForm) -> InvariantForm:
     Each output coefficient is summed as one integer numerator and
     denominator, keyed by its monomial's index, and reduced once.
     """
-    terms = [(m2._hash, *c2.as_integer_ratio()) for m2, c2 in beta.coeffs.items()]
+    terms = [(m2._hash, n2, d2) for m2, (n2, d2) in beta._terms.items()]
     sums: dict[int, tuple[int, int]] = {}
-    for m1, c1 in alpha.coeffs.items():
-        n1, d1 = c1.as_integer_ratio()
+    for m1, (n1, d1) in alpha._terms.items():
         row = _PRODUCT[m1._hash]
         for j2, n2, d2 in terms:
             prod = row[j2]
@@ -619,7 +670,7 @@ def _d_monomial(m: Monomial) -> InvariantForm:
 
 # _D[i] is d of the monomial at index i as (index, integer coefficient) pairs;
 # the coefficients are whole numbers
-_D = tuple(tuple((dm._hash, dc.numerator) for dm, dc in _d_monomial(m).coeffs.items())
+_D = tuple(tuple((dm._hash, dn) for dm, (dn, _) in _d_monomial(m)._terms.items())
            for m in _INDEX)
 
 
@@ -631,8 +682,7 @@ def exterior_derivative(alpha: InvariantForm) -> InvariantForm:
     monomial's index, and reduced once.
     """
     sums: dict[int, tuple[int, int]] = {}
-    for m, c in alpha.coeffs.items():
-        n, d = c.as_integer_ratio()
+    for m, (n, d) in alpha._terms.items():
         for j, k in _D[m._hash]:
             s = sums.get(j)
             if s is None:
@@ -685,7 +735,7 @@ def _top_coeff(p: GeometryParams) -> Fraction:
 
 def volume_form(p: GeometryParams) -> InvariantForm:
     """Riemannian volume form: eps * a^2 b q^2 * e123 ^ vol."""
-    return InvariantForm._of({TOP: _top_coeff(p)})
+    return InvariantForm._of({TOP: _top_coeff(p).as_integer_ratio()})
 
 
 def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
@@ -695,7 +745,7 @@ def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     <m, m> eps a^2 b q^2 over the sign of m ^ complement on the top
     monomial.  With m's law (complement, pairing, k, ja, jb, jq) that is
     k eps a^(2-ja) b^(1-jb) q^(2-jq) / pairing, and each output coefficient
-    is one Fraction of it times the input coefficient.
+    is one reduced pair of it times the input coefficient.
     """
     alpha.degree()  # homogeneity check
     an, ad, bn, bd, qn, qd = p._ratios
@@ -705,12 +755,11 @@ def hodge_star(alpha: InvariantForm, p: GeometryParams) -> InvariantForm:
     fa = ((an2, ad2), (1, 1), (ad2, an2))
     fb = ((bn, bd), (bd, bn))
     fq = ((qn2, qd2), (1, 1), (qd2, qn2))
-    out: dict[Monomial, Fraction] = {}
-    for m, c in alpha.coeffs.items():
+    out: dict[Monomial, tuple[int, int]] = {}
+    for m, (num, den) in alpha._terms.items():
         comp, pairing, k, ja, jb, jq = _LAW[m._hash]
-        num, den = c.as_integer_ratio()
         (na, da), (nb, db), (nq, dq) = fa[ja // 2], fb[jb // 2], fq[jq // 2]
-        out[_INDEX[comp]] = Fraction(eps * k * num * na * nb * nq, pairing * den * da * db * dq)
+        out[_INDEX[comp]] = _pair(eps * k * num * na * nb * nq, pairing * den * da * db * dq)
     return InvariantForm._of(out)
 
 
@@ -718,20 +767,19 @@ def inner_product(alpha: InvariantForm, beta: InvariantForm, p: GeometryParams) 
     """Pointwise inner product <alpha, beta>; requires equal homogeneous degree.
 
     The sum of c c' <m, m> is kept as one integer numerator and denominator
-    and reduced once, at the end.
+    and reduced once, at the end, to the one Fraction returned.
     """
     da, db = alpha.degree(), beta.degree()
     if da is not None and db is not None and da != db:
         raise ValueError(f"degree mismatch: {da} vs {db}")
     an, ad, bn, bd, qn, qd = p._ratios
-    other = beta.coeffs
+    other = beta._terms
     num, den = 0, 1
-    for m, c in alpha.coeffs.items():
+    for m, (cn, cd) in alpha._terms.items():
         cb = other.get(m)
         if cb is not None:
             _, _, k, ja, jb, jq = _LAW[m._hash]
-            cn, cd = c.as_integer_ratio()
-            cbn, cbd = cb.as_integer_ratio()
+            cbn, cbd = cb
             tn = k * cn * cbn * ad ** ja * bd ** jb * qd ** jq
             td = cd * cbd * an ** ja * bn ** jb * qn ** jq
             num, den = num * td + tn * den, den * td
@@ -783,7 +831,7 @@ def _structure_checks() -> tuple[bool, bool, bool]:
 
 # the 40 basis monomials as forms of coefficient 1, the unit first, each with
 # the support its star must have (its complement alone)
-_BASIS_FORMS = tuple(InvariantForm._of({m: Fraction(1)}) for m in _BASIS)
+_BASIS_FORMS = tuple(InvariantForm._of({m: (1, 1)}) for m in _BASIS)
 _STAR_SUPPORTS = tuple(frozenset((_INDEX[_LAW[m._hash][0]],)) for m in _BASIS)
 _TOP_SUPPORT = frozenset((TOP,))
 
@@ -810,28 +858,28 @@ def algebra_checks(p: GeometryParams) -> list[tuple[str, bool]]:
     wedge and inner_product are looked up in this module at every call.
     """
     dd_ok, horiz_ok, off_diagonal_ok = _structure_checks()
-    top = _top_coeff(p)
-    tn, td = top.as_integer_ratio()
+    top = _top_coeff(p).as_integer_ratio()
+    tn, td = top
 
     stars = [hodge_star(f, p) for f in _BASIS_FORMS]
 
     invol_ok = all(hodge_star(s, p) == f for f, s in zip(_BASIS_FORMS, stars))
 
-    support_ok = all(s.coeffs.keys() == support for s, support in zip(stars, _STAR_SUPPORTS))
+    support_ok = all(s._terms.keys() == support for s, support in zip(stars, _STAR_SUPPORTS))
 
     def diagonal(f: InvariantForm, s: InvariantForm) -> bool:
         """m ^ star(m) = <m, m> vol_eps, by one cross-multiplication on TOP's coefficient."""
-        w = wedge(f, s).coeffs
+        w = wedge(f, s)._terms
         if w.keys() != _TOP_SUPPORT:
             return False
-        wn, wd = w[TOP].as_integer_ratio()
+        wn, wd = w[TOP]
         gn, gd = inner_product(f, f, p).as_integer_ratio()
         return wn * gd * td == gn * tn * wd
 
     diagonal_ok = all(diagonal(f, s) for f, s in zip(_BASIS_FORMS, stars))
     pairing_ok = off_diagonal_ok and support_ok and diagonal_ok
 
-    unit_ok = stars[0].coeffs == {TOP: top}
+    unit_ok = stars[0]._terms == {TOP: top}
 
     return [
         ("nilpotent-differential", dd_ok),

@@ -270,12 +270,19 @@ def state_direction(point: CriticalPoint, direction) -> np.ndarray:
     """Unit (a, b, c)-space displacement along (a A, b B, c C) for an (A, B, C) direction.
 
     A component that is not finite is refused with ValueError, as in
-    `variation_to_form`.  Only where the sum of squares leaves the normal
-    float range are the state and the direction first scaled to a largest
-    entry of 1, so the result is a unit vector at any finite scale, and a
-    zero displacement raises ValueError.
+    `variation_to_form`.  Only where a component is too large for a float
+    are the exact components first divided by their largest magnitude, and
+    only where the sum of squares leaves the normal float range are the
+    state and the direction first scaled to a largest entry of 1, so the
+    result is a unit vector at any finite scale, and a zero displacement
+    raises ValueError.
     """
-    d = np.array([float(x) for x in direction])
+    try:
+        d = np.array([float(x) for x in direction])
+    except OverflowError:
+        exact = [_exact(x) for x in direction]
+        top = max(map(abs, exact))
+        d = np.array([float(x / top) for x in exact])
     if not np.isfinite(d).all():
         raise ValueError(f"the direction must be finite, got {tuple(direction)}")
     state = np.array(point.state)
@@ -326,9 +333,9 @@ def _check_point(flavor: str, point: CriticalPoint, kappa, gamma, eps: int) -> N
 
 
 def _range_cut(jac) -> None:
-    """ValueError unless jac is a 3x3 matrix whose squared Frobenius norm is a finite float."""
+    """ValueError unless jac is a 3x3 matrix whose Frobenius norm is a normal float with a finite square."""
     jnorm = math.inf if jac is None else math.hypot(*(x for row in jac for x in row))
-    if not math.isfinite(jnorm * jnorm):
+    if not (jnorm >= _TINY and math.isfinite(jnorm * jnorm)):
         raise ValueError("the linearization does not evaluate in floating point at the point")
 
 

@@ -327,7 +327,7 @@ def test_stability_at_a_large_kappa(capsys):
     assert json.loads(out)["index"] == 1
 
 
-@pytest.mark.parametrize("kappa", ("1e-200", "1e80"))
+@pytest.mark.parametrize("kappa", ("1e-200", "1e-300", "1e80"))
 def test_stability_refuses_a_kappa_beyond_the_float_range(capsys, kappa):
     with pytest.raises(SystemExit) as exc:
         main(["stability", "--eps", "1", "--kappa", kappa, "--gamma", "3"])
@@ -473,7 +473,7 @@ def test_verify_report_is_pinned(capsys):
     (["--kappa", "-1"], "--kappa must be positive"),
     (["--gamma", "inf"], "--gamma must be finite"),
     # finite and positive, but the closed-form point overflows a float
-    (["--flavor", "coflow", "--kappa", "1e-300"], "out of range (OverflowError"),
+    (["--flavor", "coflow", "--kappa", "1e-310"], "out of range (OverflowError"),
 ])
 def test_stability_rejects_unusable_kappa_and_gamma(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

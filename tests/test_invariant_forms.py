@@ -1095,3 +1095,117 @@ def test_dstar_on_4forms_refuses_a_3_form():
 
     with pytest.raises(ValueError, match="expects a degree-4 form"):
         dstar_on_4forms(wedge(E1, W1), params(1, 1, 1, +1))
+
+
+# ------------------------------------------------------ reduced integer pairs
+# A form holds each coefficient as its reduced pair (numerator, positive
+# denominator).  A rational has one such pair, so comparing two pair maps is
+# comparing the Fraction maps, and a Fraction is made only where the public
+# contract returns one: `coeffs`, `coefficient`, `inner_product`, ...
+
+fraction_maps = st.dictionaries(monomial_indices, st.one_of(rationals, st.integers(-9, 9)), max_size=6).map(
+    lambda d: {BASIS[i]: c for i, c in d.items()}
+)
+
+
+def _fraction_map_sum(x, y, sign):
+    # oracle: x + sign * y on plain maps of ints and Fractions, zeros dropped
+    out = {m: Fraction(c) for m, c in x.items() if c}
+    for m, c in y.items():
+        s = out.get(m, 0) + sign * Fraction(c)
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=fraction_maps, y=fraction_maps, s=st.one_of(rationals, st.integers(-9, 9)), same=st.booleans())
+def test_pair_storage_agrees_with_fraction_maps(x, y, s, same):
+    if same:  # y equals x in value, each whole coefficient given as an int or a Fraction
+        y = {m: int(c) if Fraction(c).denominator == 1 and c % 2 else Fraction(c) for m, c in x.items()}
+    f, g = InvariantForm(x), InvariantForm(y)
+    fx, gy = _fraction_map_sum({}, x, 1), _fraction_map_sum({}, y, 1)
+    assert f.coeffs == fx and all(type(c) is Fraction for c in f.coeffs.values())
+    assert InvariantForm(f.coeffs) == f
+    assert (f == g) == (fx == gy) and (f != g) == (fx != gy)
+    assert (f + g).coeffs == _fraction_map_sum(x, y, 1)
+    assert (f - g).coeffs == _fraction_map_sum(x, y, -1)
+    assert (-f).coeffs == _fraction_map_sum({}, x, -1)
+    scaled = {m: s * c for m, c in fx.items() if s * c}
+    assert (s * f).coeffs == scaled and (f * s).coeffs == scaled
+    assert f.to_json_dict() == {m.key: str(c) for m, c in sorted(fx.items(), key=lambda t: (t[0].degree, t[0].key))}
+    view = f.coeffs
+    view.clear()
+    view[TOP] = Fraction(12345)
+    assert f.coeffs == fx and f == InvariantForm(x)
+
+
+def test_every_pair_is_reduced_with_a_positive_denominator():
+    forms = _arithmetic_forms()
+    forms += [wedge(f, g) for f in forms[:12] for g in forms[:12]]
+    forms += [hodge_star(f, p) for f in forms if f.degrees() == {3} or f.degrees() == {4}
+              for p in (P_PLUS, P_ODD)]
+    forms += [exterior_derivative(f) for f in forms] + [Fraction(-6, 4) * f for f in forms]
+    forms += [build(P_ODD).phi, build(P_ODD).psi]
+    assert any(len(f._terms) > 1 for f in forms)
+    for f in forms:
+        for n, d in f._terms.values():
+            assert type(n) is int and type(d) is int
+            assert n != 0 and d > 0 and math.gcd(n, d) == 1
+
+
+def _fractions_built(monkeypatch, call):
+    """call() and the number of Fractions constructed while it runs."""
+    built = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        out = call()
+    return out, built
+
+
+def test_the_kernels_and_the_form_arithmetic_construct_no_fraction(monkeypatch):
+    ans = build(P_ODD)
+    phi, psi = ans.phi, ans.psi
+    f = form([("e1", Fraction(3, 7)), ("e12", -2), ("w1", 5)])
+    g = form([("e1", Fraction(-3, 7)), ("w2", 1), ("e23", 3)])
+    s, t = Fraction(-7, 3), Fraction(2, 9)
+    calls = [
+        lambda: wedge(phi, psi), lambda: wedge(f, g), lambda: wedge(E1, InvariantForm.zero()),
+        lambda: exterior_derivative(phi), lambda: exterior_derivative(f),
+        lambda: hodge_star(phi, P_ODD), lambda: hodge_star(psi, P_PLUS),
+        lambda: f + g, lambda: f - g, lambda: f - f, lambda: phi + psi, lambda: -f,
+        lambda: 3 * f, lambda: f * 3, lambda: s * phi, lambda: phi * t,
+        lambda: 0 * f,
+    ]
+    for call in calls:
+        want = call()
+        got, built = _fractions_built(monkeypatch, call)
+        assert built == 0 and got == want
+
+
+def test_inner_product_constructs_one_fraction(monkeypatch):
+    ans = build(P_ODD)
+    for alpha, beta in ((ans.phi, ans.phi), (ans.psi, ans.psi), (ans.phi, InvariantForm.zero()),
+                        (wedge(E1, ans.phi), ans.psi)):
+        want = inner_product(alpha, beta, P_ODD)
+        got, built = _fractions_built(monkeypatch, lambda: inner_product(alpha, beta, P_ODD))
+        assert built == 1 and got == want and type(got) is Fraction
+
+
+def test_algebra_checks_construct_one_fraction_per_diagonal_pairing_and_the_top(monkeypatch):
+    # the 40 diagonal pairings call inner_product, and the top coefficient
+    # eps a^2 b q^2 is one more; the once-per-process checks are run first
+    _structure_checks()
+    for p in (P_PLUS, P_MINUS, P_ODD):
+        want = algebra_checks(p)
+        got, built = _fractions_built(monkeypatch, lambda: algebra_checks(p))
+        assert built == 41 and got == want and all(ok for _, ok in got)

@@ -23,7 +23,8 @@ from coflow.coflow_dynamics import (
     state_rates,
 )
 from coflow.g2_ansatz import ansatz_4form, build, laplacian_psi, tau0 as ansatz_tau0, tau0_terms, torsion
-from coflow.invariant_forms import GeometryParams, InvariantForm, _exactly, dstar_on_4forms, inner_product
+from coflow.invariant_forms import (GeometryParams, InvariantForm, _exactly, dstar_on_4forms, inner_product,
+                                    random_params)
 from coflow.stability import (
     _CLOSED_FORM,
     _EIGENBASIS,
@@ -604,6 +605,40 @@ def test_state_direction_is_a_unit_vector_at_every_finite_scale():
         for zero in ((0, 0, 0), (0.0, -0.0, 0.0)):
             with pytest.raises(ValueError, match="^zero direction$"):
                 state_direction(pt, zero)
+
+
+def test_state_direction_scales_exact_components_beyond_the_float_range():
+    # float(10**400) overflows; the exact components are divided by their
+    # largest magnitude first, which leaves the unit direction as it is
+    pt = principal(MODIFIED, 4, 3, +1)
+    huge = 10 ** 400
+    for direction, same in (((huge, 1, 1), (1, 0, 0)), ((huge, huge, -huge), (1, 1, -1)),
+                            ((Fraction(huge, 3), Fraction(-huge, 6), 0), (1, -0.5, 0)),
+                            ((1, -huge, Fraction(huge, 4)), (0, -1, 0.25))):
+        assert state_direction(pt, direction).tobytes() == state_direction(pt, same).tobytes()
+    with pytest.raises(ValueError):
+        state_direction(pt, (huge, math.nan, 1))
+
+
+@pytest.mark.parametrize("kappa", [1e-160, 1e160, 1e200, 1e300])
+def test_state_c_is_within_one_ulp_of_the_root_of_q_at_any_scale(kappa):
+    # float(q) overflows at kappa 1e-160 and underflows at the others
+    for eps in (+1, -1):
+        for pt in find_critical_points(NORMALIZED, kappa, None, eps) + find_critical_points(MODIFIED, kappa, 3, eps):
+            c, q = pt.state[2], pt.params.q
+            ulp = math.ulp(c)
+            assert 0 < c < math.inf
+            assert Fraction(c - ulp) ** 2 <= q <= Fraction(c + ulp) ** 2
+
+
+def test_state_keeps_the_bits_of_every_ordinary_q():
+    rng = random.Random(29)
+    params = [random_params(rng, eps) for eps in (+1, -1) for _ in range(500)]
+    params += [pt.params for eps in (+1, -1) for kappa in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0)
+               for gamma in (2.5, 3.0, 4.0, 5.0, 6.0) for pt in find_critical_points(MODIFIED, kappa, gamma, eps)]
+    for p in params:
+        want = (float(p.a), float(p.b), float(p.q) ** 0.5)
+        assert [x.hex() for x in p.state()] == [x.hex() for x in want]
 
 
 def test_state_direction_keeps_the_bits_of_every_ordinary_direction():
@@ -1702,6 +1737,13 @@ def test_classify_keeps_the_range_cut_on_the_exact_linearization(eps):
     point = principal(MODIFIED, 1e160, 3.0, eps)
     with pytest.raises(ValueError, match=message):
         classify(MODIFIED, point, 1e160, 3.0, eps)
+    # so is a linearization whose norm falls below the normal floats, at a
+    # kappa whose point is a float state
+    for kappa in (1e-160, 1e-300):
+        for flavor, gamma in ((NORMALIZED, None), (MODIFIED, 3.0)):
+            point = principal(flavor, kappa, gamma, eps)
+            with pytest.raises(ValueError, match=message):
+                classify(flavor, point, kappa, gamma, eps)
 
 
 @pytest.mark.parametrize("eps", (+1, -1))
